@@ -171,14 +171,6 @@ class NodePool:
     def rank_of(self, h: NodeHandle) -> int:
         return self.ranks[self._check(h)]
 
-    def recalc_rank(self, h: NodeHandle) -> int:
-        """Rank the active-children formula prescribes for this node.
-
-        Pure query, no mutation: the stored rank may legitimately sit
-        below this value.
-        """
-        return self._recalc(self._check(h))
-
     def _recalc(self, i: int) -> int:
         d = self.down[i]
         if d == NIL:
@@ -249,17 +241,20 @@ class ViolationHeap:
         """
         self._require_live()
         pool = self.pool
-        i = pool._alloc(key, item)
-        nxt = pool.nxt
         f = self._first
         if f == NIL:
-            nxt[i] = i
+            i = pool._alloc(key, item)
+            pool.nxt[i] = i
             self._first = i
         else:
+            # compare before linking: a key that raises leaves no trace
+            new_min = key < pool.keys[f]
+            pool.telemetry.comparisons += 1
+            i = pool._alloc(key, item)
+            nxt = pool.nxt
             nxt[i] = nxt[f]
             nxt[f] = i
-            pool.telemetry.comparisons += 1
-            if key < pool.keys[f]:
+            if new_min:
                 self._first = i
         self._count += 1
         return NodeHandle(i, pool.stamps[i])
@@ -285,11 +280,12 @@ class ViolationHeap:
         elif f2 == NIL:
             out._first = f1
         else:
+            # compare before splicing: a key that raises leaves no trace
+            out._first = f2 if pool.keys[f2] < pool.keys[f1] else f1
+            pool.telemetry.comparisons += 1
             nxt = pool.nxt
             # exchanging the two successors merges the two cycles
             nxt[f1], nxt[f2] = nxt[f2], nxt[f1]
-            pool.telemetry.comparisons += 1
-            out._first = f2 if pool.keys[f2] < pool.keys[f1] else f1
         out._count = self._count + other._count
         self._live = False
         other._live = False

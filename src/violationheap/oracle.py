@@ -1,13 +1,14 @@
 """Differential-testing oracle for the violation heap.
 
-``NaivePQ`` is a deliberately dumb priority queue: a flat list of
-(key, id) pairs scanned with ``min`` on every query.  It is slow and
-obviously correct, which is the whole point.  ``gen_ops`` builds random
-operation scripts whose alive keys are always pairwise distinct, so the
-minimum element is unambiguous and both structures must delete the same
-element; ``run_differential`` replays a script against the naive queue
-and a violation heap side by side, comparing sizes, minimums, deleted
-elements, and (at a configurable cadence) the full structural audit.
+``NaivePQ`` is the one reference model: an unordered list of live
+(key, id) entries plus a lazy ``heapq`` over the same tuples.  It is
+plain and obviously correct, which is the whole point.  ``gen_ops``
+drives a ``NaivePQ`` to build random operation scripts whose alive keys
+are always pairwise distinct, so the minimum element is unambiguous and
+both structures must delete the same element; ``run_differential``
+replays a script against a fresh naive queue and a violation heap side
+by side, comparing sizes, minimums, deleted elements, and (at a
+configurable cadence) the full structural audit.
 """
 
 from __future__ import annotations
@@ -26,16 +27,22 @@ DEFAULT_WEIGHTS = (0.45, 0.25, 0.25, 0.05)
 
 
 class NaivePQ:
-    """Reference priority queue: O(n) scans, no clever structure.
+    """Reference priority queue: no clever structure.
 
-    Elements are named by dense integer ids in insertion order.  Ties on
-    key are broken toward the smaller id, which matters only when a
-    script contains duplicate alive keys (generated scripts never do).
+    Elements are named by dense integer ids in insertion order.  Each
+    live element owns one (key, id) tuple in ``_entries``, which is kept
+    in swap-remove order.  The same tuple object is pushed onto a lazy
+    heapq; a heap entry counts only while ``_entries`` still holds that
+    very object for its id, so removed and decreased entries are skipped
+    when they surface.  Ties on key are broken toward the smaller id,
+    which matters only when a script contains duplicate alive keys
+    (generated scripts never do).
     """
 
     def __init__(self):
-        self._entries: list[tuple] = []   # (key, id), arbitrary order
+        self._entries: list[tuple] = []   # live (key, id), swap-remove order
         self._pos: dict[int, int] = {}    # id -> index into _entries
+        self._heap: list[tuple] = []      # heapq of (key, id), stale allowed
         self._items: list = []            # dense id -> payload
         self._key_count: dict = {}        # key -> live multiplicity
 
@@ -46,9 +53,15 @@ class NaivePQ:
         ident = len(self._items)
         self._items.append(item)
         self._pos[ident] = len(self._entries)
-        self._entries.append((key, ident))
+        entry = (key, ident)
+        self._entries.append(entry)
+        heapq.heappush(self._heap, entry)
         self._key_count[key] = self._key_count.get(key, 0) + 1
         return ident
+
+    def ident_at(self, pos: int) -> int:
+        """Id of the live element at index pos of the entry list."""
+        return self._entries[pos][1]
 
     def is_live(self, ident: int) -> bool:
         return ident in self._pos
@@ -64,15 +77,24 @@ class NaivePQ:
 
     def find_min(self) -> Optional[tuple]:
         """(key, id) of the minimum, or None when empty."""
-        if not self._entries:
-            return None
-        return min(self._entries)
+        heap = self._heap
+        entries = self._entries
+        pos = self._pos
+        while heap:
+            top = heap[0]
+            p = pos.get(top[1])
+            if p is not None and entries[p] is top:
+                return top
+            heapq.heappop(heap)
+        return None
 
     def delete_min(self) -> tuple:
         """Remove and return (key, item) of the minimum element."""
-        if not self._entries:
+        top = self.find_min()
+        if top is None:
             raise EmptyHeapError("empty")
-        key, ident = min(self._entries)
+        heapq.heappop(self._heap)
+        key, ident = top
         self._remove(ident)
         self._drop_key(key)
         return key, self._items[ident]
@@ -84,7 +106,9 @@ class NaivePQ:
         old_key = self._entries[pos][0]
         if new_key > old_key:
             raise ValueError("key increase not supported")
-        self._entries[pos] = (new_key, ident)
+        entry = (new_key, ident)
+        self._entries[pos] = entry
+        heapq.heappush(self._heap, entry)
         self._drop_key(old_key)
         self._key_count[new_key] = self._key_count.get(new_key, 0) + 1
 
@@ -135,9 +159,11 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
             key_span: int = 10 ** 9, meld_batch_max: int = 4) -> OpScript:
     """Build a random script with pairwise-distinct alive keys.
 
-    Distinct alive keys make the minimum unique, so a naive queue and
-    the heap under test must always agree on which element delete_min
-    removes.  Keys freed by deletion may be drawn again later.
+    The script is built by driving a ``NaivePQ``: it supplies the alive
+    keys, the minimum each delete removes, and the ids that decreases
+    target.  Distinct alive keys make the minimum unique, so a naive
+    queue and the heap under test must always agree on which element
+    delete_min removes.  Keys freed by deletion may be drawn again later.
     """
     rng = random.Random(seed)
     if len(weights) != 4 or any(x < 0 for x in weights) or sum(weights) <= 0:
@@ -148,42 +174,20 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
     c2 = c1 + w[1]
     c3 = c2 + w[2]
 
-    alive_keys: set = set()
-    alive: dict[int, int] = {}         # id -> current key
-    order: list[int] = []              # alive ids, for uniform sampling
-    order_pos: dict[int, int] = {}
-    lazy: list[tuple] = []             # heapq of (key, id), stale entries allowed
-    next_id = 0
+    model = NaivePQ()
     ops: list = []
 
     def fresh_key() -> int:
         while True:
             k = rng.randrange(-key_span, key_span)
-            if k not in alive_keys:
+            if not model.key_multiplicity(k):
                 return k
-
-    def model_insert(k: int) -> None:
-        nonlocal next_id
-        alive_keys.add(k)
-        alive[next_id] = k
-        order_pos[next_id] = len(order)
-        order.append(next_id)
-        heapq.heappush(lazy, (k, next_id))
-        next_id += 1
-
-    def model_remove(ident: int) -> None:
-        alive_keys.discard(alive.pop(ident))
-        pos = order_pos.pop(ident)
-        last = order.pop()
-        if pos < len(order):
-            order[pos] = last
-            order_pos[last] = pos
 
     for _ in range(n_ops):
         for _attempt in range(8):
             r = rng.random()
             kind = 0 if r < c1 else 1 if r < c2 else 2 if r < c3 else 3
-            if kind in (1, 2) and not alive:
+            if kind in (1, 2) and not model:
                 continue
             break
         else:
@@ -192,37 +196,28 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
         if kind == 0:
             k = fresh_key()
             ops.append(("insert", k))
-            model_insert(k)
+            model.insert(k)
         elif kind == 1:
-            while True:
-                k, ident = lazy[0]
-                if alive.get(ident) == k:
-                    break
-                heapq.heappop(lazy)
-            heapq.heappop(lazy)
-            model_remove(ident)
+            model.delete_min()
             ops.append(("deletemin",))
         elif kind == 2:
-            ident = order[rng.randrange(len(order))]
-            cur = alive[ident]
+            ident = model.ident_at(rng.randrange(len(model)))
+            cur = model.key_of(ident)
             # mix local nudges with span-scale drops: nudges mostly stay
             # above the parent, drops force cuts and rank repairs
             hi = 1000 if rng.random() < 0.5 else key_span
             while True:
                 nk = cur - rng.randrange(1, hi + 1)
-                if nk not in alive_keys:
+                if not model.key_multiplicity(nk):
                     break
-            alive_keys.discard(cur)
-            alive_keys.add(nk)
-            alive[ident] = nk
-            heapq.heappush(lazy, (nk, ident))
+            model.decrease_key(ident, nk)
             ops.append(("decrease", ident, nk))
         else:
             batch = []
             for _ in range(rng.randrange(1, meld_batch_max + 1)):
                 k = fresh_key()
                 batch.append(k)
-                model_insert(k)
+                model.insert(k)
             ops.append(("meld", tuple(batch)))
 
     return OpScript(seed=seed, ops=ops, weights=tuple(w))

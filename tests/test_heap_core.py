@@ -10,6 +10,7 @@ import pytest
 from violationheap import (NIL, EmptyHeapError, HeapError, NodeHandle,
                            NodePool, StaleHandleError, ViolationHeap,
                            rank_from_pair)
+from violationheap.invariants import full_audit
 
 
 def kids_oldest_first(p, i):
@@ -243,6 +244,53 @@ def test_meld_rejects_foreign_pool():
     h2 = NodePool().new_heap()
     with pytest.raises(HeapError, match="pool"):
         h1.meld(h2)
+
+
+class OwnKindOnly:
+    """Key that orders among its own kind and raises against any other."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def _other(self, other):
+        if not isinstance(other, OwnKindOnly):
+            raise TypeError("no order against a foreign key")
+        return other.v
+
+    def __lt__(self, other):
+        return self.v < self._other(other)
+
+    def __gt__(self, other):
+        return self.v > self._other(other)
+
+
+def test_raising_key_compare_mutates_nothing():
+    p = NodePool()
+    h = p.new_heap()
+    for k in (5, 3, 8):
+        h.insert(k)
+    side = p.new_heap()
+    side.insert(OwnKindOnly(1))
+    before = (len(h), len(side), p.live_count, p.telemetry.comparisons)
+
+    def unchanged():
+        assert (len(h), len(side), p.live_count,
+                p.telemetry.comparisons) == before
+        assert full_audit(h).ok and full_audit(side).ok
+        assert [p.keys[i] for i in root_cycle(h)] == [3, 8, 5]
+
+    with pytest.raises(TypeError):
+        h.insert(OwnKindOnly(0))
+    unchanged()
+    with pytest.raises(TypeError):
+        h.meld(side)
+    unchanged()
+    with pytest.raises(TypeError):
+        side.meld(h)
+    unchanged()
+    # both operands stay usable after the failed meld
+    assert h.delete_min() == (3, None)
+    assert side.delete_min()[0].v == 1
 
 
 def test_key_increase_rejected():

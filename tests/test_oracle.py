@@ -1,6 +1,10 @@
 """Oracle-side tests: the naive queue itself, script generation
 guarantees, and the differential driver's verdicts."""
 
+import math
+import random
+import zlib
+
 import pytest
 
 from violationheap.heap_core import EmptyHeapError
@@ -30,12 +34,75 @@ class TestNaivePQ:
         with pytest.raises(ValueError):
             q.decrease_key(a, 11)
 
+    def test_decreases_leave_no_ghosts(self):
+        q = NaivePQ()
+        a = q.insert(100, "a")
+        b = q.insert(50, "b")
+        # every superseded entry stays in the lazy heap; 40 would surface
+        # before 50 if it still counted
+        for k in (90, 80, 40, 30):
+            q.decrease_key(a, k)
+        assert q.find_min() == (30, a)
+        assert q.delete_min() == (30, "a")
+        assert q.delete_min() == (50, "b")
+        assert q.find_min() is None and len(q) == 0
+        # a decrease to the key already held also leaves a stale twin
+        c = q.insert(5, "c")
+        d = q.insert(7, "d")
+        q.decrease_key(c, 5)
+        assert q.delete_min() == (5, "c")
+        assert q.delete_min() == (7, "d")
+        assert q.find_min() is None and not q.is_live(d)
+        with pytest.raises(EmptyHeapError):
+            q.delete_min()
+        # NaN passes the increase check without sorting below the old
+        # key, so the superseded 5.0 stays on top of the lazy heap
+        e = q.insert(5.0, "e")
+        q.decrease_key(e, math.nan)
+        key, ident = q.find_min()
+        assert ident == e and math.isnan(key)
+
     def test_tie_break_toward_older_id(self):
         q = NaivePQ()
         first = q.insert(7, "old")
         q.insert(7, "new")
         assert q.find_min() == (7, first)
         assert q.delete_min() == (7, "old")
+        # a decrease onto a tie keeps the smaller id first, either way round
+        q = NaivePQ()
+        old = q.insert(4, "old")
+        new = q.insert(9, "new")
+        q.decrease_key(new, 4)
+        assert q.find_min() == (4, old)
+        q = NaivePQ()
+        old = q.insert(9, "old")
+        q.insert(4, "new")
+        q.decrease_key(old, 4)
+        assert q.find_min() == (4, old)
+        assert q.delete_min() == (4, "old")
+        assert q.delete_min() == (4, "new")
+
+    def test_matches_min_scan_with_duplicates(self):
+        # generated scripts never hold duplicate alive keys, so check
+        # that case against a direct scan of the live elements
+        rng = random.Random(5)
+        q = NaivePQ()
+        live = {}
+        for _ in range(3000):
+            r = rng.random()
+            if r < 0.4 or not live:
+                k = rng.randrange(20)
+                live[q.insert(k, k)] = k
+            elif r < 0.7:
+                key, _ = q.delete_min()
+                ident = min(live, key=lambda i: (live[i], i))
+                assert key == live.pop(ident) and not q.is_live(ident)
+            else:
+                ident = q.ident_at(rng.randrange(len(q)))
+                live[ident] -= rng.randrange(3)
+                q.decrease_key(ident, live[ident])
+            expect = min(((k, i) for i, k in live.items()), default=None)
+            assert q.find_min() == expect and len(q) == len(live)
 
     def test_multiplicity_tracking(self):
         q = NaivePQ()
@@ -64,6 +131,18 @@ def test_parse_weights():
 class TestGenOps:
     def test_deterministic(self):
         assert gen_ops(7, 500).ops == gen_ops(7, 500).ops
+
+    # first and last scripts of acceptance criteria 1 and 2; the fuzz
+    # benchmark replays seed 0's as well
+    @pytest.mark.parametrize("seed,n_ops,weights,crc", [
+        (0, 10_000, (0.45, 0.25, 0.25, 0.05), 812743672),
+        (199, 10_000, (0.45, 0.25, 0.25, 0.05), 2311269027),
+        (1000, 2000, (0.35, 0.35, 0.25, 0.05), 85114265),
+        (1049, 2000, (0.35, 0.35, 0.25, 0.05), 3180099146),
+    ])
+    def test_scripts_pinned(self, seed, n_ops, weights, crc):
+        ops = gen_ops(seed, n_ops, weights).ops
+        assert zlib.crc32(repr(ops).encode()) == crc
 
     def test_alive_keys_stay_distinct(self):
         script = gen_ops(3, 3000)
