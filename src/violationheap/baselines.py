@@ -73,7 +73,7 @@ class BinaryHeap:
         if pos is None:
             raise StaleHandleError(f"stale id {ident}")
         key, _ = self._arr[pos]
-        if new_key > key:
+        if not new_key <= key:   # also refuses NaN
             raise HeapError("key increase not supported")
         self._arr[pos] = (new_key, ident)
         self._sift_up(pos)
@@ -193,7 +193,7 @@ class PairingHeap:
     def decrease_key(self, node: _PNode, new_key) -> None:
         if not node.alive:
             raise StaleHandleError("stale pairing-heap handle")
-        if new_key > node.key:
+        if not new_key <= node.key:   # also refuses NaN
             raise HeapError("key increase not supported")
         node.key = new_key
         if node is self._root:

@@ -176,8 +176,7 @@ class NodePool:
         if d == NIL:
             return 0
         d2 = self.prv[d]
-        r2 = self.ranks[d2] if d2 != NIL else -1
-        return (self.ranks[d] + r2 + 1) // 2 + 1
+        return rank_from_pair(self.ranks[d], self.ranks[d2] if d2 != NIL else -1)
 
 
 class ViolationHeap:
@@ -305,9 +304,9 @@ class ViolationHeap:
         pool = self.pool
         x = pool._check(h)
         keys = pool.keys
-        if keys[x] < new_key:
+        # NaN fails <= against anything, so it is refused here too
+        if not new_key <= keys[x]:
             raise HeapError("key increase not supported")
-        keys[x] = new_key
         t = pool.telemetry
         nxt = pool.nxt
         prv = pool.prv
@@ -327,16 +326,22 @@ class ViolationHeap:
                 parent, was_active, was_last = NIL, False, False
         else:
             # x is a root; the designation is the only thing to fix
-            f = self._first
+            new_min = new_key < keys[self._first]
             t.comparisons += 1
-            if new_key < keys[f]:
+            keys[x] = new_key
+            if new_min:
                 self._first = x
             return
 
-        if was_active:
+        # compare before storing or cutting: a key that raises leaves no trace
+        if was_active and not new_key < keys[parent]:
             t.comparisons += 1
-            if not new_key < keys[parent]:
-                return
+            keys[x] = new_key
+            return
+        f = self._first  # nonempty: x's tree still has its root
+        new_min = new_key < keys[f]
+        t.comparisons += 2 if was_active else 1
+        keys[x] = new_key
 
         # cut x; glue its higher-ranked active child (ties: the last one)
         # into x's old position so the parent's child count is preserved
@@ -385,12 +390,10 @@ class ViolationHeap:
         if r > t.max_rank:
             t.max_rank = r
 
-        f = self._first  # nonempty: x's old tree still has its root
         prv[x] = NIL
         nxt[x] = nxt[f]
         nxt[f] = x
-        t.comparisons += 1
-        if new_key < keys[f]:
+        if new_min:
             self._first = x
 
         if was_active:
@@ -408,14 +411,9 @@ class ViolationHeap:
         prv = pool.prv
         down = pool.down
         t = pool.telemetry
+        recalc = pool._recalc
         while True:
-            d = down[c]
-            if d == NIL:
-                r = 0
-            else:
-                d2 = prv[d]
-                r2 = ranks[d2] if d2 != NIL else -1
-                r = (ranks[d] + r2 + 1) // 2 + 1
+            r = recalc(c)
             old = ranks[c]
             if r >= old:
                 return

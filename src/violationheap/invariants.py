@@ -10,6 +10,9 @@ string ids:
                         nodes, broken circular root list)
     heap-order          a child's key is smaller than its parent's
     first-root          some root's key undercuts the first root's
+    key-compare         comparing a node's key with its parent's or the
+                        first root's raised; the key has no order
+                        against the heap's other keys
     rank-bound          a stored rank is negative or exceeds the value
                         the active-children formula allows
     size-bound          a subtree is smaller than the Fibonacci-style
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .heap_core import NIL, NodeHandle, NodePool, ViolationHeap
+from .heap_core import NIL, NodeHandle, NodePool, ViolationHeap, rank_from_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -94,7 +97,8 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     """Walk one heap and report every rule violation found.
 
     Never raises on a corrupt structure; traversal is bounded so broken
-    links produce findings rather than hangs.
+    links produce findings rather than hangs, and a key comparison that
+    raises becomes a ``key-compare`` finding.
     """
     heap._require_live()
     pool = heap.pool
@@ -139,8 +143,12 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     for r in roots:
         if prv[r] != NIL:
             bad("structure", r, "root carries a prv link")
-        if keys[r] < fk:
-            bad("first-root", r, f"root key {keys[r]!r} undercuts first root key {fk!r}")
+        try:
+            if keys[r] < fk:
+                bad("first-root", r,
+                    f"root key {keys[r]!r} undercuts first root key {fk!r}")
+        except Exception as exc:
+            bad("key-compare", r, f"root key vs first root key: {exc!r}")
 
     seen = bytearray(nslots)
     order: list[int] = []
@@ -181,8 +189,12 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
                         break
                     seen[c] = 1
                     parent_of[c] = p
-                    if keys[c] < pk:
-                        bad("heap-order", c, f"child key {keys[c]!r} below parent key {pk!r}")
+                    try:
+                        if keys[c] < pk:
+                            bad("heap-order", c,
+                                f"child key {keys[c]!r} below parent key {pk!r}")
+                    except Exception as exc:
+                        bad("key-compare", c, f"child key vs parent key: {exc!r}")
                     stack.append(c)
                     older = prv[c]
                     if older == NIL:
@@ -198,7 +210,7 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
                     if kid_steps > limit:
                         bad("structure", p, "child list does not terminate")
                         break
-            bound = (r1 + r2 + 1) // 2 + 1
+            bound = rank_from_pair(r1, r2)
             if rp < 0:
                 bad("rank-bound", p, f"negative rank {rp}")
             elif rp > bound:

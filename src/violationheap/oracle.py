@@ -16,10 +16,10 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .heap_core import EmptyHeapError, HeapError, NodePool
+from .heap_core import EmptyHeapError, HeapError, NodePool, Telemetry
 from .invariants import full_audit
 
 # insert, delete_min, decrease_key, meld
@@ -104,7 +104,7 @@ class NaivePQ:
         if pos is None:
             raise KeyError(ident)
         old_key = self._entries[pos][0]
-        if new_key > old_key:
+        if not new_key <= old_key:   # also refuses NaN
             raise ValueError("key increase not supported")
         entry = (new_key, ident)
         self._entries[pos] = entry
@@ -223,9 +223,10 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
     return OpScript(seed=seed, ops=ops, weights=tuple(w))
 
 
-@dataclass
-class Verdict:
-    """Outcome of one differential run, plus run statistics."""
+@dataclass(kw_only=True)
+class Verdict(Telemetry):
+    """Outcome of one differential run, plus run statistics: counts per
+    op class, audits run, and the pool's ``Telemetry`` counters."""
 
     seed: int
     op_count: int
@@ -238,20 +239,20 @@ class Verdict:
     melds: int = 0
     audits: int = 0
     multiplicity_audits: int = 0
-    comparisons: int = 0
-    joins: int = 0
-    cuts: int = 0
-    rank_update_steps: int = 0
-    max_rank: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
+        doc = {
             "seed": self.seed,
             "ops": self.op_count,
             "verdict": "pass" if self.passed else "fail",
             "fail_at": self.fail_at,
             "detail": self.detail,
-        })
+        }
+        # every other field is a counter
+        for f in fields(self):
+            if f.name not in doc and f.name not in ("op_count", "passed"):
+                doc[f.name] = getattr(self, f.name)
+        return json.dumps(doc)
 
 
 def _resolve_cadence(audit_every: Optional[int], n_ops: int) -> int:
@@ -279,12 +280,8 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
     handles: list = []   # dense id -> NodeHandle
 
     def fill_stats() -> None:
-        t = pool.telemetry
-        v.comparisons = t.comparisons
-        v.joins = t.joins
-        v.cuts = t.cuts
-        v.rank_update_steps = t.rank_update_steps
-        v.max_rank = t.max_rank
+        for name, value in asdict(pool.telemetry).items():
+            setattr(v, name, value)
 
     def fail(i: int, msg: str) -> Verdict:
         v.fail_at = i

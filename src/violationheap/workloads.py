@@ -1,7 +1,7 @@
 """Benchmark workloads: heapsort, mixed operations, and Dijkstra.
 
 Each driver returns a BenchRecord carrying wall time and the heap's
-operation counters, suitable for CSV output.  Dijkstra runs
+``Telemetry`` counters, suitable for CSV output.  Dijkstra runs
 insert-all-then-decrease: every vertex enters the queue up front at an
 infinite sentinel key, so the whole run exercises decrease_key instead
 of repeated inserts, and no settled-vertex flags are needed because
@@ -14,15 +14,18 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import BinaryHeap, PairingHeap
-from .heap_core import NodePool
+from .heap_core import NodePool, Telemetry
 
 # sentinel for "not yet reached"; larger than any real path length
 INF_KEY = (1 << 63) - 1
 
-CSV_HEADER = "workload,heap,n,m,seed,wall_ns,comparisons,links,cuts,rank_updates,max_rank"
+# the run columns, then one column per Telemetry counter
+CSV_COLUMNS = ("workload", "heap", "n", "m", "seed", "wall_ns",
+               *(f.name for f in fields(Telemetry)))
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 HEAP_NAMES = ("violation", "binary", "pairing")
 
@@ -150,33 +153,26 @@ def checksum(values) -> int:
     return zlib.crc32(" ".join(map(str, values)).encode())
 
 
-@dataclass
-class BenchRecord:
+@dataclass(kw_only=True)
+class BenchRecord(Telemetry):
+    """One run's identity and wall time plus the heap's counters."""
+
     workload: str
     heap: str
     n: int
     m: int
     seed: int
     wall_ns: int
-    comparisons: int
-    links: int
-    cuts: int
-    rank_updates: int
-    max_rank: int
     checksum: int = 0   # nonzero only for workloads with a pinnable result
 
     def csv_row(self) -> str:
-        return (f"{self.workload},{self.heap},{self.n},{self.m},{self.seed},"
-                f"{self.wall_ns},{self.comparisons},{self.links},{self.cuts},"
-                f"{self.rank_updates},{self.max_rank}")
+        return ",".join(str(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 def _record(workload: str, heap_name: str, heap, n: int, m: int, seed: int,
             wall_ns: int, check: int = 0) -> BenchRecord:
-    t = heap.telemetry
-    return BenchRecord(workload, heap_name, n, m, seed, wall_ns,
-                       t.comparisons, t.joins, t.cuts,
-                       t.rank_update_steps, t.max_rank, check)
+    return BenchRecord(workload=workload, heap=heap_name, n=n, m=m, seed=seed,
+                       wall_ns=wall_ns, checksum=check, **asdict(heap.telemetry))
 
 
 def heapsort_bench(heap_name: str, n: int, seed: int) -> BenchRecord:

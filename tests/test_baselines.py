@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -39,6 +40,9 @@ def test_error_paths(cls):
     a = h.insert(10)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, 11)
+    with pytest.raises(HeapError, match="increase"):
+        h.decrease_key(a, math.nan)
+    assert h.find_min() == (10, None)
     h.delete_min()
     with pytest.raises(StaleHandleError):
         h.decrease_key(a, 1)

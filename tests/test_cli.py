@@ -2,11 +2,18 @@
 
 import io
 import json
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from violationheap.cli import TraceError, main, run_trace
+from violationheap.cli import TraceError, _build_parser, main, run_trace
+from violationheap.heap_core import Telemetry
+from violationheap.oracle import run_differential
 from violationheap.workloads import CSV_HEADER
+
+TELEMETRY = [f.name for f in fields(Telemetry)]
 
 
 def run(capsys, *argv):
@@ -33,6 +40,17 @@ class TestFuzz:
         assert code == 0
         seeds = [json.loads(l)["seed"] for l in out.strip().splitlines()]
         assert seeds == [70, 71]
+
+    def test_lines_carry_every_counter(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--seeds", "2", "--seed-base", "4",
+                           "--ops", "300")
+        assert code == 0
+        for line in out.strip().splitlines():
+            doc = json.loads(line)
+            v = run_differential(doc["seed"], 300)
+            for name in TELEMETRY + ["inserts", "deletes", "decreases",
+                                     "melds", "audits", "multiplicity_audits"]:
+                assert doc[name] == getattr(v, name), name
 
     def test_bad_weights_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -141,6 +159,20 @@ class TestBench:
         doc = json.loads(out.strip())
         assert doc["workload"] == "mixed" and doc["heap"] == "pairing"
 
+    def test_csv_columns_are_run_prefix_plus_telemetry(self):
+        assert CSV_HEADER == "workload,heap,n,m,seed,wall_ns," + ",".join(TELEMETRY)
+
+    def test_json_carries_every_counter(self, capsys):
+        argv = ("bench", "heapsort", "--n", "300", "--heap", "violation")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        _, out, _ = run(capsys, *argv)
+        header, row = out.strip().splitlines()
+        csv = dict(zip(header.split(","), row.split(",")))
+        for name in TELEMETRY:
+            assert str(doc[name]) == csv[name], name
+
     def test_repeat_seeds(self, capsys):
         code, out, _ = run(capsys, "bench", "heapsort", "--n", "300",
                            "--heap", "binary", "--seed", "5", "--repeat", "3")
@@ -158,3 +190,14 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "quicksort"])
         assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line.split("#", 1)[0].strip()
+                for line in readme.read_text().splitlines()
+                if line.strip().startswith("vheap ")]
+    assert commands
+    parser = _build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

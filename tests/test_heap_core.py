@@ -5,6 +5,8 @@ linking rules before the implementation existed; a failure means the
 code drifted from the rules, not that the numbers need refreshing.
 """
 
+import math
+
 import pytest
 
 from violationheap import (NIL, EmptyHeapError, HeapError, NodeHandle,
@@ -264,11 +266,23 @@ class OwnKindOnly:
         return self.v > self._other(other)
 
 
+class NoStrictOrder:
+    """Key that is never an increase (<= holds, > fails) but raises on <."""
+
+    def __le__(self, other):
+        return True
+
+    def __gt__(self, other):
+        return False
+
+    def __lt__(self, other):
+        raise TypeError("no strict order")
+
+
 def test_raising_key_compare_mutates_nothing():
     p = NodePool()
     h = p.new_heap()
-    for k in (5, 3, 8):
-        h.insert(k)
+    hs = {k: h.insert(k) for k in (5, 3, 8)}
     side = p.new_heap()
     side.insert(OwnKindOnly(1))
     before = (len(h), len(side), p.live_count, p.telemetry.comparisons)
@@ -288,9 +302,31 @@ def test_raising_key_compare_mutates_nothing():
     with pytest.raises(TypeError):
         side.meld(h)
     unchanged()
+    # a root compares with the first root before its key is stored
+    with pytest.raises(TypeError):
+        h.decrease_key(hs[8], NoStrictOrder())
+    unchanged()
     # both operands stay usable after the failed meld
     assert h.delete_min() == (3, None)
     assert side.delete_min()[0].v == 1
+
+    # children compare with the parent (active) or the first root
+    # (deeper) before anything is stored or cut
+    p = NodePool()
+    h = p.new_heap()
+    hs = [h.insert(k) for k in range(12)]
+    h.delete_min()
+    roots = set(root_cycle(h))
+    assert len(roots) < 11
+    for handle in hs[1:]:
+        snap = (list(p.keys), list(p.ranks), list(p.down), list(p.nxt),
+                list(p.prv), h._first, vars(p.telemetry).copy())
+        with pytest.raises(TypeError):
+            h.decrease_key(handle, NoStrictOrder())
+        assert snap == (list(p.keys), list(p.ranks), list(p.down),
+                        list(p.nxt), list(p.prv), h._first,
+                        vars(p.telemetry))
+    assert full_audit(h).ok
 
 
 def test_key_increase_rejected():
@@ -298,6 +334,8 @@ def test_key_increase_rejected():
     a = h.insert(10)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, 11)
+    with pytest.raises(HeapError, match="increase"):
+        h.decrease_key(a, math.nan)   # NaN does not sort below 10
     h.decrease_key(a, 10)   # no-op decrease is fine
     assert h.find_min() == (10, None)
 

@@ -86,6 +86,32 @@ def test_heap_order_violation_flagged():
     pool.keys[child] = keep
 
 
+class Unordered:
+    """Key that raises on every comparison."""
+
+    def __lt__(self, other):
+        raise TypeError("unordered key")
+
+    __gt__ = __lt__
+
+
+def test_raising_key_compare_is_a_finding():
+    pool, h, _ = build(12)
+    h.delete_min()
+    root = h.first_root().index
+    other_root = pool.nxt[root]
+    assert other_root != root
+    # a child, the first root (against every root and child), another root
+    for i in (pool.down[root], root, other_root):
+        keep = pool.keys[i]
+        pool.keys[i] = Unordered()
+        report = full_audit(h)
+        assert {v.rule for v in report.violations} == {"key-compare"}
+        assert all(v.node is not None for v in report.violations)
+        pool.keys[i] = keep
+        assert full_audit(h).ok
+
+
 def test_first_root_rule():
     pool, h, _ = build(6)
     h.delete_min()

@@ -55,12 +55,11 @@ class TestNaivePQ:
         assert q.find_min() is None and not q.is_live(d)
         with pytest.raises(EmptyHeapError):
             q.delete_min()
-        # NaN passes the increase check without sorting below the old
-        # key, so the superseded 5.0 stays on top of the lazy heap
+        # NaN does not sort below the old key, so it is no decrease
         e = q.insert(5.0, "e")
-        q.decrease_key(e, math.nan)
-        key, ident = q.find_min()
-        assert ident == e and math.isnan(key)
+        with pytest.raises(ValueError, match="increase"):
+            q.decrease_key(e, math.nan)
+        assert q.find_min() == (5.0, e)
 
     def test_tie_break_toward_older_id(self):
         q = NaivePQ()

@@ -103,7 +103,7 @@ class TestBenches:
         r = heapsort_bench("violation", 1500, seed=2)
         assert r.workload == "heapsort" and r.heap == "violation"
         assert r.n == 1500 and r.wall_ns > 0
-        assert r.links > 0 and r.max_rank > 0
+        assert r.joins > 0 and r.max_rank > 0
         assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
 
     def test_mixed_all_heaps(self):
