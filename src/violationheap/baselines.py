@@ -1,11 +1,11 @@
 """Reference heaps the benchmarks compare against.
 
-Both expose the same surface as the violation heap: insert returns a
-handle, delete_min returns (key, item), decrease_key takes the handle,
-meld returns the surviving heap object, and a shared Telemetry records
-comparisons and link work.  BinaryHeap pays O(log n) per decrease and
-O(n log n) per meld; PairingHeap is the strong practical baseline with
-cheap decrease and O(1) meld.
+Both expose the violation heap's surface: insert returns a handle,
+delete_min returns (key, item), decrease_key takes the handle,
+``a.meld(b)`` empties b into a and returns a, and ``spawn`` makes an
+empty heap sharing a's Telemetry.  BinaryHeap pays O(log n) per
+decrease and O(n log n) per meld; PairingHeap is the strong practical
+baseline with cheap decrease and O(1) meld.
 """
 
 from __future__ import annotations
@@ -41,7 +41,14 @@ class BinaryHeap:
     def is_live(self, ident: int) -> bool:
         return ident in self._pos
 
+    def spawn(self) -> "BinaryHeap":
+        h = BinaryHeap()
+        h.telemetry = self.telemetry
+        return h
+
     def insert(self, key, item=None) -> int:
+        if key != key:
+            raise HeapError("NaN key")
         ident = next(_binary_ids)
         self._items[ident] = item
         self._arr.append((key, ident))
@@ -167,7 +174,14 @@ class PairingHeap:
     def is_live(self, node: _PNode) -> bool:
         return node.alive
 
+    def spawn(self) -> "PairingHeap":
+        h = PairingHeap()
+        h.telemetry = self.telemetry
+        return h
+
     def insert(self, key, item=None) -> _PNode:
+        if key != key:
+            raise HeapError("NaN key")
         node = _PNode(key, item)
         self._root = node if self._root is None else self._link(self._root, node)
         self._count += 1

@@ -69,14 +69,14 @@ class TraceError(Exception):
 
 def run_trace(lines, out=None) -> None:
     """Replay a line-oriented trace.  One shared pool; heap names are
-    aliases that keep resolving after melds consume their operands.
+    aliases, and a meld points the absorbed heap's names at the other.
 
         new H            create an empty heap named H
         insert H ID KEY  insert; ID becomes the element's name
         decrease ID KEY  lower the element's key
         deletemin H      pop the minimum, print "ID KEY"
         findmin H        print "ID KEY" without removing, or "none"
-        meld H1 H2       merge; both names now reach the merged heap
+        meld H1 H2       H1 absorbs H2; both names now resolve to H1
         check H          full structural audit, print "ok"
 
     Blank lines and '#' comments are skipped.  Any violation of the
@@ -139,10 +139,8 @@ def run_trace(lines, out=None) -> None:
                 if a is b:
                     raise TraceError(
                         f"line {lineno}: {rest[0]!r} and {rest[1]!r} are the same heap")
-                merged = a.meld(b)
-                for name, h in list(heaps.items()):
-                    if h is a or h is b:
-                        heaps[name] = merged
+                a.meld(b)
+                heaps.update({name: a for name, h in heaps.items() if h is b})
             elif op == "check" and len(rest) == 1:
                 report = full_audit(heap_of(rest[0], lineno),
                                     check_root_multiplicity=False)

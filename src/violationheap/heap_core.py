@@ -40,7 +40,7 @@ NIL = -1
 
 
 class HeapError(Exception):
-    """Misuse of the heap API (bad meld, bad key change, dead heap ref)."""
+    """Misuse of the heap API (bad meld, bad key, decrease on an empty heap)."""
 
 
 class StaleHandleError(HeapError):
@@ -183,20 +183,18 @@ class ViolationHeap:
     """One meldable min-heap inside a NodePool.
 
     find_min and insert are O(1), meld is O(1), decrease_key is amortized
-    O(1), delete_min is amortized O(log n).  A heap reference passed to
-    meld is consumed: afterwards only the returned reference is usable.
+    O(1), delete_min is amortized O(log n).  meld empties its argument
+    into this heap; ``spawn`` makes an empty heap that can meld with it.
     """
 
     def __init__(self, pool: NodePool) -> None:
         self.pool = pool
         self._first = NIL
         self._count = 0
-        self._live = True
 
     # -- queries --------------------------------------------------------
 
     def __len__(self) -> int:
-        self._require_live()
         return self._count
 
     def is_empty(self) -> bool:
@@ -208,7 +206,6 @@ class ViolationHeap:
 
     def find_min(self) -> Optional[tuple]:
         """(key, item) of a minimum element, or None when empty."""
-        self._require_live()
         f = self._first
         if f == NIL:
             return None
@@ -216,7 +213,6 @@ class ViolationHeap:
 
     def first_root(self) -> Optional[NodeHandle]:
         """Handle of the current first (minimum) root, or None when empty."""
-        self._require_live()
         f = self._first
         if f == NIL:
             return None
@@ -226,9 +222,9 @@ class ViolationHeap:
     def telemetry(self) -> Telemetry:
         return self.pool.telemetry
 
-    def _require_live(self) -> None:
-        if not self._live:
-            raise HeapError("heap reference was consumed by meld")
+    def spawn(self) -> "ViolationHeap":
+        """An empty heap in the same pool, so it can meld with this one."""
+        return ViolationHeap(self.pool)
 
     # -- updates --------------------------------------------------------
 
@@ -238,7 +234,9 @@ class ViolationHeap:
         The node lands first on the root list when it carries a new
         minimum, otherwise second (right behind the first root).
         """
-        self._require_live()
+        # NaN is unordered: as a key it would stay the minimum forever
+        if key != key:
+            raise HeapError("NaN key")
         pool = self.pool
         f = self._first
         if f == NIL:
@@ -259,36 +257,31 @@ class ViolationHeap:
         return NodeHandle(i, pool.stamps[i])
 
     def meld(self, other: "ViolationHeap") -> "ViolationHeap":
-        """Combine two heaps from the same pool into a new one.
+        """Move every element of other, a heap of the same pool, into this
+        one; other is left empty and usable.  Returns self.
 
-        Both inputs are consumed.  The circular root lists are spliced in
-        O(1); the smaller of the two minimums becomes the first root, the
-        left operand winning ties.
+        The circular root lists are spliced in O(1); the smaller of the
+        two minimums becomes the first root, this heap winning ties.
         """
-        self._require_live()
-        other._require_live()
         if other is self:
             raise HeapError("cannot meld a heap with itself")
         if other.pool is not self.pool:
             raise HeapError("pool mismatch")
         pool = self.pool
-        out = ViolationHeap(pool)
         f1, f2 = self._first, other._first
         if f1 == NIL:
-            out._first = f2
-        elif f2 == NIL:
-            out._first = f1
-        else:
+            self._first = f2
+        elif f2 != NIL:
             # compare before splicing: a key that raises leaves no trace
-            out._first = f2 if pool.keys[f2] < pool.keys[f1] else f1
+            self._first = f2 if pool.keys[f2] < pool.keys[f1] else f1
             pool.telemetry.comparisons += 1
             nxt = pool.nxt
             # exchanging the two successors merges the two cycles
             nxt[f1], nxt[f2] = nxt[f2], nxt[f1]
-        out._count = self._count + other._count
-        self._live = False
-        other._live = False
-        return out
+        self._count += other._count
+        other._first = NIL
+        other._count = 0
+        return self
 
     def decrease_key(self, h: NodeHandle, new_key) -> None:
         """Lower the key stored at h; the new key must not exceed the old.
@@ -299,10 +292,15 @@ class ViolationHeap:
         gap (so the parent keeps its child count), the cut node re-enters
         the root list with a freshly computed rank, and, when the cut node
         was active, rank repair walks upward from the old parent.
+
+        The handle must belong to this heap.  Only an empty heap is
+        detected: ownership has no O(1) check without parent pointers.
         """
-        self._require_live()
         pool = self.pool
         x = pool._check(h)
+        f = self._first
+        if f == NIL:
+            raise HeapError("handle does not belong to this empty heap")
         keys = pool.keys
         # NaN fails <= against anything, so it is refused here too
         if not new_key <= keys[x]:
@@ -326,7 +324,7 @@ class ViolationHeap:
                 parent, was_active, was_last = NIL, False, False
         else:
             # x is a root; the designation is the only thing to fix
-            new_min = new_key < keys[self._first]
+            new_min = new_key < keys[f]
             t.comparisons += 1
             keys[x] = new_key
             if new_min:
@@ -338,7 +336,6 @@ class ViolationHeap:
             t.comparisons += 1
             keys[x] = new_key
             return
-        f = self._first  # nonempty: x's tree still has its root
         new_min = new_key < keys[f]
         t.comparisons += 2 if was_active else 1
         keys[x] = new_key
@@ -442,7 +439,6 @@ class ViolationHeap:
         rebuilt in ascending rank order with the minimum rotated to the
         front.
         """
-        self._require_live()
         if self._count == 0:
             raise EmptyHeapError("empty")
         pool = self.pool

@@ -100,7 +100,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     links produce findings rather than hangs, and a key comparison that
     raises becomes a ``key-compare`` finding.
     """
-    heap._require_live()
     pool = heap.pool
     keys = pool.keys
     ranks = pool.ranks
@@ -263,7 +262,6 @@ class PotentialSnapshot:
 
 def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
     """Measure the heap's potential components in one traversal."""
-    heap._require_live()
     pool = heap.pool
     ranks = pool.ranks
     down = pool.down

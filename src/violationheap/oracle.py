@@ -50,6 +50,8 @@ class NaivePQ:
         return len(self._entries)
 
     def insert(self, key, item=None) -> int:
+        if key != key:
+            raise ValueError("NaN key")
         ident = len(self._items)
         self._items.append(item)
         self._pos[ident] = len(self._entries)
@@ -315,11 +317,11 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
                 naive.decrease_key(ident, nk)
                 v.decreases += 1
             else:
-                side = pool.new_heap()
+                side = heap.spawn()
                 for k in op[1]:
                     naive.insert(k, len(handles))
                     handles.append(side.insert(k, len(handles)))
-                heap = heap.meld(side)
+                heap.meld(side)
                 v.melds += 1
 
             if len(heap) != len(naive):

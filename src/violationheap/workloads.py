@@ -220,13 +220,12 @@ def mixed_bench(heap_name: str, n_ops: int, seed: int) -> BenchRecord:
                 heap.decrease_key(handles[i], nk)
                 keys[i] = nk
         else:
-            side = heap.__class__() if heap_name != "violation" \
-                else heap.pool.new_heap()
+            side = heap.spawn()
             for _ in range(rng.randrange(1, 4)):
                 k = rng.randrange(1 << 40)
                 handles.append(side.insert(k, len(handles)))
                 keys.append(k)
-            heap = heap.meld(side)
+            heap.meld(side)
     wall = time.perf_counter_ns() - t0
     return _record("mixed", heap_name, heap, n_ops, 0, seed, wall)
 

@@ -1,13 +1,19 @@
+import functools
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
                                      StaleHandleError)
+from violationheap.workloads import HEAP_NAMES, make_heap
 
-HEAPS = [BinaryHeap, PairingHeap]
+# every heap make_heap knows runs the same interface tests, named by class
+HEAPS = [pytest.param(functools.partial(make_heap, name),
+                      id=type(make_heap(name)).__name__)
+         for name in HEAP_NAMES]
 
 
 @pytest.mark.parametrize("cls", HEAPS)
@@ -42,6 +48,10 @@ def test_error_paths(cls):
         h.decrease_key(a, 11)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, math.nan)
+    counters = asdict(h.telemetry)
+    with pytest.raises(HeapError, match="NaN"):
+        h.insert(math.nan)
+    assert len(h) == 1 and asdict(h.telemetry) == counters
     assert h.find_min() == (10, None)
     h.delete_min()
     with pytest.raises(StaleHandleError):
@@ -55,25 +65,46 @@ def test_error_paths(cls):
 
 @pytest.mark.parametrize("cls", HEAPS)
 def test_meld_absorbs(cls):
-    h1, h2 = cls(), cls()
+    h1 = cls()
+    h2 = h1.spawn()
     x = h1.insert(4, "x")
     h2.insert(1, "y")
     h2.insert(9, "z")
     merged = h1.meld(h2)
     assert merged is h1
     assert len(merged) == 3 and len(h2) == 0
+    assert h2.find_min() is None and h2.is_empty()
     assert merged.find_min() == (1, "y")
     merged.decrease_key(x, 0)      # pre-meld handle survives
     assert merged.find_min() == (0, "x")
+    # the emptied operand is an ordinary heap again
+    w = h2.insert(7, "w")
+    h2.decrease_key(w, 6)
+    assert h2.find_min() == (6, "w") and len(h2) == 1
+    assert h1.meld(h2) is h1 and len(h1) == 4 and len(h2) == 0
+    assert [h1.delete_min()[1] for _ in range(4)] == ["x", "y", "w", "z"]
 
 
 @pytest.mark.parametrize("cls", HEAPS)
 def test_meld_empty_sides(cls):
     h = cls()
     h.insert(3)
-    assert len(h.meld(cls())) == 1
-    e = cls()
+    assert h.meld(h.spawn()) is h and len(h) == 1
+    e = h.spawn()
     assert e.meld(h).find_min() == (3, None)
+    assert len(e) == 1 and len(h) == 0
+    assert h.meld(h.spawn()) is h and len(h) == 0 and h.find_min() is None
+
+
+@pytest.mark.parametrize("cls", HEAPS)
+def test_spawn_shares_telemetry(cls):
+    h = cls()
+    side = h.spawn()
+    assert side.telemetry is h.telemetry
+    side.insert(2)
+    before = h.telemetry.comparisons
+    side.insert(1)        # a side heap's work counts with its sibling's
+    assert h.telemetry.comparisons > before
 
 
 @pytest.mark.parametrize("cls", HEAPS)

@@ -212,33 +212,27 @@ def test_join_swaps_misordered_last_children():
     assert drained == sorted(drained)
 
 
-def test_meld_consumes_operands():
+def test_decrease_on_the_emptied_meld_operand_is_refused():
+    # a handle must belong to the heap it is used on; the one breach that
+    # is detected is a decrease called on an empty heap
     p = NodePool()
-    ha, hb = p.new_heap(), p.new_heap()
-    ha.insert(5)
-    hb.insert(3)
-    m = ha.meld(hb)
-    assert m.find_min()[0] == 3 and len(m) == 2
-    for dead in (ha, hb):
-        with pytest.raises(HeapError, match="consumed"):
-            dead.find_min()
-    with pytest.raises(HeapError, match="itself"):
-        m.meld(m)
-
-
-def test_meld_empty_operands():
-    p = NodePool()
-    e1, e2 = p.new_heap(), p.new_heap()
-    m = e1.meld(e2)
-    assert m.is_empty()
-    h = p.new_heap()
-    h.insert(7)
-    m2 = m.meld(h)
-    assert m2.find_min() == (7, None) and len(m2) == 1
-    h2 = p.new_heap()
-    h2.insert(4)
-    m3 = h2.meld(p.new_heap())
-    assert m3.find_min() == (4, None)
+    a = p.new_heap()
+    b = a.spawn()
+    for k in (5, 6):
+        a.insert(k)
+    hb = {k: b.insert(k) for k in (7, 8, 9, 10)}
+    b.delete_min()           # joins 8, 9, 10: a root and two children
+    del hb[7]
+    assert a.meld(b) is a and len(a) == 5
+    before = (len(a), p.live_count, p.telemetry.comparisons)
+    for h in hb.values():
+        with pytest.raises(HeapError, match="empty"):
+            b.decrease_key(h, 1)
+    assert len(b) == 0 and b.find_min() is None
+    assert (len(a), p.live_count, p.telemetry.comparisons) == before
+    assert {k: p.key_of(h) for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+    assert full_audit(a).ok
+    assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
 
 
 def test_meld_rejects_foreign_pool():
@@ -338,6 +332,12 @@ def test_key_increase_rejected():
         h.decrease_key(a, math.nan)   # NaN does not sort below 10
     h.decrease_key(a, 10)   # no-op decrease is fine
     assert h.find_min() == (10, None)
+    # a NaN key is refused before a slot is taken or a key compared
+    before = (len(h), h.pool.live_count, vars(h.telemetry).copy())
+    with pytest.raises(HeapError, match="NaN"):
+        h.insert(math.nan)
+    assert (len(h), h.pool.live_count, vars(h.telemetry)) == before
+    assert full_audit(h).ok and h.find_min() == (10, None)
 
 
 def test_decrease_key_by():

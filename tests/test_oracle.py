@@ -60,6 +60,11 @@ class TestNaivePQ:
         with pytest.raises(ValueError, match="increase"):
             q.decrease_key(e, math.nan)
         assert q.find_min() == (5.0, e)
+        # nor is NaN inserted: it would stay the minimum forever
+        with pytest.raises(ValueError, match="NaN"):
+            q.insert(math.nan, "f")
+        assert len(q) == 1 and q.find_min() == (5.0, e)
+        assert q.delete_min() == (5.0, "e") and q.find_min() is None
 
     def test_tie_break_toward_older_id(self):
         q = NaivePQ()

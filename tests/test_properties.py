@@ -77,7 +77,7 @@ def test_random_interleavings_stay_sound(codes, seed):
                 handles[nid] = side.insert(k, nid)
                 model[nid] = k
                 nid += 1
-            heap = heap.meld(side)
+            heap.meld(side)
         assert len(heap) == len(model)
 
     report = full_audit(heap)
@@ -174,7 +174,7 @@ class DifferentialMachine(RuleBasedStateMachine):
             self.used.add(k)
             ident = self.naive.insert(k, k)
             self.handles[ident] = side.insert(k, k)
-        self.heap = self.heap.meld(side)
+        self.heap.meld(side)
 
     @invariant()
     def sizes_and_minimum_agree(self):
