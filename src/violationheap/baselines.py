@@ -207,6 +207,8 @@ class PairingHeap:
     def decrease_key(self, node: _PNode, new_key) -> None:
         if not node.alive:
             raise StaleHandleError("stale pairing-heap handle")
+        if self._root is None:
+            raise HeapError("handle does not belong to this empty heap")
         if not new_key <= node.key:   # also refuses NaN
             raise HeapError("key increase not supported")
         node.key = new_key

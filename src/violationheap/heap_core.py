@@ -178,6 +178,19 @@ class NodePool:
         d2 = self.prv[d]
         return rank_from_pair(self.ranks[d], self.ranks[d2] if d2 != NIL else -1)
 
+    def _active_parent(self, c: int) -> int:
+        # c's parent when c is one of its parent's two newest children,
+        # else NIL: a last child's nxt is the parent, a second-to-last
+        # child's nxt is the last child, whose nxt is the parent
+        y = self.nxt[c]
+        if self.down[y] == c:
+            return y
+        if self.prv[y] == c:
+            z = self.nxt[y]
+            if self.down[z] == y:
+                return z
+        return NIL
+
 
 class ViolationHeap:
     """One meldable min-heap inside a NodePool.
@@ -311,18 +324,12 @@ class ViolationHeap:
         down = pool.down
         ranks = pool.ranks
 
-        # classify x from its own links: last child, second-to-last child,
-        # deeper child, or root
+        # x is an active child when it has an active parent, and that
+        # parent's last child when the parent is y; otherwise x is an
+        # older child, whose newer sibling y points back at it, or a root
+        parent = pool._active_parent(x)
         y = nxt[x]
-        if down[y] == x:
-            parent, was_active, was_last = y, True, True
-        elif prv[y] == x:
-            z = nxt[y]
-            if down[z] == y:
-                parent, was_active, was_last = z, True, False
-            else:
-                parent, was_active, was_last = NIL, False, False
-        else:
+        if parent == NIL and prv[y] != x:
             # x is a root; the designation is the only thing to fix
             new_min = new_key < keys[f]
             t.comparisons += 1
@@ -332,55 +339,42 @@ class ViolationHeap:
             return
 
         # compare before storing or cutting: a key that raises leaves no trace
-        if was_active and not new_key < keys[parent]:
+        if parent != NIL and not new_key < keys[parent]:
             t.comparisons += 1
             keys[x] = new_key
             return
         new_min = new_key < keys[f]
-        t.comparisons += 2 if was_active else 1
+        t.comparisons += 1 if parent == NIL else 2
         keys[x] = new_key
 
-        # cut x; glue its higher-ranked active child (ties: the last one)
+        # cut x; glue its higher-ranked active child g (ties: the last one)
         # into x's old position so the parent's child count is preserved
         t.cuts += 1
+        xp = prv[x]
         d = down[x]
         if d == NIL:
-            g = NIL
+            # no child to glue: x's neighbours close the gap
+            after_xp, before_y = y, xp
         else:
             d2 = prv[d]
             g = d2 if d2 != NIL and ranks[d2] > ranks[d] else d
-
-        xp = prv[x]
-        if g == NIL:
-            # childless cut node: close the gap directly
-            if was_last:
-                down[parent] = xp
-                if xp != NIL:
-                    nxt[xp] = parent
-            else:
-                prv[y] = xp
-                if xp != NIL:
-                    nxt[xp] = y
-        else:
+            # g's older sibling takes g's place among x's children
+            gp = prv[g]
             if g == d:
-                gp = prv[g]
                 down[x] = gp
-                if gp != NIL:
-                    nxt[gp] = x  # new last child points back at x
             else:
-                gp = prv[g]
                 prv[d] = gp
-                if gp != NIL:
-                    nxt[gp] = d
+            if gp != NIL:
+                nxt[gp] = nxt[g]
+            nxt[g] = y
             prv[g] = xp
-            if xp != NIL:
-                nxt[xp] = g
-            if was_last:
-                nxt[g] = parent
-                down[parent] = g
-            else:
-                nxt[g] = y
-                prv[y] = g
+            after_xp = before_y = g
+        if xp != NIL:
+            nxt[xp] = after_xp
+        if y == parent:
+            down[y] = before_y
+        else:
+            prv[y] = before_y
 
         r = pool._recalc(x)
         ranks[x] = r
@@ -393,41 +387,21 @@ class ViolationHeap:
         if new_min:
             self._first = x
 
-        if was_active:
-            self._propagate(parent)
-
-    def _propagate(self, c: int) -> None:
-        # Walk upward from the old parent, shrinking ranks that the
-        # active-children formula no longer supports.  The starting node
-        # is recalculated even when it is not active; moving further up
-        # requires the current node to be active.  Every executed update
-        # must be a decrease of exactly one.
-        pool = self.pool
-        ranks = pool.ranks
-        nxt = pool.nxt
-        prv = pool.prv
-        down = pool.down
-        t = pool.telemetry
-        recalc = pool._recalc
-        while True:
-            r = recalc(c)
+        # rank repair walks up from the old parent, shrinking ranks the
+        # active-children formula no longer supports.  The parent is
+        # recalculated even when it is not active; each further step needs
+        # the current node to be active.  Every executed update must be a
+        # decrease of exactly one.
+        c = parent
+        while c != NIL:
+            r = pool._recalc(c)
             old = ranks[c]
             if r >= old:
                 return
             assert old - r == 1, "rank repair step larger than one"
             ranks[c] = r
             t.rank_update_steps += 1
-            y = nxt[c]
-            if down[y] == c:
-                c = y
-            elif prv[y] == c:
-                z = nxt[y]
-                if down[z] == y:
-                    c = z
-                else:
-                    return
-            else:
-                return
+            c = pool._active_parent(c)
 
     def delete_min(self) -> tuple:
         """Remove and return a minimum (key, item).

@@ -25,7 +25,9 @@ string ids:
 
 ``potential_snapshot`` reports the quantities the amortized analysis
 charges against: the number of critical nodes, the total degree excess
-(twice the violation units), and the tree count.
+(twice the violation units), and the tree count.  It and
+``pool_degree_excess`` raise ``HeapError`` on a root or child list that
+does not end, where ``full_audit`` reports a ``structure`` finding.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .heap_core import NIL, NodeHandle, NodePool, ViolationHeap, rank_from_pair
+from .heap_core import (NIL, HeapError, NodeHandle, NodePool, ViolationHeap,
+                        rank_from_pair)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -261,7 +264,11 @@ class PotentialSnapshot:
 
 
 def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
-    """Measure the heap's potential components in one traversal."""
+    """Measure the heap's potential components in one traversal.
+
+    Raises HeapError, naming the node, when the walk reaches more nodes
+    than the pool holds: some root or child list does not end.
+    """
     pool = heap.pool
     ranks = pool.ranks
     down = pool.down
@@ -272,6 +279,7 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
     if first == NIL:
         return PotentialSnapshot(0, 0, 0)
 
+    limit = pool.live_count
     roots = []
     i = first
     while True:
@@ -279,8 +287,11 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
         i = pool.nxt[i]
         if i == first:
             break
+        if len(roots) > limit:
+            raise HeapError(f"root list from node {first} does not end")
 
     critical = 0
+    reached = len(roots)
     excess = 0
     order: list[int] = []
     parent_of: dict[int, int] = {}
@@ -294,6 +305,9 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
         c = down[p]
         pair = -2  # sum of the two active-slot ranks, missing slots are -1
         while c != NIL:
+            reached += 1
+            if reached > limit:
+                raise HeapError(f"child list of node {p} does not end")
             stack.append((c, degree < 2))
             parent_of[c] = p
             if degree < 2:
@@ -325,8 +339,10 @@ def pool_degree_excess(pool: NodePool) -> int:
 
     Usable mid-consolidation, when no root list exists to traverse: a
     join touches no node outside the pool, so pool-wide neutrality is
-    equivalent to heap-wide neutrality.
+    equivalent to heap-wide neutrality.  Raises HeapError, naming the
+    node, on a child list longer than the pool's live node count.
     """
+    limit = pool.live_count
     total = 0
     stamps = pool.stamps
     down = pool.down
@@ -339,6 +355,8 @@ def pool_degree_excess(pool: NodePool) -> int:
         c = down[i]
         while c != NIL:
             degree += 1
+            if degree > limit:
+                raise HeapError(f"child list of node {i} does not end")
             c = prv[c]
         e = degree - 2 * ranks[i]
         if e > 0:

@@ -24,6 +24,10 @@ from .invariants import full_audit
 
 # insert, delete_min, decrease_key, meld
 DEFAULT_WEIGHTS = (0.45, 0.25, 0.25, 0.05)
+# generated keys are drawn from [-KEY_SPAN, KEY_SPAN); a meld op brings a
+# side heap of 1 to MELD_BATCH_MAX fresh keys
+KEY_SPAN = 10 ** 9
+MELD_BATCH_MAX = 4
 
 
 class NaivePQ:
@@ -143,22 +147,27 @@ class OpScript:
     weights: tuple = DEFAULT_WEIGHTS
 
 
-def parse_weights(text: str) -> tuple:
-    """Parse "a,b,c,d" into normalized insert/delete/decrease/meld weights."""
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("expected four comma-separated weights")
-    vals = tuple(float(p) for p in parts)
-    if any(v < 0 for v in vals):
+def _normalize_weights(weights) -> tuple:
+    """Check four insert/delete/decrease/meld weights (non-negative, not
+    all zero) and scale them to sum to one."""
+    w = tuple(weights)
+    if len(w) != 4:
+        raise ValueError("expected four weights")
+    # NaN fails >= against anything, so it is refused here too
+    if not all(x >= 0 for x in w):
         raise ValueError("weights must be non-negative")
-    total = sum(vals)
+    total = sum(w)
     if total <= 0:
         raise ValueError("weights must not all be zero")
-    return tuple(v / total for v in vals)
+    return tuple(x / total for x in w)
 
 
-def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
-            key_span: int = 10 ** 9, meld_batch_max: int = 4) -> OpScript:
+def parse_weights(text: str) -> tuple:
+    """Parse "a,b,c,d" into normalized insert/delete/decrease/meld weights."""
+    return _normalize_weights(float(p) for p in text.split(","))
+
+
+def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript:
     """Build a random script with pairwise-distinct alive keys.
 
     The script is built by driving a ``NaivePQ``: it supplies the alive
@@ -168,10 +177,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
     delete_min removes.  Keys freed by deletion may be drawn again later.
     """
     rng = random.Random(seed)
-    if len(weights) != 4 or any(x < 0 for x in weights) or sum(weights) <= 0:
-        raise ValueError("weights must be four non-negative numbers")
-    total = sum(weights)
-    w = tuple(x / total for x in weights)
+    w = _normalize_weights(weights)
     c1 = w[0]
     c2 = c1 + w[1]
     c3 = c2 + w[2]
@@ -181,7 +187,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
 
     def fresh_key() -> int:
         while True:
-            k = rng.randrange(-key_span, key_span)
+            k = rng.randrange(-KEY_SPAN, KEY_SPAN)
             if not model.key_multiplicity(k):
                 return k
 
@@ -207,7 +213,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
             cur = model.key_of(ident)
             # mix local nudges with span-scale drops: nudges mostly stay
             # above the parent, drops force cuts and rank repairs
-            hi = 1000 if rng.random() < 0.5 else key_span
+            hi = 1000 if rng.random() < 0.5 else KEY_SPAN
             while True:
                 nk = cur - rng.randrange(1, hi + 1)
                 if not model.key_multiplicity(nk):
@@ -216,13 +222,13 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
             ops.append(("decrease", ident, nk))
         else:
             batch = []
-            for _ in range(rng.randrange(1, meld_batch_max + 1)):
+            for _ in range(rng.randrange(1, MELD_BATCH_MAX + 1)):
                 k = fresh_key()
                 batch.append(k)
                 model.insert(k)
             ops.append(("meld", tuple(batch)))
 
-    return OpScript(seed=seed, ops=ops, weights=tuple(w))
+    return OpScript(seed=seed, ops=ops, weights=w)
 
 
 @dataclass(kw_only=True)
@@ -359,8 +365,7 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
 
 
 def run_differential(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
-                     audit_every: Optional[int] = None,
-                     key_span: int = 10 ** 9) -> Verdict:
+                     audit_every: Optional[int] = None) -> Verdict:
     """Generate a script for this seed and replay it; see ``replay``."""
-    script = gen_ops(seed, n_ops, weights, key_span=key_span)
+    script = gen_ops(seed, n_ops, weights)
     return replay(script, audit_every=audit_every)

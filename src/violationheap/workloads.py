@@ -21,6 +21,8 @@ from .heap_core import NodePool, Telemetry
 
 # sentinel for "not yet reached"; larger than any real path length
 INF_KEY = (1 << 63) - 1
+# gen_graph draws arc weights uniformly from [0, MAX_WEIGHT]
+MAX_WEIGHT = 10 ** 6
 
 # the run columns, then one column per Telemetry counter
 CSV_COLUMNS = ("workload", "heap", "n", "m", "seed", "wall_ns",
@@ -58,13 +60,13 @@ class Graph:
         return adj
 
 
-def gen_graph(n: int, m: int, seed: int, max_weight: int = 10 ** 6) -> Graph:
+def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Random directed multigraph: m uniform ordered pairs, self-loops
-    allowed, weights uniform on [0, max_weight]."""
+    allowed, weights uniform on [0, MAX_WEIGHT]."""
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     rng = random.Random(seed)
-    arcs = [(rng.randrange(n), rng.randrange(n), rng.randrange(max_weight + 1))
+    arcs = [(rng.randrange(n), rng.randrange(n), rng.randrange(MAX_WEIGHT + 1))
             for _ in range(m)]
     return Graph(n, arcs)
 

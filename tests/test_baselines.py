@@ -97,6 +97,24 @@ def test_meld_empty_sides(cls):
 
 
 @pytest.mark.parametrize("cls", HEAPS)
+def test_decrease_on_the_emptied_meld_operand_is_refused(cls):
+    # BinaryHeap reports the handle as stale, a HeapError subclass
+    a = cls()
+    b = a.spawn()
+    for k in (5, 6):
+        a.insert(k)
+    hb = [b.insert(k) for k in (7, 8, 9)]
+    a.meld(b)
+    for h in hb:
+        with pytest.raises(HeapError):
+            b.decrease_key(h, 1)
+        assert len(b) == 0 and b.find_min() is None
+    assert len(a) == 5
+    assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 7, 8, 9]
+    assert a.is_empty()
+
+
+@pytest.mark.parametrize("cls", HEAPS)
 def test_spawn_shares_telemetry(cls):
     h = cls()
     side = h.spawn()

@@ -105,6 +105,90 @@ def test_ten_keys_cut_and_propagation_chain():
     assert [h.delete_min()[0] for _ in range(9)] == [-3, -2, -1, 0, 2, 3, 4, 5, 8]
 
 
+def test_active_parent_on_the_ten_key_tree():
+    p = NodePool()
+    h = p.new_heap()
+    hs = {k: h.insert(k) for k in range(1, 11)}
+    h.delete_min()
+    i = lambda k: hs[k].index
+    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(8), i(5)]
+    expected = {5: 2, 8: 2, 6: 5, 7: 5, 9: 8, 10: 8}
+    for k in range(2, 11):
+        want = i(expected[k]) if k in expected else NIL
+        assert p._active_parent(i(k)) == want, k
+
+
+def test_cut_second_to_last_child_with_children():
+    # 10-key tree, after cutting 6 and 7: 2 (rank 2) has children
+    # [4, 3, 8, 5] with 5 childless (rank 0) and 8 (rank 1) over [10, 9].
+    # Cutting 8 glues its last child 9 (tie at rank 0) into 8's place:
+    # 3 -> 9 -> 5 among 2's children, 8 keeps 10.  The walk starts at 2,
+    # whose active pair drops to (0, 0), so 2 falls to rank 1.
+    p = NodePool()
+    h = p.new_heap()
+    hs = {k: h.insert(k) for k in range(1, 11)}
+    h.delete_min()
+    i = lambda k: hs[k].index
+    h.decrease_key(hs[6], 0)
+    h.decrease_key(hs[7], -1)
+    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(8), i(5)]
+    assert (p.ranks[i(2)], p.ranks[i(5)], p.ranks[i(8)]) == (2, 0, 1)
+    assert [p.keys[r] for r in root_cycle(h)] == [-1, 2, 0]
+    t = p.telemetry
+    before = (t.comparisons, t.cuts, t.rank_update_steps)
+
+    h.decrease_key(hs[8], 1)
+    # compared with the parent 2, then with the first root -1
+    assert (t.comparisons, t.cuts, t.rank_update_steps) == (
+        before[0] + 2, before[1] + 1, before[2] + 1)
+    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(9), i(5)]
+    assert p.nxt[i(3)] == i(9) and p.prv[i(9)] == i(3)
+    assert p.nxt[i(9)] == i(5) and p.prv[i(5)] == i(9)
+    assert p.down[i(2)] == i(5) and p.nxt[i(5)] == i(2)
+    assert p.down[i(8)] == i(10) and p.nxt[i(10)] == i(8)
+    assert p.prv[i(10)] == NIL and p.prv[i(8)] == NIL
+    assert (p.ranks[i(2)], p.ranks[i(8)], p.ranks[i(9)]) == (1, 1, 0)
+    # 8 enters the root list right behind the first root
+    assert [p.keys[r] for r in root_cycle(h)] == [-1, 1, 2, 0]
+    assert full_audit(h).ok
+    drained = [h.delete_min()[0] for _ in range(len(h))]
+    assert drained == [-1, 0, 1, 2, 3, 4, 5, 9, 10]
+
+
+def test_cut_non_active_child_with_children():
+    # 28-key tree: 2 (rank 3) has children [4, 3, 8, 5, 20, 11]; 5 is not
+    # active and has children [7, 6], both rank 0.  Cutting 5 glues 6 (the
+    # last child wins the tie) between 8 and 20, 5 keeps 7, and no rank
+    # repair runs.
+    p = NodePool()
+    h = p.new_heap()
+    hs = {k: h.insert(k) for k in range(1, 29)}
+    h.delete_min()
+    i = lambda k: hs[k].index
+    assert kids_oldest_first(p, i(2)) == [i(k) for k in (4, 3, 8, 5, 20, 11)]
+    assert kids_oldest_first(p, i(5)) == [i(7), i(6)]
+    ranks = list(p.ranks)
+    t = p.telemetry
+    before = (t.comparisons, t.cuts, t.rank_update_steps)
+
+    h.decrease_key(hs[5], 1)
+    # no parent comparison: only the first root is compared
+    assert (t.comparisons, t.cuts, t.rank_update_steps) == (
+        before[0] + 1, before[1] + 1, before[2])
+    assert kids_oldest_first(p, i(2)) == [i(k) for k in (4, 3, 8, 6, 20, 11)]
+    assert p.nxt[i(8)] == i(6) and p.prv[i(6)] == i(8)
+    assert p.nxt[i(6)] == i(20) and p.prv[i(20)] == i(6)
+    assert p.down[i(5)] == i(7) and p.nxt[i(7)] == i(5)
+    assert p.prv[i(7)] == NIL and p.prv[i(5)] == NIL
+    assert p.ranks[i(5)] == 1
+    assert [r for j, r in enumerate(p.ranks) if j != i(5)] == \
+        [r for j, r in enumerate(ranks) if j != i(5)]
+    assert h._first == i(5) and root_cycle(h) == [i(5), i(2)]
+    assert full_audit(h).ok
+    assert [h.delete_min()[0] for _ in range(len(h))] == list(range(1, 5)) + \
+        list(range(6, 29))
+
+
 def test_eight_singletons_survivor_ranks():
     p = NodePool()
     h = p.new_heap()

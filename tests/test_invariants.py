@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from violationheap import NodePool
+from violationheap import NIL, HeapError, NodePool
 from violationheap.invariants import (JoinNeutralityMonitor, assert_join_neutrality,
                                       full_audit, max_rank_bound,
                                       pool_degree_excess, potential_snapshot,
@@ -142,6 +142,34 @@ def test_broken_sibling_link_flagged():
     rules = {v.rule for v in full_audit(h).violations}
     assert "structure" in rules
     pool.nxt[child] = keep
+
+
+def test_unending_lists_raise():
+    # the oldest child's prv points back at the newest: a child cycle
+    pool, h, _ = build(10)
+    h.delete_min()
+    root = h.first_root().index
+    kids = []
+    c = pool.down[root]
+    while c != NIL:
+        kids.append(c)
+        c = pool.prv[c]
+    assert len(kids) == 4
+    pool.prv[kids[-1]] = kids[0]
+    assert "structure" in {v.rule for v in full_audit(h).violations}
+    with pytest.raises(HeapError, match=f"node {root} does not end"):
+        potential_snapshot(h)
+    with pytest.raises(HeapError, match=f"node {root} does not end"):
+        pool_degree_excess(pool)
+
+    # mend it, then make the root list a loop that skips the first root
+    pool.prv[kids[-1]] = NIL
+    a, b = h.insert(100).index, h.insert(101).index
+    assert pool.nxt[root] == b and pool.nxt[b] == a and pool.nxt[a] == root
+    pool.nxt[a] = b
+    assert "structure" in {v.rule for v in full_audit(h).violations}
+    with pytest.raises(HeapError, match=f"root list from node {root} does not end"):
+        potential_snapshot(h)
 
 
 def test_root_multiplicity_only_on_request():

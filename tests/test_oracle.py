@@ -127,9 +127,13 @@ def test_parse_weights():
     assert parse_weights("1,1,1,1") == (0.25, 0.25, 0.25, 0.25)
     w = parse_weights("0.45,0.25,0.25,0.05")
     assert abs(sum(w) - 1.0) < 1e-12
-    for bad in ("1,2,3", "a,b,c,d", "-1,1,1,1", "0,0,0,0"):
+    for bad in ("1,2,3", "a,b,c,d", "-1,1,1,1", "0,0,0,0", "nan,1,1,1"):
         with pytest.raises(ValueError):
             parse_weights(bad)
+    # gen_ops checks the weights it is given the same way
+    for bad in ((1, 2, 3), (-1, 1, 1, 1), (0, 0, 0, 0), (float("nan"), 1, 1, 1)):
+        with pytest.raises(ValueError):
+            gen_ops(0, 10, bad)
 
 
 class TestGenOps:
