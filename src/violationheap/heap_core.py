@@ -20,10 +20,11 @@ and the only nodes that can reach their parent in O(1), via at most two
     rank = ceil((r1 + r2) / 2) + 1
 
 over the ranks of its two active children, a missing child counting as
-rank -1 (so a childless node has rank 0).  ``delete_min`` repairs the
-root list by repeatedly joining three equal-rank trees into one tree of
-rank one higher; ``decrease_key`` cuts at most one node, glues one of
-its children into the gap, and walks ranks upward, each executed update
+rank -1 (so a childless node has rank 0).  ``delete_min`` walks the
+roots and the old minimum's children where they lie, keeps two trees
+per rank in slots, and joins a third with both into one tree of rank
+one higher; ``decrease_key`` cuts at most one node, glues one of its
+children into the gap, and walks ranks upward, each executed update
 decreasing a stored rank by exactly one.
 
 Nodes live in slot pools.  A ``NodeHandle`` is a (slot, stamp) pair;
@@ -34,6 +35,7 @@ stale handle raise instead of corrupting the structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, NamedTuple, Optional
 
 NIL = -1
@@ -106,7 +108,9 @@ class NodePool:
         self.free: list[int] = []
         self.live_count = 0
         self.telemetry = Telemetry()
-        # debug hook: called with "before" / "after" around every 3-way join
+        # debug hook: called with "before" / "after" around every 3-way
+        # join, mid-consolidation; one that raises is handled like a key
+        # comparison that raises
         self.join_hook = None
 
     def new_heap(self) -> "ViolationHeap":
@@ -406,12 +410,17 @@ class ViolationHeap:
     def delete_min(self) -> tuple:
         """Remove and return a minimum (key, item).
 
-        The first root is removed and its children become trees.  Trees
-        are then fed through a rank-indexed table; whenever three trees of
-        one rank meet, they are joined into a single tree of the next
-        rank, so at most two trees of any rank survive.  The root list is
-        rebuilt in ascending rank order with the minimum rotated to the
-        front.
+        The first root is removed and its children become trees.  The
+        other roots, then the children (oldest first), are walked where
+        they lie into two slots per rank; a third tree that meets a full
+        rank is joined with both into one tree of the next rank, which
+        moves on up.  The survivors are relinked from the slots in
+        ascending rank order, with a minimum as the first root.
+
+        When a key comparison raises, the minimum stays removed and every
+        other tree is put back on one root cycle before the exception
+        propagates; until the next delete_min the first root need not be
+        a minimum, which ``full_audit`` reports as ``first-root``.
         """
         if self._count == 0:
             raise EmptyHeapError("empty")
@@ -425,117 +434,136 @@ class ViolationHeap:
         z = self._first
         out = (keys[z], pool.items[z])
 
-        # surviving roots in circular order, then z's children oldest first
-        work = []
+        # the other roots run from nxt[z] and z's children from the oldest
+        # (rest), both along nxt and both ending at z
         i = nxt[z]
-        while i != z:
-            work.append(i)
-            i = nxt[i]
-        kids = []
-        c = down[z]
-        while c != NIL:
-            kids.append(c)
-            c = prv[c]
-        kids.reverse()
-        work.extend(kids)
+        rest = down[z] if down[z] != NIL else z
+        while prv[rest] != NIL:
+            rest = prv[rest]
         pool._retire(z)
         self._count -= 1
 
-        table: list[list[int]] = []
+        # every rank is at most max_rank; a join may make max_rank + 1
+        s1 = [NIL] * (t.max_rank + 2)
+        s2 = s1[:]
         hook = pool.join_hook
-        for v in work:
-            prv[v] = NIL
+        v = NIL
+        try:
             while True:
-                r = ranks[v]
-                while len(table) <= r:
-                    table.append([])
-                bucket = table[r]
-                bucket.append(v)
-                if len(bucket) < 3:
-                    break
-                a, b, cc = bucket
-                del bucket[:]
-                if hook is not None:
-                    hook("before")
-                v = self._join3(a, b, cc)
-                if hook is not None:
-                    hook("after")
+                if i == z:
+                    if rest == z:
+                        break
+                    i, rest = rest, z
+                v = i
+                i = nxt[v]
+                prv[v] = NIL
+                while True:
+                    r = ranks[v]
+                    a = s1[r]
+                    if a == NIL:
+                        s1[r] = v
+                        break
+                    b = s2[r]
+                    if b == NIL:
+                        s2[r] = v
+                        break
+                    # 3-way join: the smallest key (ties: a, b, v) wins and
+                    # links the other two as its newest children, in that
+                    # order, then gains one rank.  Compare before clearing
+                    # the slots, so a key that raises loses no tree.
+                    if hook is not None:
+                        hook("before")
+                    assert ranks[a] == ranks[b] == r, "3-way join needs equal ranks"
+                    t.comparisons += 2
+                    w = a
+                    if keys[b] < keys[w]:
+                        w = b
+                    if keys[v] < keys[w]:
+                        w = v
+                    s1[r] = s2[r] = NIL
+                    if w == a:
+                        l1, l2 = b, v
+                    elif w == b:
+                        l1, l2 = a, v
+                    else:
+                        l1, l2 = a, b
+                    # the winner's two active children are reordered if the
+                    # older outranks the newer, so the higher-ranked one
+                    # stays closer to the end of the child list
+                    last = down[w]
+                    if last != NIL:
+                        s = prv[last]
+                        if s != NIL and ranks[s] > ranks[last]:
+                            p = prv[s]
+                            prv[last] = p
+                            if p != NIL:
+                                nxt[p] = last
+                            nxt[last] = s
+                            prv[s] = last
+                            last = s
+                        nxt[last] = l1
+                    prv[l1] = last
+                    nxt[l1] = l2
+                    prv[l2] = l1
+                    nxt[l2] = w
+                    down[w] = l2
+                    r += 1
+                    ranks[w] = r
+                    t.joins += 1
+                    if r > t.max_rank:
+                        t.max_rank = r
+                        if r == len(s1):
+                            s1.append(NIL)
+                            s2.append(NIL)
+                    v = w
+                    if hook is not None:
+                        hook("after")
 
-        survivors = [v for bucket in table for v in bucket]
-        if not survivors:
-            self._first = NIL
-            return out
-        m = len(survivors)
-        for j in range(m - 1):
-            nxt[survivors[j]] = survivors[j + 1]
-        nxt[survivors[m - 1]] = survivors[0]
-        best = survivors[0]
-        bk = keys[best]
-        for j in range(1, m):
-            v = survivors[j]
-            t.comparisons += 1
-            k = keys[v]
-            if k < bk:
-                best = v
-                bk = k
-        self._first = best
-        return out
-
-    def _join3(self, a: int, b: int, c: int) -> int:
-        # Merge three equal-rank trees into one: the root with the
-        # smallest key (ties: earliest argument) wins and links the other
-        # two as its newest children, in argument order, then gains one
-        # rank.  Before linking, the winner's two active children are
-        # reordered if the older of them outranks the newer, so the
-        # higher-ranked one stays closer to the end of the child list.
-        pool = self.pool
-        keys = pool.keys
-        ranks = pool.ranks
-        nxt = pool.nxt
-        prv = pool.prv
-        down = pool.down
-        t = pool.telemetry
-        assert ranks[a] == ranks[b] == ranks[c], "3-way join needs equal ranks"
-        t.comparisons += 2
-        w = a
-        if keys[b] < keys[w]:
-            w = b
-        if keys[c] < keys[w]:
-            w = c
-        if w == a:
-            l1, l2 = b, c
-        elif w == b:
-            l1, l2 = a, c
-        else:
-            l1, l2 = a, b
-
-        last = down[w]
-        if last != NIL:
-            s = prv[last]
-            if s != NIL and ranks[s] > ranks[last]:
-                p = prv[s]
-                prv[last] = p
-                if p != NIL:
-                    nxt[p] = last
-                nxt[last] = s
-                prv[s] = last
-                nxt[s] = w
-                down[w] = s
-
-        for u in (l1, l2):
-            last = down[w]
-            prv[u] = last
+            # relink the survivors in ascending rank, s1 before s2, and
+            # make the first minimum met the first root
+            first = last = best = NIL
+            for u in chain.from_iterable(zip(s1, s2)):
+                if u == NIL:
+                    continue
+                if last == NIL:
+                    first = best = u
+                    bk = keys[u]
+                else:
+                    nxt[last] = u
+                    t.comparisons += 1
+                    k = keys[u]
+                    if k < bk:
+                        best = u
+                        bk = k
+                last = u
             if last != NIL:
-                nxt[last] = u
-            nxt[u] = w
-            down[w] = u
+                nxt[last] = first
+            self._first = best
+            return out
+        except BaseException:
+            self._gather(s1, s2, v, i, rest, z)
+            raise
 
-        r = ranks[w] + 1
-        ranks[w] = r
-        t.joins += 1
-        if r > t.max_rank:
-            t.max_rank = r
-        return w
+    def _gather(self, s1: list, s2: list, v: int, i: int, rest: int,
+                z: int) -> None:
+        # delete_min raised between joins.  Every tree is then in a slot,
+        # or is the incoming tree v, or is still unwalked along nxt from i
+        # and from rest up to z (v may also sit in a slot or head i, hence
+        # the dedupe).  Put them all on one root cycle, so that nothing is
+        # lost and the size stays right.
+        nxt = self.pool.nxt
+        prv = self.pool.prv
+        trees = [u for pair in zip(s1, s2) for u in pair]
+        trees.append(v)
+        for j in (i, rest):
+            while j != z:
+                trees.append(j)
+                j = nxt[j]
+        trees = [u for u in dict.fromkeys(trees) if u != NIL]
+        for u, w in zip(trees, trees[1:] + trees[:1]):
+            prv[u] = NIL
+            nxt[u] = w
+        self._first = trees[0] if trees else NIL
 
     # -- conveniences ---------------------------------------------------
 

@@ -91,6 +91,7 @@ def test_criterion_3_join_neutrality_100k():
     target = 100_000
     pool = NodePool()
     heap = pool.new_heap()
+    joins_before = pool.telemetry.joins
     monitor = JoinNeutralityMonitor(pool).install()
     import random
     rng = random.Random(12345)
@@ -112,8 +113,11 @@ def test_criterion_3_join_neutrality_100k():
             handles.clear()
     monitor.remove()
     wall = time.perf_counter() - t0
-    ok = monitor.joins >= target and not monitor.mismatches
-    detail = (f"{monitor.joins} instrumented joins, "
+    # the hook brackets every join the pool counted, on every path
+    ok = (monitor.joins >= target and not monitor.mismatches
+          and monitor.joins == pool.telemetry.joins - joins_before)
+    detail = (f"{monitor.joins} instrumented joins of "
+              f"{pool.telemetry.joins - joins_before} counted, "
               f"{len(monitor.mismatches)} degree-excess mismatches "
               f"(exact integer equality), {wall:.1f}s")
     if monitor.mismatches:

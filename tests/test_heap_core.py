@@ -6,13 +6,15 @@ code drifted from the rules, not that the numbers need refreshing.
 """
 
 import math
+import random
 
 import pytest
 
 from violationheap import (NIL, EmptyHeapError, HeapError, NodeHandle,
-                           NodePool, StaleHandleError, ViolationHeap,
-                           rank_from_pair)
+                           NodePool, StaleHandleError, Telemetry,
+                           ViolationHeap, rank_from_pair)
 from violationheap.invariants import full_audit
+from violationheap.workloads import checksum, dijkstra, gen_graph
 
 
 def kids_oldest_first(p, i):
@@ -405,6 +407,92 @@ def test_raising_key_compare_mutates_nothing():
                         list(p.nxt), list(p.prv), h._first,
                         vars(p.telemetry))
     assert full_audit(h).ok
+
+
+class Tripwire(int):
+    """Int key whose comparisons raise once ``countdown`` runs out."""
+
+    countdown = None    # comparisons left before they start to raise
+
+    def _tick(self):
+        if Tripwire.countdown is not None:
+            Tripwire.countdown -= 1
+            if Tripwire.countdown < 0:
+                raise RuntimeError("tripwire")
+
+    def __lt__(self, other):
+        self._tick()
+        return int.__lt__(self, other)
+
+    def __gt__(self, other):
+        self._tick()
+        return int.__gt__(self, other)
+
+
+@pytest.mark.parametrize("late", [0, 3])
+def test_raise_inside_delete_min_keeps_every_tree(late):
+    # a comparison may raise anywhere in the consolidation, in a join or
+    # in the min scan: the minimum is gone, but every other tree must be
+    # back on one root cycle, and a drain must end once keys compare again.
+    # With late = 3, three rank-0 roots inserted after the first
+    # delete_min make joins while z's children are still unwalked.
+    early = random.Random(6).sample(range(10_000), 200)
+    keys = early + list(range(10_000, 10_000 + late))
+
+    def build():
+        p = NodePool()
+        h = p.new_heap()
+        for k in early:
+            h.insert(Tripwire(k))
+        h.delete_min()
+        for k in keys[200:]:
+            h.insert(Tripwire(k))
+        return p, h
+
+    p, h = build()
+    before = vars(p.telemetry).copy()
+    h.delete_min()
+    total = p.telemetry.comparisons - before["comparisons"]
+    assert p.telemetry.joins > before["joins"]
+    for k in range(total):
+        p, h = build()
+        Tripwire.countdown = k
+        try:
+            with pytest.raises(RuntimeError, match="tripwire"):
+                h.delete_min()
+        finally:
+            Tripwire.countdown = None
+        assert len(h) == len(keys) - 2 and p.is_live(h.first_root())
+        rules = {v.rule for v in full_audit(h).violations}
+        assert not rules & {"structure", "count"}, (k, rules)
+        pops = []
+        while len(h) and len(pops) < len(keys) - 2:
+            pops.append(h.delete_min()[0])
+        assert len(pops) == len(keys) - 2 and len(h) == 0
+        assert h.find_min() is None
+        # the first pop is the stray first root; the rest come out sorted
+        assert sorted(pops) == sorted(keys)[2:]
+        assert pops[1:] == sorted(pops[1:])
+
+
+def test_golden_counters():
+    # exact counters, not derived on paper: any change to the join order,
+    # the root order or the min scan moves them
+    rng = random.Random(0)
+    p = NodePool()
+    h = p.new_heap()
+    for _ in range(20_000):
+        h.insert(rng.randrange(1 << 60))
+    while len(h):
+        h.delete_min()
+    assert p.telemetry == Telemetry(comparisons=465174, joins=143071, cuts=0,
+                                    rank_update_steps=0, max_rank=9)
+    p = NodePool()
+    dist = dijkstra(gen_graph(10_000, 100_000, 7), 0, p.new_heap())
+    assert p.telemetry == Telemetry(comparisons=256529, joins=72223,
+                                    cuts=13894, rank_update_steps=3260,
+                                    max_rank=8)
+    assert checksum(dist) == 182835793
 
 
 def test_key_increase_rejected():

@@ -223,8 +223,19 @@ def test_join_neutrality_monitor():
     mon = JoinNeutralityMonitor(pool).install()
     h.delete_min()
     mon.remove()
-    assert mon.joins == 1 and not mon.mismatches
+    assert mon.joins == 1 == pool.telemetry.joins and not mon.mismatches
     assert pool.join_hook is None
+    # every join, from roots, from children or past the slots' first
+    # size, runs between the two hook calls
+    for k in range(300):
+        h.insert(k * 7919 % 300)
+    joins = pool.telemetry.joins
+    mon = JoinNeutralityMonitor(pool).install()
+    while len(h):
+        h.delete_min()
+    mon.remove()
+    assert mon.joins == pool.telemetry.joins - joins > 100
+    assert not mon.mismatches
 
 
 def test_join_neutrality_snapshot_pair():
