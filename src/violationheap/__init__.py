@@ -4,7 +4,6 @@ brute-force differential oracle, baseline heaps, benchmark drivers, and
 a command line front end."""
 
 from .heap_core import (
-    NIL,
     EmptyHeapError,
     HeapError,
     NodeHandle,
@@ -16,7 +15,6 @@ from .heap_core import (
 )
 
 __all__ = [
-    "NIL",
     "EmptyHeapError",
     "HeapError",
     "NodeHandle",

@@ -104,16 +104,20 @@ class BinaryHeap:
         pos = self._pos
         t = self.telemetry
         entry = arr[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            t.comparisons += 1
-            if arr[parent][0] <= entry[0]:
-                break
-            arr[i] = arr[parent]
-            pos[arr[i][1]] = i
-            i = parent
-        arr[i] = entry
-        pos[entry[1]] = i
+        # the finally fills the hole with entry even if a comparison
+        # raises, so no entry is lost or duplicated
+        try:
+            while i > 0:
+                parent = (i - 1) >> 1
+                t.comparisons += 1
+                if arr[parent][0] <= entry[0]:
+                    break
+                arr[i] = arr[parent]
+                pos[arr[i][1]] = i
+                i = parent
+        finally:
+            arr[i] = entry
+            pos[entry[1]] = i
 
     def _sift_down(self, i: int) -> None:
         arr = self._arr
@@ -121,24 +125,26 @@ class BinaryHeap:
         t = self.telemetry
         n = len(arr)
         entry = arr[i]
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            child = left
-            right = left + 1
-            if right < n:
+        try:
+            while True:
+                left = 2 * i + 1
+                if left >= n:
+                    break
+                child = left
+                right = left + 1
+                if right < n:
+                    t.comparisons += 1
+                    if arr[right][0] < arr[left][0]:
+                        child = right
                 t.comparisons += 1
-                if arr[right][0] < arr[left][0]:
-                    child = right
-            t.comparisons += 1
-            if entry[0] <= arr[child][0]:
-                break
-            arr[i] = arr[child]
-            pos[arr[i][1]] = i
-            i = child
-        arr[i] = entry
-        pos[entry[1]] = i
+                if entry[0] <= arr[child][0]:
+                    break
+                arr[i] = arr[child]
+                pos[arr[i][1]] = i
+                i = child
+        finally:
+            arr[i] = entry
+            pos[entry[1]] = i
 
 
 class _PNode:
@@ -196,12 +202,9 @@ class PairingHeap:
         root = self._root
         if root is None:
             raise EmptyHeapError("empty")
+        self._root = self._combine(root)
         root.alive = False
         self._count -= 1
-        first = root.child
-        if first is not None:
-            first.prev = None
-        self._root = self._combine(first)
         return root.key, root.item
 
     def decrease_key(self, node: _PNode, new_key) -> None:
@@ -250,25 +253,37 @@ class PairingHeap:
         a.child = b
         return a
 
-    def _combine(self, first: Optional[_PNode]) -> Optional[_PNode]:
-        if first is None:
-            return None
-        # pass one pairs siblings left to right, pass two folds right to left
+    def _combine(self, parent: _PNode) -> Optional[_PNode]:
+        # pass one pairs parent's children left to right, pass two folds
+        # right to left.  A pair is detached only after its link, so when
+        # a comparison raises, every tree is in pairs, or is root, or is
+        # still on the sibling chain from cur; they all go back under
+        # parent, whose key is at most theirs, and the heap is unchanged.
         pairs = []
-        cur = first
-        while cur is not None:
-            a = cur
-            b = a.sibling
-            nxt = b.sibling if b is not None else None
-            a.sibling = a.prev = None
-            if b is None:
-                pairs.append(a)
-            else:
-                b.sibling = b.prev = None
-                pairs.append(self._link(a, b))
-            cur = nxt
-        root = pairs[-1]
-        for tree in reversed(pairs[:-1]):
-            root = self._link(tree, root)
-        root.prev = None
+        cur = parent.child
+        root = None
+        try:
+            while cur is not None:
+                b = cur.sibling
+                nxt = b.sibling if b is not None else None
+                w = cur if b is None else self._link(cur, b)
+                w.sibling = w.prev = None
+                pairs.append(w)
+                cur = nxt
+            if pairs:
+                root = pairs.pop()
+            while pairs:
+                root = self._link(pairs[-1], root)
+                pairs.pop()
+        except BaseException:
+            trees = pairs + ([root] if root is not None else [])
+            while cur is not None:
+                trees.append(cur)
+                cur = cur.sibling
+            parent.child = trees[0]
+            trees[0].prev = parent
+            for a, b in zip(trees, trees[1:]):
+                a.sibling = b
+                b.prev = a
+            raise
         return root

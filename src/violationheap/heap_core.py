@@ -3,14 +3,14 @@
 The structure is a set of heap-ordered, node-disjoint multiary trees.
 Roots sit on a singly linked circular list whose designated first root
 always carries a minimum key.  Child lists are doubly linked and ordered
-oldest to newest; a parent's ``down`` slot names its newest (last) child.
-A node spends exactly three link slots:
+oldest to newest; a parent's ``down`` link names its newest (last) child.
+A node spends exactly three links:
 
-    down  last child, or NIL
+    down  last child, or None
     nxt   for a root: the next root on the circular list;
           for a last child: the parent;
           otherwise: the next newer sibling
-    prv   the next older sibling; NIL for the oldest child and for roots
+    prv   the next older sibling; None for the oldest child and for roots
 
 There are no parent pointers.  The last two children of a node are its
 *active* children: they are the only children that feed the node's rank,
@@ -27,18 +27,17 @@ one higher; ``decrease_key`` cuts at most one node, glues one of its
 children into the gap, and walks ranks upward, each executed update
 decreasing a stored rank by exactly one.
 
-Nodes live in slot pools.  A ``NodeHandle`` is a (slot, stamp) pair;
-retiring a slot and reusing it each bump the stamp, so operations on a
-stale handle raise instead of corrupting the structure.
+Each element is one node object, and the node is the handle ``insert``
+returns.  Removing the element clears the node's ``alive`` flag, so
+operations on a stale handle raise instead of corrupting the structure.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, NamedTuple, Optional
-
-NIL = -1
+from typing import Optional
 
 
 class HeapError(Exception):
@@ -46,18 +45,29 @@ class HeapError(Exception):
 
 
 class StaleHandleError(HeapError):
-    """The handle's slot was retired (and possibly reused) after issue."""
+    """The handle's element was removed from its heap after issue."""
 
 
 class EmptyHeapError(HeapError):
     """delete_min on an empty heap."""
 
 
-class NodeHandle(NamedTuple):
-    """Stable reference to one stored element."""
+class NodeHandle:
+    """One stored element, and the stable reference insert returns for it."""
 
-    index: int
-    stamp: int
+    __slots__ = ("key", "item", "rank", "down", "nxt", "prv", "alive")
+
+    def __init__(self, key, item, nxt: Optional["NodeHandle"]) -> None:
+        self.key = key
+        self.item = item
+        self.rank = 0
+        self.down = None
+        self.nxt = nxt
+        self.prv = None
+        self.alive = True
+
+    def __repr__(self) -> str:
+        return f"NodeHandle({self.key!r}, {self.item!r})"
 
 
 @dataclass
@@ -86,114 +96,83 @@ def rank_from_pair(r1: int, r2: int) -> int:
     return (r1 + r2 + 1) // 2 + 1
 
 
-class NodePool:
-    """Slot storage for one family of meldable heaps.
+def _live(h: NodeHandle) -> NodeHandle:
+    if not h.alive:
+        raise StaleHandleError(f"stale handle {h!r}")
+    return h
 
-    Node records are parallel arrays indexed by slot.  Retired slots are
-    recycled through a free list.  Stamps start even; retiring a slot and
-    reusing it each add one, so a slot is live exactly when its stamp is
-    even, and a handle is valid exactly when it carries the slot's
-    current stamp.  Handles from one pool are meaningless in another;
-    heaps from different pools cannot meld.
+
+def _recalc(x: NodeHandle) -> int:
+    d = x.down
+    if d is None:
+        return 0
+    d2 = d.prv
+    return rank_from_pair(d.rank, d2.rank if d2 is not None else -1)
+
+
+def _active_parent(c: NodeHandle) -> Optional[NodeHandle]:
+    # c's parent when c is one of its parent's two newest children, else
+    # None: a last child's nxt is the parent, a second-to-last child's nxt
+    # is the last child, whose nxt is the parent
+    y = c.nxt
+    if y.down is c:
+        return y
+    if y.prv is c:
+        z = y.nxt
+        if z.down is y:
+            return z
+    return None
+
+
+def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
+               z: NodeHandle) -> list:
+    # the trees of a consolidation under way: each is in a slot, or is the
+    # incoming tree v, or is still unwalked along nxt from i and from rest
+    # up to z (v may also sit in a slot or head i, hence the dedupe)
+    trees = [u for pair in zip(s1, s2) for u in pair]
+    trees.append(v)
+    for j in (i, rest):
+        while j is not z:
+            trees.append(j)
+            j = j.nxt
+    return [u for u in dict.fromkeys(trees) if u is not None]
+
+
+class NodePool:
+    """One family of meldable heaps: shared counters, hook and node count.
+
+    Heaps from different pools cannot meld.  ``heaps`` holds every heap
+    of the pool that is still referenced, so the whole pool can be
+    walked.
     """
 
     def __init__(self) -> None:
-        self.keys: list = []
-        self.items: list = []
-        self.ranks: list[int] = []
-        self.down: list[int] = []
-        self.nxt: list[int] = []
-        self.prv: list[int] = []
-        self.stamps: list[int] = []
-        self.free: list[int] = []
         self.live_count = 0
         self.telemetry = Telemetry()
-        # debug hook: called with "before" / "after" around every 3-way
-        # join, mid-consolidation; one that raises is handled like a key
-        # comparison that raises
+        self.heaps: weakref.WeakSet = weakref.WeakSet()
+        # debug hook: called with "before" / "after" and the trees in
+        # flight around every 3-way join, mid-consolidation; one that
+        # raises is handled like a key comparison that raises
         self.join_hook = None
 
     def new_heap(self) -> "ViolationHeap":
-        """Create a fresh empty heap drawing nodes from this pool."""
+        """Create a fresh empty heap in this pool."""
         return ViolationHeap(self)
-
-    # -- slot management ------------------------------------------------
-
-    def _alloc(self, key, item) -> int:
-        free = self.free
-        if free:
-            i = free.pop()
-            self.stamps[i] += 1  # odd -> even: slot live again
-            self.keys[i] = key
-            self.items[i] = item
-            self.ranks[i] = 0
-            self.down[i] = NIL
-            self.nxt[i] = NIL
-            self.prv[i] = NIL
-        else:
-            i = len(self.keys)
-            self.keys.append(key)
-            self.items.append(item)
-            self.ranks.append(0)
-            self.down.append(NIL)
-            self.nxt.append(NIL)
-            self.prv.append(NIL)
-            self.stamps.append(0)
-        self.live_count += 1
-        return i
-
-    def _retire(self, i: int) -> None:
-        self.stamps[i] += 1  # even -> odd: stale handles become detectable
-        self.keys[i] = None
-        self.items[i] = None
-        self.ranks[i] = 0
-        self.down[i] = NIL
-        self.nxt[i] = NIL
-        self.prv[i] = NIL
-        self.free.append(i)
-        self.live_count -= 1
-
-    def _check(self, h: NodeHandle) -> int:
-        i, s = h
-        if not 0 <= i < len(self.stamps) or self.stamps[i] != s or s & 1:
-            raise StaleHandleError(f"stale handle {h!r}")
-        return i
 
     # -- node inspection ------------------------------------------------
 
     def is_live(self, h: NodeHandle) -> bool:
-        """True while the handle's slot still holds the element it named."""
-        i, s = h
-        return 0 <= i < len(self.stamps) and self.stamps[i] == s and not s & 1
+        """True while the handle's element is still in a heap."""
+        return h.alive
 
     def key_of(self, h: NodeHandle):
-        return self.keys[self._check(h)]
+        return _live(h).key
 
     def item_of(self, h: NodeHandle):
-        return self.items[self._check(h)]
+        return _live(h).item
 
     def rank_of(self, h: NodeHandle) -> int:
-        return self.ranks[self._check(h)]
-
-    def _recalc(self, i: int) -> int:
-        d = self.down[i]
-        if d == NIL:
-            return 0
-        d2 = self.prv[d]
-        return rank_from_pair(self.ranks[d], self.ranks[d2] if d2 != NIL else -1)
-
-    def _active_parent(self, c: int) -> int:
-        # c's parent when c is one of its parent's two newest children,
-        # else NIL: a last child's nxt is the parent, a second-to-last
-        # child's nxt is the last child, whose nxt is the parent
-        y = self.nxt[c]
-        if self.down[y] == c:
-            return y
-        if self.prv[y] == c:
-            z = self.nxt[y]
-            if self.down[z] == y:
-                return z
-        return NIL
+        return _live(h).rank
 
 
 class ViolationHeap:
@@ -206,8 +185,9 @@ class ViolationHeap:
 
     def __init__(self, pool: NodePool) -> None:
         self.pool = pool
-        self._first = NIL
+        self._first: Optional[NodeHandle] = None
         self._count = 0
+        pool.heaps.add(self)
 
     # -- queries --------------------------------------------------------
 
@@ -219,21 +199,18 @@ class ViolationHeap:
 
     def is_live(self, h: NodeHandle) -> bool:
         """True while the handle still names an element in the pool."""
-        return self.pool.is_live(h)
+        return h.alive
 
     def find_min(self) -> Optional[tuple]:
         """(key, item) of a minimum element, or None when empty."""
         f = self._first
-        if f == NIL:
+        if f is None:
             return None
-        return self.pool.keys[f], self.pool.items[f]
+        return f.key, f.item
 
     def first_root(self) -> Optional[NodeHandle]:
         """Handle of the current first (minimum) root, or None when empty."""
-        f = self._first
-        if f == NIL:
-            return None
-        return NodeHandle(f, self.pool.stamps[f])
+        return self._first
 
     @property
     def telemetry(self) -> Telemetry:
@@ -256,22 +233,21 @@ class ViolationHeap:
             raise HeapError("NaN key")
         pool = self.pool
         f = self._first
-        if f == NIL:
-            i = pool._alloc(key, item)
-            pool.nxt[i] = i
-            self._first = i
+        if f is None:
+            x = NodeHandle(key, item, None)
+            x.nxt = x
+            self._first = x
         else:
             # compare before linking: a key that raises leaves no trace
-            new_min = key < pool.keys[f]
+            new_min = key < f.key
             pool.telemetry.comparisons += 1
-            i = pool._alloc(key, item)
-            nxt = pool.nxt
-            nxt[i] = nxt[f]
-            nxt[f] = i
+            x = NodeHandle(key, item, f.nxt)
+            f.nxt = x
             if new_min:
-                self._first = i
+                self._first = x
+        pool.live_count += 1
         self._count += 1
-        return NodeHandle(i, pool.stamps[i])
+        return x
 
     def meld(self, other: "ViolationHeap") -> "ViolationHeap":
         """Move every element of other, a heap of the same pool, into this
@@ -284,19 +260,17 @@ class ViolationHeap:
             raise HeapError("cannot meld a heap with itself")
         if other.pool is not self.pool:
             raise HeapError("pool mismatch")
-        pool = self.pool
         f1, f2 = self._first, other._first
-        if f1 == NIL:
+        if f1 is None:
             self._first = f2
-        elif f2 != NIL:
+        elif f2 is not None:
             # compare before splicing: a key that raises leaves no trace
-            self._first = f2 if pool.keys[f2] < pool.keys[f1] else f1
-            pool.telemetry.comparisons += 1
-            nxt = pool.nxt
+            self._first = f2 if f2.key < f1.key else f1
+            self.pool.telemetry.comparisons += 1
             # exchanging the two successors merges the two cycles
-            nxt[f1], nxt[f2] = nxt[f2], nxt[f1]
+            f1.nxt, f2.nxt = f2.nxt, f1.nxt
         self._count += other._count
-        other._first = NIL
+        other._first = None
         other._count = 0
         return self
 
@@ -313,81 +287,75 @@ class ViolationHeap:
         The handle must belong to this heap.  Only an empty heap is
         detected: ownership has no O(1) check without parent pointers.
         """
-        pool = self.pool
-        x = pool._check(h)
+        x = _live(h)
         f = self._first
-        if f == NIL:
+        if f is None:
             raise HeapError("handle does not belong to this empty heap")
-        keys = pool.keys
         # NaN fails <= against anything, so it is refused here too
-        if not new_key <= keys[x]:
+        if not new_key <= x.key:
             raise HeapError("key increase not supported")
-        t = pool.telemetry
-        nxt = pool.nxt
-        prv = pool.prv
-        down = pool.down
-        ranks = pool.ranks
+        t = self.pool.telemetry
 
         # x is an active child when it has an active parent, and that
         # parent's last child when the parent is y; otherwise x is an
         # older child, whose newer sibling y points back at it, or a root
-        parent = pool._active_parent(x)
-        y = nxt[x]
-        if parent == NIL and prv[y] != x:
+        parent = _active_parent(x)
+        y = x.nxt
+        if parent is None and y.prv is not x:
             # x is a root; the designation is the only thing to fix
-            new_min = new_key < keys[f]
+            new_min = new_key < f.key
             t.comparisons += 1
-            keys[x] = new_key
+            x.key = new_key
             if new_min:
                 self._first = x
             return
 
         # compare before storing or cutting: a key that raises leaves no trace
-        if parent != NIL and not new_key < keys[parent]:
+        if parent is not None and not new_key < parent.key:
             t.comparisons += 1
-            keys[x] = new_key
+            x.key = new_key
             return
-        new_min = new_key < keys[f]
-        t.comparisons += 1 if parent == NIL else 2
-        keys[x] = new_key
+        new_min = new_key < f.key
+        t.comparisons += 1 if parent is None else 2
+        x.key = new_key
 
         # cut x; glue its higher-ranked active child g (ties: the last one)
         # into x's old position so the parent's child count is preserved
         t.cuts += 1
-        xp = prv[x]
-        d = down[x]
-        if d == NIL:
+        xp = x.prv
+        d = x.down
+        if d is None:
             # no child to glue: x's neighbours close the gap
             after_xp, before_y = y, xp
         else:
-            d2 = prv[d]
-            g = d2 if d2 != NIL and ranks[d2] > ranks[d] else d
+            d2 = d.prv
+            g = d2 if d2 is not None and d2.rank > d.rank else d
             # g's older sibling takes g's place among x's children
-            gp = prv[g]
-            if g == d:
-                down[x] = gp
+            gp = g.prv
+            if g is d:
+                x.down = gp
             else:
-                prv[d] = gp
-            if gp != NIL:
-                nxt[gp] = nxt[g]
-            nxt[g] = y
-            prv[g] = xp
+                d.prv = gp
+            if gp is not None:
+                gp.nxt = g.nxt
+            g.nxt = y
+            g.prv = xp
             after_xp = before_y = g
-        if xp != NIL:
-            nxt[xp] = after_xp
-        if y == parent:
-            down[y] = before_y
+        if xp is not None:
+            xp.nxt = after_xp
+        if y is parent:
+            y.down = before_y
         else:
-            prv[y] = before_y
+            y.prv = before_y
 
-        r = pool._recalc(x)
-        ranks[x] = r
+        r = _recalc(x)
+        x.rank = r
         if r > t.max_rank:
             t.max_rank = r
 
-        prv[x] = NIL
-        nxt[x] = nxt[f]
-        nxt[f] = x
+        x.prv = None
+        x.nxt = f.nxt
+        f.nxt = x
         if new_min:
             self._first = x
 
@@ -397,15 +365,15 @@ class ViolationHeap:
         # the current node to be active.  Every executed update must be a
         # decrease of exactly one.
         c = parent
-        while c != NIL:
-            r = pool._recalc(c)
-            old = ranks[c]
+        while c is not None:
+            r = _recalc(c)
+            old = c.rank
             if r >= old:
                 return
             assert old - r == 1, "rank repair step larger than one"
-            ranks[c] = r
+            c.rank = r
             t.rank_update_steps += 1
-            c = pool._active_parent(c)
+            c = _active_parent(c)
 
     def delete_min(self) -> tuple:
         """Remove and return a minimum (key, item).
@@ -415,56 +383,51 @@ class ViolationHeap:
         they lie into two slots per rank; a third tree that meets a full
         rank is joined with both into one tree of the next rank, which
         moves on up.  The survivors are relinked from the slots in
-        ascending rank order, with a minimum as the first root.
+        ascending rank order, with a minimum as the first root.  While
+        the trees are in flight the heap has no root list.
 
-        When a key comparison raises, the minimum stays removed and every
-        other tree is put back on one root cycle before the exception
-        propagates; until the next delete_min the first root need not be
-        a minimum, which ``full_audit`` reports as ``first-root``.
+        When a key comparison raises, the minimum stays in the heap as
+        the childless first root, with every other tree on the root cycle
+        behind it, and the exception propagates: the heap holds the same
+        elements and answers find_min as before the call, though a rank
+        may hold three or more roots until the next delete_min.
         """
         if self._count == 0:
             raise EmptyHeapError("empty")
         pool = self.pool
-        keys = pool.keys
-        nxt = pool.nxt
-        prv = pool.prv
-        down = pool.down
-        ranks = pool.ranks
         t = pool.telemetry
         z = self._first
-        out = (keys[z], pool.items[z])
+        self._first = None
 
-        # the other roots run from nxt[z] and z's children from the oldest
+        # the other roots run from z.nxt and z's children from the oldest
         # (rest), both along nxt and both ending at z
-        i = nxt[z]
-        rest = down[z] if down[z] != NIL else z
-        while prv[rest] != NIL:
-            rest = prv[rest]
-        pool._retire(z)
-        self._count -= 1
+        i = z.nxt
+        rest = z.down if z.down is not None else z
+        while rest.prv is not None:
+            rest = rest.prv
 
         # every rank is at most max_rank; a join may make max_rank + 1
-        s1 = [NIL] * (t.max_rank + 2)
+        s1 = [None] * (t.max_rank + 2)
         s2 = s1[:]
         hook = pool.join_hook
-        v = NIL
+        v = None
         try:
             while True:
-                if i == z:
-                    if rest == z:
+                if i is z:
+                    if rest is z:
                         break
                     i, rest = rest, z
                 v = i
-                i = nxt[v]
-                prv[v] = NIL
+                i = v.nxt
+                v.prv = None
                 while True:
-                    r = ranks[v]
+                    r = v.rank
                     a = s1[r]
-                    if a == NIL:
+                    if a is None:
                         s1[r] = v
                         break
                     b = s2[r]
-                    if b == NIL:
+                    if b is None:
                         s2[r] = v
                         break
                     # 3-way join: the smallest key (ties: a, b, v) wins and
@@ -472,98 +435,88 @@ class ViolationHeap:
                     # order, then gains one rank.  Compare before clearing
                     # the slots, so a key that raises loses no tree.
                     if hook is not None:
-                        hook("before")
-                    assert ranks[a] == ranks[b] == r, "3-way join needs equal ranks"
+                        hook("before", _in_flight(s1, s2, v, i, rest, z))
+                    assert a.rank == b.rank == r, "3-way join needs equal ranks"
                     t.comparisons += 2
                     w = a
-                    if keys[b] < keys[w]:
+                    if b.key < w.key:
                         w = b
-                    if keys[v] < keys[w]:
+                    if v.key < w.key:
                         w = v
-                    s1[r] = s2[r] = NIL
-                    if w == a:
+                    s1[r] = s2[r] = None
+                    if w is a:
                         l1, l2 = b, v
-                    elif w == b:
+                    elif w is b:
                         l1, l2 = a, v
                     else:
                         l1, l2 = a, b
                     # the winner's two active children are reordered if the
                     # older outranks the newer, so the higher-ranked one
                     # stays closer to the end of the child list
-                    last = down[w]
-                    if last != NIL:
-                        s = prv[last]
-                        if s != NIL and ranks[s] > ranks[last]:
-                            p = prv[s]
-                            prv[last] = p
-                            if p != NIL:
-                                nxt[p] = last
-                            nxt[last] = s
-                            prv[s] = last
+                    last = w.down
+                    if last is not None:
+                        s = last.prv
+                        if s is not None and s.rank > last.rank:
+                            p = s.prv
+                            last.prv = p
+                            if p is not None:
+                                p.nxt = last
+                            last.nxt = s
+                            s.prv = last
                             last = s
-                        nxt[last] = l1
-                    prv[l1] = last
-                    nxt[l1] = l2
-                    prv[l2] = l1
-                    nxt[l2] = w
-                    down[w] = l2
+                        last.nxt = l1
+                    l1.prv = last
+                    l1.nxt = l2
+                    l2.prv = l1
+                    l2.nxt = w
+                    w.down = l2
                     r += 1
-                    ranks[w] = r
+                    w.rank = r
                     t.joins += 1
                     if r > t.max_rank:
                         t.max_rank = r
                         if r == len(s1):
-                            s1.append(NIL)
-                            s2.append(NIL)
+                            s1.append(None)
+                            s2.append(None)
                     v = w
                     if hook is not None:
-                        hook("after")
+                        hook("after", _in_flight(s1, s2, v, i, rest, z))
 
             # relink the survivors in ascending rank, s1 before s2, and
             # make the first minimum met the first root
-            first = last = best = NIL
+            first = last = best = None
             for u in chain.from_iterable(zip(s1, s2)):
-                if u == NIL:
+                if u is None:
                     continue
-                if last == NIL:
+                if last is None:
                     first = best = u
-                    bk = keys[u]
+                    bk = u.key
                 else:
-                    nxt[last] = u
+                    last.nxt = u
                     t.comparisons += 1
-                    k = keys[u]
+                    k = u.key
                     if k < bk:
                         best = u
                         bk = k
                 last = u
-            if last != NIL:
-                nxt[last] = first
-            self._first = best
-            return out
+            if last is not None:
+                last.nxt = first
         except BaseException:
-            self._gather(s1, s2, v, i, rest, z)
+            # z's key is at most every other key: it goes back in front
+            # of all the trees, childless, and nothing is lost
+            trees = _in_flight(s1, s2, v, i, rest, z)
+            z.down = None
+            z.rank = 0
+            for u, w in zip([z] + trees, trees + [z]):
+                u.prv = None
+                u.nxt = w
+            self._first = z
             raise
-
-    def _gather(self, s1: list, s2: list, v: int, i: int, rest: int,
-                z: int) -> None:
-        # delete_min raised between joins.  Every tree is then in a slot,
-        # or is the incoming tree v, or is still unwalked along nxt from i
-        # and from rest up to z (v may also sit in a slot or head i, hence
-        # the dedupe).  Put them all on one root cycle, so that nothing is
-        # lost and the size stays right.
-        nxt = self.pool.nxt
-        prv = self.pool.prv
-        trees = [u for pair in zip(s1, s2) for u in pair]
-        trees.append(v)
-        for j in (i, rest):
-            while j != z:
-                trees.append(j)
-                j = nxt[j]
-        trees = [u for u in dict.fromkeys(trees) if u != NIL]
-        for u, w in zip(trees, trees[1:] + trees[:1]):
-            prv[u] = NIL
-            nxt[u] = w
-        self._first = trees[0] if trees else NIL
+        self._first = best
+        z.alive = False
+        pool.live_count -= 1
+        self._count -= 1
+        return z.key, z.item
 
     # -- conveniences ---------------------------------------------------
 
@@ -571,5 +524,4 @@ class ViolationHeap:
         """Integer convenience: lower the key at h by a non-negative delta."""
         if delta < 0:
             raise HeapError("delta must be non-negative")
-        i = self.pool._check(h)
-        self.decrease_key(h, self.pool.keys[i] - delta)
+        self.decrease_key(h, _live(h).key - delta)

@@ -4,7 +4,7 @@
 raising, so corrupted structures can be diagnosed.  Rules carry stable
 string ids:
 
-    structure           link slots disagree (dangling sibling links, a
+    structure           links disagree (dangling sibling links, a
                         last child not pointing at its parent, a root
                         with a prv link, unreachable or doubly reached
                         nodes, broken circular root list)
@@ -37,8 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .heap_core import (NIL, HeapError, NodeHandle, NodePool, ViolationHeap,
-                        rank_from_pair)
+from .heap_core import HeapError, NodeHandle, NodePool, ViolationHeap, rank_from_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -86,7 +85,7 @@ class AuditReport:
             "violations": [
                 {
                     "rule": v.rule,
-                    "node": None if v.node is None else v.node.index,
+                    "node": None if v.node is None else repr((v.node.key, v.node.item)),
                     "detail": v.detail,
                 }
                 for v in self.violations
@@ -103,108 +102,105 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     links produce findings rather than hangs, and a key comparison that
     raises becomes a ``key-compare`` finding.
     """
-    pool = heap.pool
-    keys = pool.keys
-    ranks = pool.ranks
-    down = pool.down
-    nxt = pool.nxt
-    prv = pool.prv
-    stamps = pool.stamps
-    nslots = len(stamps)
     violations: list[Violation] = []
 
-    def bad(rule: str, node: int | None, detail: str) -> None:
-        h = None if node is None else NodeHandle(node, stamps[node])
-        violations.append(Violation(rule, h, detail))
+    def bad(rule: str, node: Optional[NodeHandle], detail: str) -> None:
+        violations.append(Violation(rule, node, detail))
 
     first = heap._first
-    if first == NIL:
+    if first is None:
         if heap._count != 0:
             bad("count", None, f"empty root list but count is {heap._count}")
         return AuditReport(violations, 0, 0)
 
-    limit = pool.live_count + 1
+    limit = heap.pool.live_count + 1
 
     roots = []
     i = first
     steps = 0
     while True:
-        if not 0 <= i < nslots or stamps[i] & 1:
-            bad("structure", None, f"root list reaches dead slot {i}")
+        if i is None or not i.alive:
+            bad("structure", None, f"root list reaches a removed node {i!r}")
             break
         roots.append(i)
-        i = nxt[i]
+        i = i.nxt
         steps += 1
-        if i == first:
+        if i is first:
             break
         if steps > limit:
             bad("structure", None, "root list does not cycle back to the first root")
             break
 
-    fk = keys[first]
+    fk = first.key
     for r in roots:
-        if prv[r] != NIL:
+        if r.prv is not None:
             bad("structure", r, "root carries a prv link")
         try:
-            if keys[r] < fk:
+            if r.key < fk:
                 bad("first-root", r,
-                    f"root key {keys[r]!r} undercuts first root key {fk!r}")
+                    f"root key {r.key!r} undercuts first root key {fk!r}")
         except Exception as exc:
             bad("key-compare", r, f"root key vs first root key: {exc!r}")
 
-    seen = bytearray(nslots)
-    order: list[int] = []
-    parent_of = [NIL] * nslots
+    seen = set()
+    # the walk order, and each node's parent as a position in it (-1 for
+    # roots), so subtree sizes add up without a map keyed by node
+    order: list[NodeHandle] = []
+    parent_of: list[int] = []
     max_rank = 0
 
-    stack = []
+    stack: list[NodeHandle] = []
+    pstack: list[int] = []
     for r in roots:
-        if seen[r]:
+        if r in seen:
             bad("structure", r, "root reached twice")
             continue
-        seen[r] = 1
+        seen.add(r)
         stack.append(r)
+        pstack.append(-1)
         while stack:
             p = stack.pop()
+            pos = len(order)
             order.append(p)
-            rp = ranks[p]
+            parent_of.append(pstack.pop())
+            rp = p.rank
             if rp > max_rank:
                 max_rank = rp
-            d = down[p]
-            if d == NIL:
+            d = p.down
+            if d is None:
                 r1 = r2 = -1
             else:
-                if not 0 <= d < nslots or stamps[d] & 1:
-                    bad("structure", p, f"down points at dead slot {d}")
+                if not d.alive:
+                    bad("structure", p, f"down points at a removed node {d!r}")
                     continue
-                if nxt[d] != p:
+                if d.nxt is not p:
                     bad("structure", d, "last child does not point back at its parent")
-                r1 = ranks[d]
-                d2 = prv[d]
-                r2 = ranks[d2] if d2 != NIL and 0 <= d2 < nslots else -1
+                r1 = d.rank
+                d2 = d.prv
+                r2 = d2.rank if d2 is not None else -1
                 c = d
                 kid_steps = 0
-                pk = keys[p]
+                pk = p.key
                 while True:
-                    if seen[c]:
+                    if c in seen:
                         bad("structure", c, "node reachable twice")
                         break
-                    seen[c] = 1
-                    parent_of[c] = p
+                    seen.add(c)
                     try:
-                        if keys[c] < pk:
+                        if c.key < pk:
                             bad("heap-order", c,
-                                f"child key {keys[c]!r} below parent key {pk!r}")
+                                f"child key {c.key!r} below parent key {pk!r}")
                     except Exception as exc:
                         bad("key-compare", c, f"child key vs parent key: {exc!r}")
                     stack.append(c)
-                    older = prv[c]
-                    if older == NIL:
+                    pstack.append(pos)
+                    older = c.prv
+                    if older is None:
                         break
-                    if not 0 <= older < nslots or stamps[older] & 1:
-                        bad("structure", c, f"prv points at dead slot {older}")
+                    if not older.alive:
+                        bad("structure", c, f"prv points at a removed node {older!r}")
                         break
-                    if nxt[older] != c:
+                    if older.nxt is not c:
                         bad("structure", older, "sibling links disagree")
                         break
                     c = older
@@ -218,16 +214,16 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
             elif rp > bound:
                 bad("rank-bound", p, f"rank {rp} exceeds formula bound {bound}")
 
-    sizes = [1] * nslots
-    for i in reversed(order):
-        p = parent_of[i]
-        if p != NIL:
-            sizes[p] += sizes[i]
-    for i in order:
-        rp = ranks[i]
-        if 0 <= rp and sizes[i] < size_floor(rp):
-            bad("size-bound", i,
-                f"subtree size {sizes[i]} below floor {size_floor(rp)} for rank {rp}")
+    sizes = [1] * len(order)
+    for j in range(len(order) - 1, -1, -1):
+        pp = parent_of[j]
+        if pp >= 0:
+            sizes[pp] += sizes[j]
+    for p, size in zip(order, sizes):
+        rp = p.rank
+        if 0 <= rp and size < size_floor(rp):
+            bad("size-bound", p,
+                f"subtree size {size} below floor {size_floor(rp)} for rank {rp}")
 
     if len(order) != heap._count:
         bad("count", None, f"count is {heap._count} but {len(order)} nodes are reachable")
@@ -235,7 +231,7 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     if check_root_multiplicity:
         per_rank: dict[int, int] = {}
         for r in roots:
-            per_rank[ranks[r]] = per_rank.get(ranks[r], 0) + 1
+            per_rank[r.rank] = per_rank.get(r.rank, 0) + 1
         for rk, cnt in sorted(per_rank.items()):
             if cnt > 2:
                 bad("root-multiplicity", None, f"{cnt} roots of rank {rk}")
@@ -263,38 +259,35 @@ class PotentialSnapshot:
     subtree_sizes: dict[NodeHandle, int] = field(default_factory=dict)
 
 
+def _root_cycle(first: NodeHandle, limit: int) -> list[NodeHandle]:
+    roots = []
+    i = first
+    while True:
+        roots.append(i)
+        i = i.nxt
+        if i is first:
+            return roots
+        if len(roots) > limit:
+            raise HeapError(f"root list from node {first!r} does not end")
+
+
 def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
     """Measure the heap's potential components in one traversal.
 
     Raises HeapError, naming the node, when the walk reaches more nodes
     than the pool holds: some root or child list does not end.
     """
-    pool = heap.pool
-    ranks = pool.ranks
-    down = pool.down
-    prv = pool.prv
-    stamps = pool.stamps
-
     first = heap._first
-    if first == NIL:
+    if first is None:
         return PotentialSnapshot(0, 0, 0)
 
-    limit = pool.live_count
-    roots = []
-    i = first
-    while True:
-        roots.append(i)
-        i = pool.nxt[i]
-        if i == first:
-            break
-        if len(roots) > limit:
-            raise HeapError(f"root list from node {first} does not end")
-
+    limit = heap.pool.live_count
+    roots = _root_cycle(first, limit)
     critical = 0
     reached = len(roots)
     excess = 0
-    order: list[int] = []
-    parent_of: dict[int, int] = {}
+    order: list[NodeHandle] = []
+    parent_of: dict[NodeHandle, NodeHandle] = {}
     # stack holds (node, is_active); only the two newest children of a
     # node are active, roots never are
     stack = [(r, False) for r in roots]
@@ -302,31 +295,30 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
         p, active = stack.pop()
         order.append(p)
         degree = 0
-        c = down[p]
+        c = p.down
         pair = -2  # sum of the two active-slot ranks, missing slots are -1
-        while c != NIL:
+        while c is not None:
             reached += 1
             if reached > limit:
-                raise HeapError(f"child list of node {p} does not end")
+                raise HeapError(f"child list of node {p!r} does not end")
             stack.append((c, degree < 2))
             parent_of[c] = p
             if degree < 2:
-                pair += ranks[c] + 1
+                pair += c.rank + 1
             degree += 1
-            c = prv[c]
-        e = degree - 2 * ranks[p]
+            c = c.prv
+        e = degree - 2 * p.rank
         if e > 0:
             excess += e
         if active and pair & 1:
             critical += 1
 
-    sizes = {i: 1 for i in order}
-    for i in reversed(order):
-        p = parent_of.get(i)
-        if p is not None:
-            sizes[p] += sizes[i]
-    by_handle = {NodeHandle(i, stamps[i]): s for i, s in sizes.items()}
-    return PotentialSnapshot(critical, excess, len(roots), by_handle)
+    sizes = {p: 1 for p in order}
+    for p in reversed(order):
+        q = parent_of.get(p)
+        if q is not None:
+            sizes[q] += sizes[p]
+    return PotentialSnapshot(critical, excess, len(roots), sizes)
 
 
 def assert_join_neutrality(before: PotentialSnapshot, after: PotentialSnapshot) -> bool:
@@ -334,31 +326,35 @@ def assert_join_neutrality(before: PotentialSnapshot, after: PotentialSnapshot) 
     return before.degree_excess == after.degree_excess
 
 
-def pool_degree_excess(pool: NodePool) -> int:
-    """Degree excess summed over every live node in the pool.
+def pool_degree_excess(pool: NodePool, trees: list[NodeHandle] = ()) -> int:
+    """Degree excess summed over every node held by the pool's heaps.
 
-    Usable mid-consolidation, when no root list exists to traverse: a
-    join touches no node outside the pool, so pool-wide neutrality is
+    Usable mid-consolidation: the heap being consolidated has no root
+    list then, and ``trees`` are its trees in flight, as a join hook
+    receives them (the minimum being removed is in neither).  A join
+    touches no node outside those trees, so pool-wide neutrality is
     equivalent to heap-wide neutrality.  Raises HeapError, naming the
-    node, on a child list longer than the pool's live node count.
+    node, when the walk reaches more nodes than the pool holds.
     """
     limit = pool.live_count
+    stack = list(trees)
+    for heap in pool.heaps:
+        if heap._first is not None:
+            stack += _root_cycle(heap._first, limit)
+    reached = len(stack)
     total = 0
-    stamps = pool.stamps
-    down = pool.down
-    prv = pool.prv
-    ranks = pool.ranks
-    for i in range(len(stamps)):
-        if stamps[i] & 1:
-            continue
+    while stack:
+        p = stack.pop()
         degree = 0
-        c = down[i]
-        while c != NIL:
+        c = p.down
+        while c is not None:
+            reached += 1
+            if reached > limit:
+                raise HeapError(f"child list of node {p!r} does not end")
+            stack.append(c)
             degree += 1
-            if degree > limit:
-                raise HeapError(f"child list of node {i} does not end")
-            c = prv[c]
-        e = degree - 2 * ranks[i]
+            c = c.prv
+        e = degree - 2 * p.rank
         if e > 0:
             total += e
     return total
@@ -386,11 +382,11 @@ class JoinNeutralityMonitor:
         if self.pool.join_hook == self._observe:
             self.pool.join_hook = None
 
-    def _observe(self, phase: str) -> None:
+    def _observe(self, phase: str, trees: list[NodeHandle]) -> None:
         if phase == "before":
-            self._before = pool_degree_excess(self.pool)
+            self._before = pool_degree_excess(self.pool, trees)
         else:
-            after = pool_degree_excess(self.pool)
+            after = pool_degree_excess(self.pool, trees)
             self.joins += 1
             if after != self._before:
                 self.mismatches.append((self.joins, self._before, after))

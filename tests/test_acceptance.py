@@ -235,8 +235,8 @@ def test_criterion_9_handle_safety():
             except StaleHandleError:
                 errors += 1
 
-    # slots get recycled: new elements take retired slots, and the old
-    # handles must still be rejected by their stamp
+    # new elements arrive after the removals, and the old handles must
+    # still be rejected
     fresh = [heap.insert(100 + k) for k in range(8)]
     for h in retired:
         attempts += 1

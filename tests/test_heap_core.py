@@ -10,28 +10,30 @@ import random
 
 import pytest
 
-from violationheap import (NIL, EmptyHeapError, HeapError, NodeHandle,
-                           NodePool, StaleHandleError, Telemetry,
-                           ViolationHeap, rank_from_pair)
+from raising_keys import Tripwire
+from violationheap import (EmptyHeapError, HeapError, NodePool,
+                           StaleHandleError, Telemetry, rank_from_pair)
+from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
+from violationheap.oracle import run_differential
 from violationheap.workloads import checksum, dijkstra, gen_graph
 
 
-def kids_oldest_first(p, i):
+def kids_oldest_first(i):
     out = []
-    c = p.down[i]
-    while c != NIL:
+    c = i.down
+    while c is not None:
         out.append(c)
-        c = p.prv[c]
+        c = c.prv
     return out[::-1]
 
 
 def root_cycle(h):
-    p, out = h.pool, []
+    out = []
     r = f = h._first
     while True:
         out.append(r)
-        r = p.nxt[r]
+        r = r.nxt
         if r == f:
             return out
 
@@ -49,7 +51,7 @@ def test_insert_keeps_newest_near_front():
     h = p.new_heap()
     hs = [h.insert(k) for k in (1, 2, 3, 4, 5)]
     # new roots splice in right behind the first root
-    assert [p.keys[i] for i in root_cycle(h)] == [1, 5, 4, 3, 2]
+    assert [i.key for i in root_cycle(h)] == [1, 5, 4, 3, 2]
     assert h.find_min() == (1, None)
     assert len(h) == 5 and not h.is_empty()
 
@@ -69,11 +71,11 @@ def test_four_singletons_consolidate():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in (1, 2, 3, 4)}
     assert h.delete_min() == (1, None)
-    i2 = hs[2].index
+    i2 = hs[2]
     assert h.find_min() == (2, None) and len(h) == 3
-    assert p.ranks[i2] == 1
-    assert p.down[i2] == hs[3].index and p.prv[hs[3].index] == hs[4].index
-    assert p.prv[hs[4].index] == NIL and p.nxt[hs[3].index] == i2
+    assert i2.rank == 1
+    assert i2.down == hs[3] and hs[3].prv == hs[4]
+    assert hs[4].prv is None and hs[3].nxt == i2
     assert [h.delete_min()[0] for _ in range(3)] == [2, 3, 4]
 
 
@@ -82,26 +84,26 @@ def test_ten_keys_cut_and_propagation_chain():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     assert h.delete_min()[0] == 1
-    i = lambda k: hs[k].index
-    assert p.ranks[i(2)] == 2 and p.down[i(2)] == i(5)
-    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(8), i(5)]
-    assert p.ranks[i(8)] == 1 and p.ranks[i(5)] == 1
+    i = lambda k: hs[k]
+    assert i(2).rank == 2 and i(2).down == i(5)
+    assert kids_oldest_first(i(2)) == [i(4), i(3), i(8), i(5)]
+    assert i(8).rank == 1 and i(5).rank == 1
 
     t = p.telemetry
     base = t.rank_update_steps
     # cutting 6 leaves 5 with one rank-0 child: ceiling keeps rank 1
     h.decrease_key(hs[6], 0)
-    assert t.rank_update_steps - base == 0 and p.ranks[i(5)] == 1
+    assert t.rank_update_steps - base == 0 and i(5).rank == 1
     # cutting 7 empties 5: rank drops to 0, but 2 still holds rank 2
     h.decrease_key(hs[7], -1)
     assert t.rank_update_steps - base == 1
-    assert p.ranks[i(5)] == 0 and p.ranks[i(2)] == 2
+    assert i(5).rank == 0 and i(2).rank == 2
     h.decrease_key(hs[9], -2)
-    assert t.rank_update_steps - base == 1 and p.ranks[i(8)] == 1
+    assert t.rank_update_steps - base == 1 and i(8).rank == 1
     # cutting 10 empties 8 and the repair continues into 2
     h.decrease_key(hs[10], -3)
     assert t.rank_update_steps - base == 3
-    assert p.ranks[i(8)] == 0 and p.ranks[i(2)] == 1
+    assert i(8).rank == 0 and i(2).rank == 1
     assert h.find_min() == (-3, None) and len(h) == 9
     assert t.cuts == 4
     assert [h.delete_min()[0] for _ in range(9)] == [-3, -2, -1, 0, 2, 3, 4, 5, 8]
@@ -112,12 +114,12 @@ def test_active_parent_on_the_ten_key_tree():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
-    i = lambda k: hs[k].index
-    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(8), i(5)]
+    i = lambda k: hs[k]
+    assert kids_oldest_first(i(2)) == [i(4), i(3), i(8), i(5)]
     expected = {5: 2, 8: 2, 6: 5, 7: 5, 9: 8, 10: 8}
     for k in range(2, 11):
-        want = i(expected[k]) if k in expected else NIL
-        assert p._active_parent(i(k)) == want, k
+        want = i(expected[k]) if k in expected else None
+        assert _active_parent(i(k)) is want, k
 
 
 def test_cut_second_to_last_child_with_children():
@@ -130,12 +132,12 @@ def test_cut_second_to_last_child_with_children():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
-    i = lambda k: hs[k].index
+    i = lambda k: hs[k]
     h.decrease_key(hs[6], 0)
     h.decrease_key(hs[7], -1)
-    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(8), i(5)]
-    assert (p.ranks[i(2)], p.ranks[i(5)], p.ranks[i(8)]) == (2, 0, 1)
-    assert [p.keys[r] for r in root_cycle(h)] == [-1, 2, 0]
+    assert kids_oldest_first(i(2)) == [i(4), i(3), i(8), i(5)]
+    assert (i(2).rank, i(5).rank, i(8).rank) == (2, 0, 1)
+    assert [r.key for r in root_cycle(h)] == [-1, 2, 0]
     t = p.telemetry
     before = (t.comparisons, t.cuts, t.rank_update_steps)
 
@@ -143,15 +145,15 @@ def test_cut_second_to_last_child_with_children():
     # compared with the parent 2, then with the first root -1
     assert (t.comparisons, t.cuts, t.rank_update_steps) == (
         before[0] + 2, before[1] + 1, before[2] + 1)
-    assert kids_oldest_first(p, i(2)) == [i(4), i(3), i(9), i(5)]
-    assert p.nxt[i(3)] == i(9) and p.prv[i(9)] == i(3)
-    assert p.nxt[i(9)] == i(5) and p.prv[i(5)] == i(9)
-    assert p.down[i(2)] == i(5) and p.nxt[i(5)] == i(2)
-    assert p.down[i(8)] == i(10) and p.nxt[i(10)] == i(8)
-    assert p.prv[i(10)] == NIL and p.prv[i(8)] == NIL
-    assert (p.ranks[i(2)], p.ranks[i(8)], p.ranks[i(9)]) == (1, 1, 0)
+    assert kids_oldest_first(i(2)) == [i(4), i(3), i(9), i(5)]
+    assert i(3).nxt == i(9) and i(9).prv == i(3)
+    assert i(9).nxt == i(5) and i(5).prv == i(9)
+    assert i(2).down == i(5) and i(5).nxt == i(2)
+    assert i(8).down == i(10) and i(10).nxt == i(8)
+    assert i(10).prv is None and i(8).prv is None
+    assert (i(2).rank, i(8).rank, i(9).rank) == (1, 1, 0)
     # 8 enters the root list right behind the first root
-    assert [p.keys[r] for r in root_cycle(h)] == [-1, 1, 2, 0]
+    assert [r.key for r in root_cycle(h)] == [-1, 1, 2, 0]
     assert full_audit(h).ok
     drained = [h.delete_min()[0] for _ in range(len(h))]
     assert drained == [-1, 0, 1, 2, 3, 4, 5, 9, 10]
@@ -166,10 +168,10 @@ def test_cut_non_active_child_with_children():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 29)}
     h.delete_min()
-    i = lambda k: hs[k].index
-    assert kids_oldest_first(p, i(2)) == [i(k) for k in (4, 3, 8, 5, 20, 11)]
-    assert kids_oldest_first(p, i(5)) == [i(7), i(6)]
-    ranks = list(p.ranks)
+    i = lambda k: hs[k]
+    assert kids_oldest_first(i(2)) == [i(k) for k in (4, 3, 8, 5, 20, 11)]
+    assert kids_oldest_first(i(5)) == [i(7), i(6)]
+    ranks = {k: x.rank for k, x in hs.items()}
     t = p.telemetry
     before = (t.comparisons, t.cuts, t.rank_update_steps)
 
@@ -177,14 +179,14 @@ def test_cut_non_active_child_with_children():
     # no parent comparison: only the first root is compared
     assert (t.comparisons, t.cuts, t.rank_update_steps) == (
         before[0] + 1, before[1] + 1, before[2])
-    assert kids_oldest_first(p, i(2)) == [i(k) for k in (4, 3, 8, 6, 20, 11)]
-    assert p.nxt[i(8)] == i(6) and p.prv[i(6)] == i(8)
-    assert p.nxt[i(6)] == i(20) and p.prv[i(20)] == i(6)
-    assert p.down[i(5)] == i(7) and p.nxt[i(7)] == i(5)
-    assert p.prv[i(7)] == NIL and p.prv[i(5)] == NIL
-    assert p.ranks[i(5)] == 1
-    assert [r for j, r in enumerate(p.ranks) if j != i(5)] == \
-        [r for j, r in enumerate(ranks) if j != i(5)]
+    assert kids_oldest_first(i(2)) == [i(k) for k in (4, 3, 8, 6, 20, 11)]
+    assert i(8).nxt == i(6) and i(6).prv == i(8)
+    assert i(6).nxt == i(20) and i(20).prv == i(6)
+    assert i(5).down == i(7) and i(7).nxt == i(5)
+    assert i(7).prv is None and i(5).prv is None
+    assert i(5).rank == 1
+    assert {k: x.rank for k, x in hs.items() if k != 5} == \
+        {k: r for k, r in ranks.items() if k != 5}
     assert h._first == i(5) and root_cycle(h) == [i(5), i(2)]
     assert full_audit(h).ok
     assert [h.delete_min()[0] for _ in range(len(h))] == list(range(1, 5)) + \
@@ -197,7 +199,7 @@ def test_eight_singletons_survivor_ranks():
     for k in range(1, 9):
         h.insert(k)
     assert h.delete_min()[0] == 1
-    rks = sorted(p.ranks[r] for r in root_cycle(h))
+    rks = sorted(r.rank for r in root_cycle(h))
     assert rks == [0, 1, 1]
     assert [h.delete_min()[0] for _ in range(7)] == list(range(2, 9))
 
@@ -210,12 +212,12 @@ def test_nonactive_child_always_cuts():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
-    i = lambda k: hs[k].index
+    i = lambda k: hs[k]
     cuts0 = p.telemetry.cuts
     h.decrease_key(hs[3], 3)   # same key: allowed, still a cut
     assert p.telemetry.cuts == cuts0 + 1
-    assert p.prv[i(3)] == NIL and i(3) in root_cycle(h)
-    assert kids_oldest_first(p, i(2)) == [i(4), i(8), i(5)]
+    assert i(3).prv is None and i(3) in root_cycle(h)
+    assert kids_oldest_first(i(2)) == [i(4), i(8), i(5)]
     assert h.find_min() == (2, None)
 
 
@@ -224,12 +226,12 @@ def test_active_child_above_parent_stays_put():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in (1, 4, 9, 12)}
     h.delete_min()
-    i4, i9 = hs[4].index, hs[9].index
-    assert kids_oldest_first(p, i4) == [hs[12].index, i9]
+    i4, i9 = hs[4], hs[9]
+    assert kids_oldest_first(i4) == [hs[12], i9]
     cuts0 = p.telemetry.cuts
     h.decrease_key(hs[9], 5)   # active, still above parent key 4
     assert p.telemetry.cuts == cuts0
-    assert kids_oldest_first(p, i4)[-1] == i9 and p.keys[i9] == 5
+    assert kids_oldest_first(i4)[-1] == i9 and i9.key == 5
     h.decrease_key(hs[9], 3)   # now undercuts the parent
     assert p.telemetry.cuts == cuts0 + 1
     assert h.find_min() == (3, None)
@@ -240,27 +242,27 @@ def test_82_keys_glue_surgeries():
     h = p.new_heap()
     hs = {k: h.insert(k) for k in range(1, 83)}
     assert h.delete_min()[0] == 1
-    i = lambda k: hs[k].index
+    i = lambda k: hs[k]
     R = i(2)
-    assert p.ranks[R] == 4 and h._first == R
-    L4 = p.down[R]
-    assert L4 == i(29) and p.ranks[L4] == 3
-    assert p.down[L4] == i(38) and p.prv[i(38)] == i(47)
-    assert p.ranks[i(38)] == 2 and p.ranks[i(47)] == 2
+    assert R.rank == 4 and h._first == R
+    L4 = R.down
+    assert L4 == i(29) and L4.rank == 3
+    assert L4.down == i(38) and i(38).prv == i(47)
+    assert i(38).rank == 2 and i(47).rank == 2
 
     # cut the last child 38; its higher-ranked child 41 is glued in
     h.decrease_key(hs[38], 10)
-    assert p.down[L4] == i(41) and p.ranks[i(41)] == 1
-    assert p.prv[i(41)] == i(47)
-    assert p.ranks[L4] == 3
-    assert p.ranks[i(38)] == 2
+    assert L4.down == i(41) and i(41).rank == 1
+    assert i(41).prv == i(47)
+    assert L4.rank == 3
+    assert i(38).rank == 2
 
     # cut 29 itself; active child 47 outranks 41 and takes its slot
     h.decrease_key(hs[29], 1)
-    assert p.down[R] == i(47) and p.nxt[i(47)] == R
-    assert p.ranks[i(29)] == 2
+    assert R.down == i(47) and i(47).nxt == R
+    assert i(29).rank == 2
     assert h.find_min() == (1, None)
-    assert p.ranks[R] == 4
+    assert R.rank == 4
     drained = [h.delete_min()[0] for _ in range(81)]
     assert drained == sorted(drained)
 
@@ -270,13 +272,13 @@ def test_join_swaps_misordered_last_children():
     h1 = p.new_heap()
     a = {k: h1.insert(k) for k in range(100, 110)}
     assert h1.delete_min()[0] == 100
-    i1 = lambda k: a[k].index
-    assert p.ranks[i1(101)] == 2
-    assert kids_oldest_first(p, i1(101)) == [i1(103), i1(102), i1(107), i1(104)]
+    i1 = lambda k: a[k]
+    assert i1(101).rank == 2
+    assert kids_oldest_first(i1(101)) == [i1(103), i1(102), i1(107), i1(104)]
     h1.decrease_key(a[104], 50)
     # 104's replacement is rank 0, leaving last two as (rank 1, rank 0)
-    assert kids_oldest_first(p, i1(101)) == [i1(103), i1(102), i1(107), i1(105)]
-    assert p.ranks[i1(105)] == 0 and p.ranks[i1(107)] == 1
+    assert kids_oldest_first(i1(101)) == [i1(103), i1(102), i1(107), i1(105)]
+    assert i1(105).rank == 0 and i1(107).rank == 1
 
     h2 = p.new_heap()
     b = {k: h2.insert(k) for k in range(200, 210)}
@@ -290,9 +292,9 @@ def test_join_swaps_misordered_last_children():
     # circular order put the 300-tree before the 200-tree, so the join
     # call was (300-tree, 200-tree, 101): 101 wins, swaps 105/107 so the
     # higher rank sits last, then links the two losers newest
-    assert p.ranks[i1(101)] == 3
-    assert kids_oldest_first(p, i1(101)) == [
-        i1(103), i1(102), i1(105), i1(107), c[301].index, b[201].index]
+    assert i1(101).rank == 3
+    assert kids_oldest_first(i1(101)) == [
+        i1(103), i1(102), i1(105), i1(107), c[301], b[201]]
     assert h.find_min() == (50, None)
     drained = [h.delete_min()[0] for _ in range(len(h))]
     assert drained == sorted(drained)
@@ -371,7 +373,7 @@ def test_raising_key_compare_mutates_nothing():
         assert (len(h), len(side), p.live_count,
                 p.telemetry.comparisons) == before
         assert full_audit(h).ok and full_audit(side).ok
-        assert [p.keys[i] for i in root_cycle(h)] == [3, 8, 5]
+        assert [i.key for i in root_cycle(h)] == [3, 8, 5]
 
     with pytest.raises(TypeError):
         h.insert(OwnKindOnly(0))
@@ -399,42 +401,22 @@ def test_raising_key_compare_mutates_nothing():
     roots = set(root_cycle(h))
     assert len(roots) < 11
     for handle in hs[1:]:
-        snap = (list(p.keys), list(p.ranks), list(p.down), list(p.nxt),
-                list(p.prv), h._first, vars(p.telemetry).copy())
+        snap = ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
+                h._first, vars(p.telemetry).copy())
         with pytest.raises(TypeError):
             h.decrease_key(handle, NoStrictOrder())
-        assert snap == (list(p.keys), list(p.ranks), list(p.down),
-                        list(p.nxt), list(p.prv), h._first,
-                        vars(p.telemetry))
+        assert snap == ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
+                        h._first, vars(p.telemetry))
     assert full_audit(h).ok
-
-
-class Tripwire(int):
-    """Int key whose comparisons raise once ``countdown`` runs out."""
-
-    countdown = None    # comparisons left before they start to raise
-
-    def _tick(self):
-        if Tripwire.countdown is not None:
-            Tripwire.countdown -= 1
-            if Tripwire.countdown < 0:
-                raise RuntimeError("tripwire")
-
-    def __lt__(self, other):
-        self._tick()
-        return int.__lt__(self, other)
-
-    def __gt__(self, other):
-        self._tick()
-        return int.__gt__(self, other)
 
 
 @pytest.mark.parametrize("late", [0, 3])
 def test_raise_inside_delete_min_keeps_every_tree(late):
     # a comparison may raise anywhere in the consolidation, in a join or
-    # in the min scan: the minimum is gone, but every other tree must be
-    # back on one root cycle, and a drain must end once keys compare again.
-    # With late = 3, three rank-0 roots inserted after the first
+    # in the min scan: the delete_min is then rolled back, with the
+    # minimum still the first root and every other tree on the root
+    # cycle behind it, and a drain comes out sorted once keys compare
+    # again.  With late = 3, three rank-0 roots inserted after the first
     # delete_min make joins while z's children are still unwalked.
     early = random.Random(6).sample(range(10_000), 200)
     keys = early + list(range(10_000, 10_000 + late))
@@ -462,17 +444,17 @@ def test_raise_inside_delete_min_keeps_every_tree(late):
                 h.delete_min()
         finally:
             Tripwire.countdown = None
-        assert len(h) == len(keys) - 2 and p.is_live(h.first_root())
-        rules = {v.rule for v in full_audit(h).violations}
-        assert not rules & {"structure", "count"}, (k, rules)
+        assert len(h) == len(keys) - 1
+        z = h.first_root()
+        assert z.key == sorted(keys)[1] and p.is_live(z)
+        rules = {v.rule for v in
+                 full_audit(h, check_root_multiplicity=True).violations}
+        assert rules <= {"root-multiplicity"}, (k, rules)
         pops = []
-        while len(h) and len(pops) < len(keys) - 2:
+        while len(h) and len(pops) < len(keys) - 1:
             pops.append(h.delete_min()[0])
-        assert len(pops) == len(keys) - 2 and len(h) == 0
-        assert h.find_min() is None
-        # the first pop is the stray first root; the rest come out sorted
-        assert sorted(pops) == sorted(keys)[2:]
-        assert pops[1:] == sorted(pops[1:])
+        assert len(h) == 0 and h.find_min() is None
+        assert pops == sorted(keys)[1:]
 
 
 def test_golden_counters():
@@ -493,6 +475,13 @@ def test_golden_counters():
                                     cuts=13894, rank_update_steps=3260,
                                     max_rank=8)
     assert checksum(dist) == 182835793
+    # meld and decrease-key, through the oracle's replay
+    v = run_differential(0, 10_000)
+    assert v.passed
+    assert Telemetry(v.comparisons, v.joins, v.cuts, v.rank_update_steps,
+                     v.max_rank) == Telemetry(comparisons=38850, joins=7117,
+                                              cuts=1301, rank_update_steps=85,
+                                              max_rank=7)
 
 
 def test_key_increase_rejected():
@@ -528,8 +517,7 @@ def test_stale_handles_after_slot_reuse():
     b = h.insert(2, "stays")
     assert h.delete_min() == (1, "gone")
     assert not h.is_live(a) and h.is_live(b)
-    c = h.insert(3, "reused")     # takes a's slot off the free list
-    assert c.index == a.index and c.stamp != a.stamp
+    c = h.insert(3, "reused")
     for op in (lambda: h.decrease_key(a, 0),
                lambda: p.key_of(a),
                lambda: p.item_of(a),

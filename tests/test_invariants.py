@@ -2,10 +2,11 @@
 clean, and injected corruption must surface as the right rule id."""
 
 import json
+import re
 
 import pytest
 
-from violationheap import NIL, HeapError, NodePool
+from violationheap import HeapError, NodePool
 from violationheap.invariants import (JoinNeutralityMonitor, assert_join_neutrality,
                                       full_audit, max_rank_bound,
                                       pool_degree_excess, potential_snapshot,
@@ -47,7 +48,7 @@ def test_report_json_shape():
     assert doc == {"violations": [], "nodes": 5, "max_rank": doc["max_rank"]}
 
     root = h.first_root()
-    pool.ranks[root.index] = 40
+    root.rank = 40
     doc = json.loads(full_audit(h).to_json())
     assert doc["violations"]
     v = doc["violations"][0]
@@ -58,11 +59,11 @@ def test_inflated_rank_breaks_two_rules():
     pool, h, _ = build(40)
     h.delete_min()
     root = h.first_root()
-    keep = pool.ranks[root.index]
-    pool.ranks[root.index] = 30
+    keep = root.rank
+    root.rank = 30
     rules = {v.rule for v in full_audit(h).violations}
     assert "rank-bound" in rules and "size-bound" in rules
-    pool.ranks[root.index] = keep
+    root.rank = keep
     assert full_audit(h).ok
 
 
@@ -70,7 +71,7 @@ def test_negative_rank_flagged():
     pool, h, _ = build(4)
     h.delete_min()
     root = h.first_root()
-    pool.ranks[root.index] = -1
+    root.rank = -1
     assert any(v.rule == "rank-bound" for v in full_audit(h).violations)
 
 
@@ -78,12 +79,12 @@ def test_heap_order_violation_flagged():
     pool, h, _ = build(10)
     h.delete_min()
     root = h.first_root()
-    child = pool.down[root.index]
-    keep = pool.keys[child]
-    pool.keys[child] = -100
+    child = root.down
+    keep = child.key
+    child.key = -100
     rules = {v.rule for v in full_audit(h).violations}
     assert "heap-order" in rules
-    pool.keys[child] = keep
+    child.key = keep
 
 
 class Unordered:
@@ -98,17 +99,18 @@ class Unordered:
 def test_raising_key_compare_is_a_finding():
     pool, h, _ = build(12)
     h.delete_min()
-    root = h.first_root().index
-    other_root = pool.nxt[root]
+    root = h.first_root()
+    other_root = root.nxt
     assert other_root != root
     # a child, the first root (against every root and child), another root
-    for i in (pool.down[root], root, other_root):
-        keep = pool.keys[i]
-        pool.keys[i] = Unordered()
+    assert root.down is None and other_root.down is not None
+    for i in (other_root.down, root, other_root):
+        keep = i.key
+        i.key = Unordered()
         report = full_audit(h)
         assert {v.rule for v in report.violations} == {"key-compare"}
         assert all(v.node is not None for v in report.violations)
-        pool.keys[i] = keep
+        i.key = keep
         assert full_audit(h).ok
 
 
@@ -117,7 +119,7 @@ def test_first_root_rule():
     h.delete_min()
     # rotate the designation away from the minimum
     first = h._first
-    other = pool.nxt[first]
+    other = first.nxt
     if other != first:
         h._first = other
         assert any(v.rule == "first-root" for v in full_audit(h).violations)
@@ -136,39 +138,40 @@ def test_broken_sibling_link_flagged():
     pool, h, _ = build(10)
     h.delete_min()
     root = h.first_root()
-    child = pool.down[root.index]
-    keep = pool.nxt[child]
-    pool.nxt[child] = child   # last child no longer points at parent
+    child = root.down
+    keep = child.nxt
+    child.nxt = child   # last child no longer points at parent
     rules = {v.rule for v in full_audit(h).violations}
     assert "structure" in rules
-    pool.nxt[child] = keep
+    child.nxt = keep
 
 
 def test_unending_lists_raise():
     # the oldest child's prv points back at the newest: a child cycle
     pool, h, _ = build(10)
     h.delete_min()
-    root = h.first_root().index
+    root = h.first_root()
     kids = []
-    c = pool.down[root]
-    while c != NIL:
+    c = root.down
+    while c is not None:
         kids.append(c)
-        c = pool.prv[c]
+        c = c.prv
     assert len(kids) == 4
-    pool.prv[kids[-1]] = kids[0]
+    kids[-1].prv = kids[0]
     assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError, match=f"node {root} does not end"):
+    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
         potential_snapshot(h)
-    with pytest.raises(HeapError, match=f"node {root} does not end"):
+    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
         pool_degree_excess(pool)
 
     # mend it, then make the root list a loop that skips the first root
-    pool.prv[kids[-1]] = NIL
-    a, b = h.insert(100).index, h.insert(101).index
-    assert pool.nxt[root] == b and pool.nxt[b] == a and pool.nxt[a] == root
-    pool.nxt[a] = b
+    kids[-1].prv = None
+    a, b = h.insert(100), h.insert(101)
+    assert root.nxt == b and b.nxt == a and a.nxt == root
+    a.nxt = b
     assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError, match=f"root list from node {root} does not end"):
+    with pytest.raises(HeapError,
+                       match=re.escape(f"root list from node {root!r} does not end")):
         potential_snapshot(h)
 
 
@@ -208,10 +211,10 @@ def test_snapshot_sizes_sum_at_roots():
     r = f = h._first
     while True:
         roots[r] = True
-        r = pool.nxt[r]
+        r = r.nxt
         if r == f:
             break
-    total = sum(s for nh, s in snap.subtree_sizes.items() if nh.index in roots)
+    total = sum(s for nh, s in snap.subtree_sizes.items() if nh in roots)
     assert total == len(h) == 29
 
 
@@ -238,6 +241,33 @@ def test_join_neutrality_monitor():
     assert not mon.mismatches
 
 
+def test_pool_degree_excess_spans_every_heap():
+    # two heaps with degree excess share a pool; mid-consolidation of one,
+    # the walk covers the other heap and the trees in flight
+    pool = NodePool()
+    heaps = []
+    for base in (0, 1000):
+        h = pool.new_heap()
+        hs = {k: h.insert(base + k) for k in range(10)}
+        h.delete_min()
+        for i, k in enumerate((5, 6, 8, 9)):
+            h.decrease_key(hs[k], base - 1 - i)
+        heaps.append(h)
+    a, b = heaps
+    excess = [potential_snapshot(h).degree_excess for h in heaps]
+    assert excess == [2, 2] and pool_degree_excess(pool) == 4
+    seen = []
+    pool.join_hook = lambda phase, trees: seen.append(
+        pool_degree_excess(pool, trees))
+    for k in range(20):
+        a.insert(100 + k)
+    a.delete_min()
+    pool.join_hook = None
+    after = sum(potential_snapshot(h).degree_excess for h in heaps)
+    assert after == pool_degree_excess(pool) >= excess[1] > 0
+    assert len(seen) >= 2 and set(seen) == {after}
+
+
 def test_join_neutrality_snapshot_pair():
     pool, h, _ = build(20)
     before = potential_snapshot(h)
@@ -258,11 +288,9 @@ def test_bound_helpers():
 
 
 def test_audit_does_not_mutate():
-    pool, h, _ = build(25)
+    pool, h, hs = build(25)
     h.delete_min()
-    snap_links = (list(pool.nxt), list(pool.prv), list(pool.down),
-                  list(pool.ranks))
+    snap_links = [(x.nxt, x.prv, x.down, x.rank) for x in hs]
     full_audit(h, check_root_multiplicity=True)
     potential_snapshot(h)
-    assert snap_links == (list(pool.nxt), list(pool.prv), list(pool.down),
-                          list(pool.ranks))
+    assert snap_links == [(x.nxt, x.prv, x.down, x.rank) for x in hs]

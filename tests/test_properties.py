@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from violationheap import NIL, NodePool, rank_from_pair
+from violationheap import NodePool, rank_from_pair
 from violationheap.invariants import full_audit, max_rank_bound
 from violationheap.oracle import NaivePQ
 
@@ -116,15 +116,15 @@ def test_active_children_prop_up_their_parent(n, seed):
     for hd in rng.sample(hs, min(n // 3, len(hs))):
         if pool.is_live(hd):
             h.decrease_key(hd, pool.key_of(hd) - rng.randrange(1, 10 ** 6))
-    for i in range(len(pool.stamps)):
-        if pool.stamps[i] & 1 or pool.down[i] == NIL:
+    for x in hs:
+        if not x.alive or x.down is None:
             continue
-        d = pool.down[i]
-        r1 = pool.ranks[d]
-        d2 = pool.prv[d]
-        if d2 != NIL:
-            r1 = max(r1, pool.ranks[d2])
-        assert r1 >= pool.ranks[i] - 1
+        d = x.down
+        r1 = d.rank
+        d2 = d.prv
+        if d2 is not None:
+            r1 = max(r1, d2.rank)
+        assert r1 >= x.rank - 1
 
 
 class DifferentialMachine(RuleBasedStateMachine):
