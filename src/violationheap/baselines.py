@@ -63,17 +63,28 @@ class BinaryHeap:
         return key, self._items[ident]
 
     def delete_min(self) -> tuple:
-        if not self._arr:
+        arr = self._arr
+        pos = self._pos
+        if not arr:
             raise EmptyHeapError("empty")
-        key, ident = self._arr[0]
-        item = self._items.pop(ident)
-        del self._pos[ident]
-        last = self._arr.pop()
-        if self._arr:
-            self._arr[0] = last
-            self._pos[last[1]] = 0
-            self._sift_down(0)
-        return key, item
+        top = arr[0]
+        last = arr.pop()
+        if arr:
+            arr[0] = last
+            pos[last[1]] = 0
+            try:
+                self._sift_down(0)
+            except BaseException:
+                # the sift put last back at the root: it returns to the
+                # end and the minimum to the root, as before the call
+                arr[0] = top
+                pos[top[1]] = 0
+                arr.append(last)
+                pos[last[1]] = len(arr) - 1
+                raise
+        key, ident = top
+        del pos[ident]
+        return key, self._items.pop(ident)
 
     def decrease_key(self, ident: int, new_key) -> None:
         pos = self._pos.get(ident)
@@ -125,6 +136,7 @@ class BinaryHeap:
         t = self.telemetry
         n = len(arr)
         entry = arr[i]
+        start = i
         try:
             while True:
                 left = 2 * i + 1
@@ -142,6 +154,15 @@ class BinaryHeap:
                 arr[i] = arr[child]
                 pos[arr[i][1]] = i
                 i = child
+        except BaseException:
+            # a comparison raised: walk the path back up, moving each
+            # entry down again, so entry ends where it started
+            while i > start:
+                parent = (i - 1) >> 1
+                arr[i] = arr[parent]
+                pos[arr[i][1]] = i
+                i = parent
+            raise
         finally:
             arr[i] = entry
             pos[entry[1]] = i
@@ -214,10 +235,18 @@ class PairingHeap:
             raise HeapError("handle does not belong to this empty heap")
         if not new_key <= node.key:   # also refuses NaN
             raise HeapError("key increase not supported")
-        node.key = new_key
-        if node is self._root:
+        root = self._root
+        if node is root:
+            node.key = new_key
             return
-        self.telemetry.cuts += 1
+        # the link's one comparison comes before the key is stored or the
+        # node cut: a key that raises leaves no trace
+        new_min = new_key < root.key
+        t = self.telemetry
+        t.comparisons += 1
+        t.joins += 1
+        t.cuts += 1
+        node.key = new_key
         prev = node.prev
         if prev.child is node:
             prev.child = node.sibling
@@ -226,7 +255,15 @@ class PairingHeap:
         if node.sibling is not None:
             node.sibling.prev = prev
         node.prev = node.sibling = None
-        self._root = self._link(self._root, node)
+        # the link, its comparison already made: the loser becomes the
+        # winner's first child
+        a, b = (node, root) if new_min else (root, node)
+        b.prev = a
+        b.sibling = a.child
+        if a.child is not None:
+            a.child.prev = b
+        a.child = b
+        self._root = a
 
     def meld(self, other: "PairingHeap") -> "PairingHeap":
         """Absorb the other heap's elements; the other heap empties."""

@@ -34,7 +34,6 @@ operations on a stale handle raise instead of corrupting the structure.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -139,20 +138,18 @@ def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
 
 
 class NodePool:
-    """One family of meldable heaps: shared counters, hook and node count.
+    """One family of meldable heaps: shared counters and join hook.
 
-    Heaps from different pools cannot meld.  ``heaps`` holds every heap
-    of the pool that is still referenced, so the whole pool can be
-    walked.
+    Heaps from different pools cannot meld, since ``delete_min`` sizes
+    its rank slots from the pool's shared ``max_rank``.
     """
 
     def __init__(self) -> None:
-        self.live_count = 0
         self.telemetry = Telemetry()
-        self.heaps: weakref.WeakSet = weakref.WeakSet()
         # debug hook: called with "before" / "after" and the trees in
-        # flight around every 3-way join, mid-consolidation; one that
-        # raises is handled like a key comparison that raises
+        # flight (every tree of the heap being consolidated) around every
+        # 3-way join; one that raises is handled like a key comparison
+        # that raises
         self.join_hook = None
 
     def new_heap(self) -> "ViolationHeap":
@@ -185,9 +182,9 @@ class ViolationHeap:
 
     def __init__(self, pool: NodePool) -> None:
         self.pool = pool
+        self.telemetry = pool.telemetry
         self._first: Optional[NodeHandle] = None
         self._count = 0
-        pool.heaps.add(self)
 
     # -- queries --------------------------------------------------------
 
@@ -212,10 +209,6 @@ class ViolationHeap:
         """Handle of the current first (minimum) root, or None when empty."""
         return self._first
 
-    @property
-    def telemetry(self) -> Telemetry:
-        return self.pool.telemetry
-
     def spawn(self) -> "ViolationHeap":
         """An empty heap in the same pool, so it can meld with this one."""
         return ViolationHeap(self.pool)
@@ -231,7 +224,6 @@ class ViolationHeap:
         # NaN is unordered: as a key it would stay the minimum forever
         if key != key:
             raise HeapError("NaN key")
-        pool = self.pool
         f = self._first
         if f is None:
             x = NodeHandle(key, item, None)
@@ -240,12 +232,11 @@ class ViolationHeap:
         else:
             # compare before linking: a key that raises leaves no trace
             new_min = key < f.key
-            pool.telemetry.comparisons += 1
+            self.telemetry.comparisons += 1
             x = NodeHandle(key, item, f.nxt)
             f.nxt = x
             if new_min:
                 self._first = x
-        pool.live_count += 1
         self._count += 1
         return x
 
@@ -266,7 +257,7 @@ class ViolationHeap:
         elif f2 is not None:
             # compare before splicing: a key that raises leaves no trace
             self._first = f2 if f2.key < f1.key else f1
-            self.pool.telemetry.comparisons += 1
+            self.telemetry.comparisons += 1
             # exchanging the two successors merges the two cycles
             f1.nxt, f2.nxt = f2.nxt, f1.nxt
         self._count += other._count
@@ -294,7 +285,7 @@ class ViolationHeap:
         # NaN fails <= against anything, so it is refused here too
         if not new_key <= x.key:
             raise HeapError("key increase not supported")
-        t = self.pool.telemetry
+        t = self.telemetry
 
         # x is an active child when it has an active parent, and that
         # parent's last child when the parent is y; otherwise x is an
@@ -394,8 +385,7 @@ class ViolationHeap:
         """
         if self._count == 0:
             raise EmptyHeapError("empty")
-        pool = self.pool
-        t = pool.telemetry
+        t = self.telemetry
         z = self._first
         self._first = None
 
@@ -409,7 +399,7 @@ class ViolationHeap:
         # every rank is at most max_rank; a join may make max_rank + 1
         s1 = [None] * (t.max_rank + 2)
         s2 = s1[:]
-        hook = pool.join_hook
+        hook = self.pool.join_hook
         v = None
         try:
             while True:
@@ -514,7 +504,6 @@ class ViolationHeap:
             raise
         self._first = best
         z.alive = False
-        pool.live_count -= 1
         self._count -= 1
         return z.key, z.item
 

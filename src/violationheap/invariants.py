@@ -25,16 +25,19 @@ string ids:
 
 ``potential_snapshot`` reports the quantities the amortized analysis
 charges against: the number of critical nodes, the total degree excess
-(twice the violation units), and the tree count.  It and
-``pool_degree_excess`` raise ``HeapError`` on a root or child list that
-does not end, where ``full_audit`` reports a ``structure`` finding.
+(twice the violation units), and the tree count.  It raises
+``HeapError`` on a root or child list that runs into a node it already
+walked, where ``full_audit`` reports a ``structure`` finding.
+``JoinNeutralityMonitor`` measures the same degree excess over the trees
+in flight around every join of a ``delete_min``.  Every walk is bounded
+by the identity of the nodes it has met, not by a node count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .heap_core import HeapError, NodeHandle, NodePool, ViolationHeap, rank_from_pair
@@ -95,12 +98,24 @@ class AuditReport:
         })
 
 
+def _root_list(first: NodeHandle) -> tuple[list[NodeHandle], Optional[NodeHandle]]:
+    # the roots along nxt from first, up to the node the walk stops at:
+    # a root met again, None or a removed node.  The list is whole when
+    # the walk stops at first
+    roots: dict[NodeHandle, None] = {}
+    i = first
+    while i not in roots and i is not None and i.alive:
+        roots[i] = None
+        i = i.nxt
+    return list(roots), i
+
+
 def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> AuditReport:
     """Walk one heap and report every rule violation found.
 
-    Never raises on a corrupt structure; traversal is bounded so broken
-    links produce findings rather than hangs, and a key comparison that
-    raises becomes a ``key-compare`` finding.
+    Never raises on a corrupt structure; every walk stops at a node it
+    has already met, so broken links produce findings rather than hangs,
+    and a key comparison that raises becomes a ``key-compare`` finding.
     """
     violations: list[Violation] = []
 
@@ -113,23 +128,11 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
             bad("count", None, f"empty root list but count is {heap._count}")
         return AuditReport(violations, 0, 0)
 
-    limit = heap.pool.live_count + 1
-
-    roots = []
-    i = first
-    steps = 0
-    while True:
-        if i is None or not i.alive:
-            bad("structure", None, f"root list reaches a removed node {i!r}")
-            break
-        roots.append(i)
-        i = i.nxt
-        steps += 1
-        if i is first:
-            break
-        if steps > limit:
-            bad("structure", None, "root list does not cycle back to the first root")
-            break
+    roots, stop = _root_list(first)
+    if stop is None or not stop.alive:
+        bad("structure", None, f"root list reaches a removed node {stop!r}")
+    elif stop is not first:
+        bad("structure", stop, "root list does not cycle back to the first root")
 
     fk = first.key
     for r in roots:
@@ -179,7 +182,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
                 d2 = d.prv
                 r2 = d2.rank if d2 is not None else -1
                 c = d
-                kid_steps = 0
                 pk = p.key
                 while True:
                     if c in seen:
@@ -204,10 +206,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
                         bad("structure", older, "sibling links disagree")
                         break
                     c = older
-                    kid_steps += 1
-                    if kid_steps > limit:
-                        bad("structure", p, "child list does not terminate")
-                        break
             bound = rank_from_pair(r1, r2)
             if rp < 0:
                 bad("rank-bound", p, f"negative rank {rp}")
@@ -250,114 +248,59 @@ class PotentialSnapshot:
     degree_excess   sum over nodes of max(0, degree - 2 * rank); twice
                     the total violation units, and always an integer
     tree_count      length of the root list
-    subtree_sizes   size of every node's subtree, by handle
     """
 
     critical_count: int
     degree_excess: int
     tree_count: int
-    subtree_sizes: dict[NodeHandle, int] = field(default_factory=dict)
 
 
-def _root_cycle(first: NodeHandle, limit: int) -> list[NodeHandle]:
-    roots = []
-    i = first
-    while True:
-        roots.append(i)
-        i = i.nxt
-        if i is first:
-            return roots
-        if len(roots) > limit:
-            raise HeapError(f"root list from node {first!r} does not end")
-
-
-def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
-    """Measure the heap's potential components in one traversal.
-
-    Raises HeapError, naming the node, when the walk reaches more nodes
-    than the pool holds: some root or child list does not end.
-    """
-    first = heap._first
-    if first is None:
-        return PotentialSnapshot(0, 0, 0)
-
-    limit = heap.pool.live_count
-    roots = _root_cycle(first, limit)
-    critical = 0
-    reached = len(roots)
-    excess = 0
-    order: list[NodeHandle] = []
-    parent_of: dict[NodeHandle, NodeHandle] = {}
-    # stack holds (node, is_active); only the two newest children of a
-    # node are active, roots never are
-    stack = [(r, False) for r in roots]
-    while stack:
-        p, active = stack.pop()
-        order.append(p)
-        degree = 0
-        c = p.down
-        pair = -2  # sum of the two active-slot ranks, missing slots are -1
-        while c is not None:
-            reached += 1
-            if reached > limit:
-                raise HeapError(f"child list of node {p!r} does not end")
-            stack.append((c, degree < 2))
-            parent_of[c] = p
-            if degree < 2:
-                pair += c.rank + 1
-            degree += 1
-            c = c.prv
-        e = degree - 2 * p.rank
-        if e > 0:
-            excess += e
-        if active and pair & 1:
-            critical += 1
-
-    sizes = {p: 1 for p in order}
-    for p in reversed(order):
-        q = parent_of.get(p)
-        if q is not None:
-            sizes[q] += sizes[p]
-    return PotentialSnapshot(critical, excess, len(roots), sizes)
-
-
-def assert_join_neutrality(before: PotentialSnapshot, after: PotentialSnapshot) -> bool:
-    """True when a join left the degree excess untouched, as it must."""
-    return before.degree_excess == after.degree_excess
-
-
-def pool_degree_excess(pool: NodePool, trees: list[NodeHandle] = ()) -> int:
-    """Degree excess summed over every node held by the pool's heaps.
-
-    Usable mid-consolidation: the heap being consolidated has no root
-    list then, and ``trees`` are its trees in flight, as a join hook
-    receives them (the minimum being removed is in neither).  A join
-    touches no node outside those trees, so pool-wide neutrality is
-    equivalent to heap-wide neutrality.  Raises HeapError, naming the
-    node, when the walk reaches more nodes than the pool holds.
-    """
-    limit = pool.live_count
+def _walk_trees(trees: list[NodeHandle]) -> PotentialSnapshot:
+    # one pass over the given trees.  Raises HeapError, naming the
+    # parent, when a child list reaches a root or a node already walked
+    seen = set(trees)
+    critical = excess = 0
     stack = list(trees)
-    for heap in pool.heaps:
-        if heap._first is not None:
-            stack += _root_cycle(heap._first, limit)
-    reached = len(stack)
-    total = 0
     while stack:
         p = stack.pop()
         degree = 0
         c = p.down
         while c is not None:
-            reached += 1
-            if reached > limit:
-                raise HeapError(f"child list of node {p!r} does not end")
+            if c in seen:
+                raise HeapError(f"child list of node {p!r} does not end: "
+                                f"it reaches {c!r} again")
+            seen.add(c)
             stack.append(c)
+            # p's two newest children are active; one is critical when
+            # the ranks of its own active children (a missing child
+            # counting as -1) sum to an odd number
+            if degree < 2:
+                d = c.down
+                if d is not None:
+                    d2 = d.prv
+                    if (d.rank + (d2.rank if d2 is not None else -1)) & 1:
+                        critical += 1
             degree += 1
             c = c.prv
         e = degree - 2 * p.rank
         if e > 0:
-            total += e
-    return total
+            excess += e
+    return PotentialSnapshot(critical, excess, len(trees))
+
+
+def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
+    """Measure the heap's potential components in one traversal.
+
+    Raises HeapError, naming the node, when a root or child list runs
+    into a node the walk already met: the list does not end.
+    """
+    first = heap._first
+    if first is None:
+        return PotentialSnapshot(0, 0, 0)
+    roots, stop = _root_list(first)
+    if stop is not first:
+        raise HeapError(f"root list from node {first!r} does not end")
+    return _walk_trees(roots)
 
 
 class JoinNeutralityMonitor:
@@ -365,7 +308,10 @@ class JoinNeutralityMonitor:
 
     Install on a pool before driving operations; afterwards ``joins``
     counts observed joins and ``mismatches`` holds any join that changed
-    the pool's degree excess (there must never be one).
+    the degree excess of the trees in flight (there must never be one).
+    Those trees are every tree of the heap being consolidated, and a
+    join touches no node outside them, so the excess of the pool's other
+    heaps cannot move and is not walked.
     """
 
     def __init__(self, pool: NodePool) -> None:
@@ -384,9 +330,9 @@ class JoinNeutralityMonitor:
 
     def _observe(self, phase: str, trees: list[NodeHandle]) -> None:
         if phase == "before":
-            self._before = pool_degree_excess(self.pool, trees)
+            self._before = _walk_trees(trees).degree_excess
         else:
-            after = pool_degree_excess(self.pool, trees)
+            after = _walk_trees(trees).degree_excess
             self.joins += 1
             if after != self._before:
                 self.mismatches.append((self.joins, self._before, after))

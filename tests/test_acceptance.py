@@ -86,8 +86,9 @@ def test_criterion_2_invariants_every_op(audited_fuzz):
 
 
 def test_criterion_3_join_neutrality_100k():
-    # churn a small pool so the per-join pool scan stays cheap; keep
-    # cutting so joins also hit trees that already carry degree excess
+    # churn a small heap so the per-join walk of the trees in flight stays
+    # cheap; keep cutting so joins also hit trees that already carry
+    # degree excess
     target = 100_000
     pool = NodePool()
     heap = pool.new_heap()

@@ -8,8 +8,9 @@ import pytest
 from raising_keys import Tripwire
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
-                                     StaleHandleError)
-from violationheap.workloads import HEAP_NAMES, make_heap
+                                     StaleHandleError, Telemetry)
+from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
+                                     make_heap)
 
 # every heap make_heap knows runs the same interface tests, named by class
 HEAPS = [pytest.param(functools.partial(make_heap, name),
@@ -38,6 +39,10 @@ def test_decrease_reorders(cls):
     assert h.find_min() == (5, "c")
     assert h.delete_min() == (5, "c")
     h.decrease_key(a, 1)
+    assert h.find_min() == (1, "a")
+    # a decrease that ties the minimum leaves the minimum where it is
+    d = h.insert(25, "d")
+    h.decrease_key(d, 1)
     assert h.find_min() == (1, "a")
 
 
@@ -152,12 +157,22 @@ def test_random_traffic_against_dict_model(cls):
         assert len(h) == len(model)
 
 
+def _drain(h, limit):
+    # delete_min until the heap reports empty, or limit + 1 keys came out
+    out = []
+    while len(out) <= limit:
+        try:
+            out.append(h.delete_min()[0])
+        except EmptyHeapError:
+            break
+    return out
+
+
 @pytest.mark.parametrize("cls", HEAPS)
 def test_raise_inside_delete_min_loses_nothing(cls):
-    # a comparison raises at each point of one delete_min in turn.  No
-    # element may be lost or duplicated: the size matches a drain, and the
-    # drain is every key, or every key but the minimum.  The violation and
-    # pairing heaps roll the delete_min back, so their drain is sorted.
+    # a comparison raises at each point of one delete_min in turn.  Every
+    # heap rolls the delete_min back: the size matches a drain, and the
+    # drain is every key, sorted.
     keys = random.Random(6).sample(range(10_000), 200)
 
     def build():
@@ -182,16 +197,67 @@ def test_raise_inside_delete_min_loses_nothing(cls):
         finally:
             Tripwire.countdown = None
         size = len(h)
-        drained = []
-        while len(drained) <= len(keys):
-            try:
-                drained.append(h.delete_min()[0])
-            except EmptyHeapError:
-                break
+        drained = _drain(h, len(keys))
         assert len(drained) == size, k
-        assert sorted(drained) in (sorted(keys), sorted(keys)[1:]), k
-        if not isinstance(h, BinaryHeap):
-            assert drained == sorted(drained), k
+        assert drained == sorted(keys), k
+
+
+@pytest.mark.parametrize("cls", [p for p in HEAPS if p.id != "BinaryHeap"])
+def test_raise_inside_decrease_key_loses_nothing(cls):
+    # a comparison raises at each point of one decrease in turn, for
+    # targets all over the heap: the decrease leaves no trace, so the
+    # heap holds every element with its old key and drains sorted
+    keys = random.Random(7).sample(range(1, 10_000), 200)
+    rest = sorted(keys)[1:]
+
+    def build():
+        h = cls()
+        hs = {k: h.insert(Tripwire(k)) for k in keys}
+        h.delete_min()
+        return h, hs
+
+    for target in rest[::20] + rest[-3:]:
+        for new_key in (0, target - 1):
+            h, hs = build()
+            Tripwire.countdown = total = 10 ** 9
+            try:
+                h.decrease_key(hs[target], Tripwire(new_key))
+            finally:
+                total -= Tripwire.countdown
+                Tripwire.countdown = None
+            for k in range(total):
+                h, hs = build()
+                Tripwire.countdown = k
+                try:
+                    with pytest.raises(RuntimeError, match="tripwire"):
+                        h.decrease_key(hs[target], Tripwire(new_key))
+                finally:
+                    Tripwire.countdown = None
+                size = len(h)
+                drained = _drain(h, len(keys))
+                assert len(drained) == size, (target, new_key, k)
+                assert drained == rest, (target, new_key, k)
+
+
+def test_baseline_golden_counters():
+    # exact counters of the binary and pairing heaps on test_golden_counters'
+    # heapsort and Dijkstra runs: a change that keeps the algorithm keeps them
+    graph = gen_graph(10_000, 100_000, 7)
+    golden = {
+        BinaryHeap: ((518469, 0, 0), (272526, 0, 0)),
+        PairingHeap: ((351380, 351380, 0), (222056, 222056, 19987)),
+    }
+    for cls, (sort_counts, dijkstra_counts) in golden.items():
+        rng = random.Random(0)
+        h = cls()
+        for _ in range(20_000):
+            h.insert(rng.randrange(1 << 60))
+        while len(h):
+            h.delete_min()
+        assert h.telemetry == Telemetry(*sort_counts)
+        h = cls()
+        assert checksum(dijkstra(graph, 0, h)) == 182835793
+        assert h.telemetry == Telemetry(*dijkstra_counts)
 
 
 def test_telemetry_profiles():

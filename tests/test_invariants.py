@@ -7,9 +7,8 @@ import re
 import pytest
 
 from violationheap import HeapError, NodePool
-from violationheap.invariants import (JoinNeutralityMonitor, assert_join_neutrality,
-                                      full_audit, max_rank_bound,
-                                      pool_degree_excess, potential_snapshot,
+from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
+                                      max_rank_bound, potential_snapshot,
                                       size_floor)
 
 
@@ -161,8 +160,6 @@ def test_unending_lists_raise():
     assert "structure" in {v.rule for v in full_audit(h).violations}
     with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
         potential_snapshot(h)
-    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
-        pool_degree_excess(pool)
 
     # mend it, then make the root list a loop that skips the first root
     kids[-1].prv = None
@@ -173,6 +170,40 @@ def test_unending_lists_raise():
     with pytest.raises(HeapError,
                        match=re.escape(f"root list from node {root!r} does not end")):
         potential_snapshot(h)
+
+
+def test_lists_that_run_into_another_heap_and_loop_there():
+    # the walks are bounded by the nodes they have met, not by a count:
+    # a list that leaves the heap and cycles among another heap's nodes
+    # still ends in a finding or an error naming the node
+    pool, h, _ = build(10)
+    h.delete_min()
+    root = h.first_root()
+    g = pool.new_heap()
+    x, y = g.insert(500), g.insert(501)
+    assert x.nxt is y and y.nxt is x
+
+    # the root list: root -> b -> a -> x -> y -> x -> ...
+    a, b = h.insert(100), h.insert(101)
+    a.nxt = x
+    assert "structure" in {v.rule for v in full_audit(h).violations}
+    with pytest.raises(HeapError,
+                       match=re.escape(f"root list from node {root!r} does not end")):
+        potential_snapshot(h)
+    a.nxt = root
+    assert full_audit(h).ok
+
+    # the oldest child's older sibling is x, and x and y are each
+    # other's older siblings
+    oldest = root.down
+    while oldest.prv is not None:
+        oldest = oldest.prv
+    oldest.prv, x.prv, y.prv = x, y, x
+    assert "structure" in {v.rule for v in full_audit(h).violations}
+    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
+        potential_snapshot(h)
+    oldest.prv = x.prv = y.prv = None
+    assert full_audit(h).ok and full_audit(g).ok
 
 
 def test_root_multiplicity_only_on_request():
@@ -190,32 +221,18 @@ def test_root_multiplicity_only_on_request():
 def test_snapshot_chain_counts():
     pool, h, hs = build(10)
     h.delete_min()
-    snap = potential_snapshot(h)
-    assert snap.degree_excess == 0 and snap.tree_count == 1
-    assert len(snap.subtree_sizes) == 9
-
-    # stripping grandchildren leaves the root with degree 4, rank 1
+    # root 1 (rank 2) has the children 3, 2, 7, 4, oldest first, and 4 and
+    # 7 each hold two childless children.  Cutting one child of 4 leaves
+    # 4 critical (its active pair sums to 0 + -1), cutting the other
+    # empties it, and likewise for 7; emptying 7 drops 1 to rank 1 with
+    # four children, a degree excess of 2.  (critical, excess, trees):
+    counts = [(0, 0, 1), (1, 0, 2), (0, 0, 3), (1, 0, 4), (0, 2, 5)]
+    snaps = [potential_snapshot(h)]
     for i, target in enumerate((5, 6, 8, 9)):
         h.decrease_key(hs[target], -1 - i)
-    snap = potential_snapshot(h)
-    assert snap.degree_excess == 2
-    assert snap.tree_count == 5
-    assert pool_degree_excess(pool) == 2
-
-
-def test_snapshot_sizes_sum_at_roots():
-    pool, h, _ = build(30)
-    h.delete_min()
-    snap = potential_snapshot(h)
-    roots = {}
-    r = f = h._first
-    while True:
-        roots[r] = True
-        r = r.nxt
-        if r == f:
-            break
-    total = sum(s for nh, s in snap.subtree_sizes.items() if nh in roots)
-    assert total == len(h) == 29
+        snaps.append(potential_snapshot(h))
+    assert [(s.critical_count, s.degree_excess, s.tree_count)
+            for s in snaps] == counts
 
 
 def test_join_neutrality_monitor():
@@ -241,9 +258,10 @@ def test_join_neutrality_monitor():
     assert not mon.mismatches
 
 
-def test_pool_degree_excess_spans_every_heap():
-    # two heaps with degree excess share a pool; mid-consolidation of one,
-    # the walk covers the other heap and the trees in flight
+def test_join_neutrality_monitor_beside_a_heap_with_excess():
+    # two heaps of one pool carry degree excess; the monitor measures the
+    # trees in flight of whichever heap consolidates, and the other
+    # heap's excess, which no join can touch, never shows as a mismatch
     pool = NodePool()
     heaps = []
     for base in (0, 1000):
@@ -254,18 +272,22 @@ def test_pool_degree_excess_spans_every_heap():
             h.decrease_key(hs[k], base - 1 - i)
         heaps.append(h)
     a, b = heaps
-    excess = [potential_snapshot(h).degree_excess for h in heaps]
-    assert excess == [2, 2] and pool_degree_excess(pool) == 4
-    seen = []
-    pool.join_hook = lambda phase, trees: seen.append(
-        pool_degree_excess(pool, trees))
+    assert [potential_snapshot(h).degree_excess for h in heaps] == [2, 2]
+    joins = pool.telemetry.joins
+    mon = JoinNeutralityMonitor(pool).install()
     for k in range(20):
         a.insert(100 + k)
     a.delete_min()
-    pool.join_hook = None
-    after = sum(potential_snapshot(h).degree_excess for h in heaps)
-    assert after == pool_degree_excess(pool) >= excess[1] > 0
-    assert len(seen) >= 2 and set(seen) == {after}
+    assert potential_snapshot(b).degree_excess == 2
+    for k in range(20):
+        b.insert(1100 + k)
+    b.delete_min()
+    a.meld(b)
+    while len(a):
+        a.delete_min()
+    mon.remove()
+    assert mon.joins == pool.telemetry.joins - joins > 10
+    assert not mon.mismatches
 
 
 def test_join_neutrality_snapshot_pair():
@@ -274,7 +296,7 @@ def test_join_neutrality_snapshot_pair():
     h.delete_min()
     after = potential_snapshot(h)
     # consolidation joins never create degree excess on a fresh build
-    assert assert_join_neutrality(before, after)
+    assert before.degree_excess == after.degree_excess
 
 
 def test_bound_helpers():
