@@ -3,33 +3,43 @@
 Both expose the violation heap's surface: insert returns a handle,
 delete_min returns (key, item), decrease_key takes the handle,
 ``a.meld(b)`` empties b into a and returns a, and ``spawn`` makes an
-empty heap sharing a's Telemetry.  BinaryHeap pays O(log n) per
+empty heap sharing a's Telemetry.  As in the violation heap, a handle
+is the object that stores its element.  BinaryHeap pays O(log n) per
 decrease and O(n log n) per meld; PairingHeap is the strong practical
 baseline with cheap decrease and O(1) meld.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .heap_core import EmptyHeapError, HeapError, StaleHandleError, Telemetry
 
-# ids unique across instances so melded heaps never collide
-_binary_ids = itertools.count()
+
+class _BEntry:
+    __slots__ = ("key", "item", "pos")
+
+    def __init__(self, key, item, pos: int):
+        self.key = key
+        self.item = item
+        self.pos = pos       # its slot in the array of the heap holding it
 
 
 class BinaryHeap:
-    """Array-backed binary min-heap with an id-to-slot map.
+    """Array-backed binary min-heap.  Handles are the array's entries.
 
-    Handles are plain ints.  A deleted element's id goes stale and any
-    later decrease_key on it raises StaleHandleError.
+    An entry is live in heap h exactly when ``h._arr[e.pos] is e``, so a
+    deleted entry, and a live entry of another heap, both go stale here.
+
+    Each sift compares first and moves after: it walks its path to the
+    slot where the entry settles, touching nothing, and only then moves
+    the entries along that path.  A comparison that raises inside
+    insert, decrease_key or delete_min therefore leaves no trace, not
+    even in the counters.
     """
 
     def __init__(self):
-        self._arr: list[tuple] = []    # (key, id)
-        self._pos: dict[int, int] = {}
-        self._items: dict[int, object] = {}
+        self._arr: list[_BEntry] = []
         self.telemetry = Telemetry()
 
     def __len__(self) -> int:
@@ -38,134 +48,122 @@ class BinaryHeap:
     def is_empty(self) -> bool:
         return not self._arr
 
-    def is_live(self, ident: int) -> bool:
-        return ident in self._pos
+    def is_live(self, e: _BEntry) -> bool:
+        arr = self._arr
+        return e.pos < len(arr) and arr[e.pos] is e
 
     def spawn(self) -> "BinaryHeap":
         h = BinaryHeap()
         h.telemetry = self.telemetry
         return h
 
-    def insert(self, key, item=None) -> int:
+    def insert(self, key, item=None) -> _BEntry:
         if key != key:
             raise HeapError("NaN key")
-        ident = next(_binary_ids)
-        self._items[ident] = item
-        self._arr.append((key, ident))
-        self._pos[ident] = len(self._arr) - 1
-        self._sift_up(len(self._arr) - 1)
-        return ident
+        e = _BEntry(key, item, len(self._arr))
+        self._rise(e, key, e.pos)
+        return e
 
     def find_min(self) -> Optional[tuple]:
         if not self._arr:
             return None
-        key, ident = self._arr[0]
-        return key, self._items[ident]
+        e = self._arr[0]
+        return e.key, e.item
 
     def delete_min(self) -> tuple:
         arr = self._arr
-        pos = self._pos
         if not arr:
             raise EmptyHeapError("empty")
         top = arr[0]
-        last = arr.pop()
-        if arr:
-            arr[0] = last
-            pos[last[1]] = 0
-            try:
-                self._sift_down(0)
-            except BaseException:
-                # the sift put last back at the root: it returns to the
-                # end and the minimum to the root, as before the call
-                arr[0] = top
-                pos[top[1]] = 0
-                arr.append(last)
-                pos[last[1]] = len(arr) - 1
-                raise
-        key, ident = top
-        del pos[ident]
-        return key, self._items.pop(ident)
+        n = len(arr) - 1
+        if n:
+            # the last entry settles among the first n slots, over top;
+            # its own slot is then dropped
+            self._sink(arr[n], n)
+        arr.pop()
+        return top.key, top.item
 
-    def decrease_key(self, ident: int, new_key) -> None:
-        pos = self._pos.get(ident)
-        if pos is None:
-            raise StaleHandleError(f"stale id {ident}")
-        key, _ = self._arr[pos]
-        if not new_key <= key:   # also refuses NaN
+    def decrease_key(self, e: _BEntry, new_key) -> None:
+        if not self.is_live(e):
+            raise StaleHandleError("handle is not live in this binary heap")
+        if not new_key <= e.key:   # also refuses NaN
             raise HeapError("key increase not supported")
-        self._arr[pos] = (new_key, ident)
-        self._sift_up(pos)
+        self._rise(e, new_key, e.pos)
 
     def meld(self, other: "BinaryHeap") -> "BinaryHeap":
-        """Absorb the other heap's elements; the other heap empties."""
+        """Absorb the other heap's elements; the other heap empties.
+
+        Entries leave the end of other's array one at a time, each only
+        once its place here is found.  If a comparison raises, both heaps
+        are still valid and every element is in exactly one of them.
+        """
         if other is self:
             raise HeapError("cannot meld a heap with itself")
-        for key, ident in other._arr:
-            self._arr.append((key, ident))
-            self._pos[ident] = len(self._arr) - 1
-            self._items[ident] = other._items[ident]
-            self._sift_up(len(self._arr) - 1)
-        other._arr.clear()
-        other._pos.clear()
-        other._items.clear()
+        rest = other._arr
+        while rest:
+            e = rest[-1]
+            self._rise(e, e.key, len(self._arr))
+            rest.pop()
         return self
 
-    def _sift_up(self, i: int) -> None:
+    def _rise(self, e: _BEntry, key, i: int) -> None:
+        # give e the key and settle it on slot i's ancestor chain; slot i
+        # is e's own, or one past the end for an entry that joins
         arr = self._arr
-        pos = self._pos
-        t = self.telemetry
-        entry = arr[i]
-        # the finally fills the hole with entry even if a comparison
-        # raises, so no entry is lost or duplicated
-        try:
-            while i > 0:
-                parent = (i - 1) >> 1
-                t.comparisons += 1
-                if arr[parent][0] <= entry[0]:
-                    break
-                arr[i] = arr[parent]
-                pos[arr[i][1]] = i
-                i = parent
-        finally:
-            arr[i] = entry
-            pos[entry[1]] = i
+        j = i
+        c = 0
+        while j > 0:
+            p = (j - 1) >> 1
+            c += 1
+            if arr[p].key <= key:
+                break
+            j = p
+        self.telemetry.comparisons += c
+        # compared without raising: now store and move
+        e.key = key
+        if i == len(arr):
+            arr.append(e)
+        while i > j:
+            p = (i - 1) >> 1
+            a = arr[p]
+            arr[i] = a
+            a.pos = i
+            i = p
+        arr[j] = e
+        e.pos = j
 
-    def _sift_down(self, i: int) -> None:
+    def _sink(self, e: _BEntry, n: int) -> None:
+        # settle e from the root over the first n slots, replacing the
+        # root's entry: follow the smaller child while it is below e
         arr = self._arr
-        pos = self._pos
-        t = self.telemetry
-        n = len(arr)
-        entry = arr[i]
-        start = i
-        try:
-            while True:
-                left = 2 * i + 1
-                if left >= n:
-                    break
-                child = left
-                right = left + 1
-                if right < n:
-                    t.comparisons += 1
-                    if arr[right][0] < arr[left][0]:
-                        child = right
-                t.comparisons += 1
-                if entry[0] <= arr[child][0]:
-                    break
-                arr[i] = arr[child]
-                pos[arr[i][1]] = i
-                i = child
-        except BaseException:
-            # a comparison raised: walk the path back up, moving each
-            # entry down again, so entry ends where it started
-            while i > start:
-                parent = (i - 1) >> 1
-                arr[i] = arr[parent]
-                pos[arr[i][1]] = i
-                i = parent
-            raise
-        finally:
-            arr[i] = entry
-            pos[entry[1]] = i
+        key = e.key
+        j = 0
+        c = 0
+        while True:
+            left = 2 * j + 1
+            if left >= n:
+                break
+            child = left
+            right = left + 1
+            if right < n:
+                c += 1
+                if arr[right].key < arr[left].key:
+                    child = right
+            c += 1
+            if key <= arr[child].key:
+                break
+            j = child
+        self.telemetry.comparisons += c
+        # compared without raising: the path is j's ancestor chain, and
+        # each entry on it moves up one slot as e takes j
+        while j > 0:
+            a = arr[j]
+            arr[j] = e
+            e.pos = j
+            e = a
+            j = (j - 1) >> 1
+        arr[0] = e
+        e.pos = 0
 
 
 class _PNode:
@@ -278,11 +276,12 @@ class PairingHeap:
         return self
 
     def _link(self, a: _PNode, b: _PNode) -> _PNode:
+        # count only once the comparison has not raised
+        if b.key < a.key:
+            a, b = b, a
         t = self.telemetry
         t.comparisons += 1
         t.joins += 1
-        if b.key < a.key:
-            a, b = b, a
         b.prev = a
         b.sibling = a.child
         if a.child is not None:

@@ -158,10 +158,6 @@ class NodePool:
 
     # -- node inspection ------------------------------------------------
 
-    def is_live(self, h: NodeHandle) -> bool:
-        """True while the handle's element is still in a heap."""
-        return h.alive
-
     def key_of(self, h: NodeHandle):
         return _live(h).key
 

@@ -1,7 +1,7 @@
 import functools
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -10,7 +10,7 @@ from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
                                      StaleHandleError, Telemetry)
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
-                                     make_heap)
+                                     make_heap, mixed_bench)
 
 # every heap make_heap knows runs the same interface tests, named by class
 HEAPS = [pytest.param(functools.partial(make_heap, name),
@@ -74,19 +74,26 @@ def test_meld_absorbs(cls):
     h1 = cls()
     h2 = h1.spawn()
     x = h1.insert(4, "x")
-    h2.insert(1, "y")
+    y = h2.insert(1, "y")
     h2.insert(9, "z")
     merged = h1.meld(h2)
     assert merged is h1
     assert len(merged) == 3 and len(h2) == 0
     assert h2.find_min() is None and h2.is_empty()
     assert merged.find_min() == (1, "y")
+    assert merged.is_live(x) and merged.is_live(y)
     merged.decrease_key(x, 0)      # pre-meld handle survives
     assert merged.find_min() == (0, "x")
     # the emptied operand is an ordinary heap again
     w = h2.insert(7, "w")
     h2.decrease_key(w, 6)
     assert h2.find_min() == (6, "w") and len(h2) == 1
+    if isinstance(h1, BinaryHeap):
+        # a binary handle is live only in the heap whose array holds it,
+        # though x and w sit in the same slot of two arrays
+        assert x.pos == w.pos == 0
+        assert not h2.is_live(x) and not h2.is_live(y)
+        assert not h1.is_live(w)
     assert h1.meld(h2) is h1 and len(h1) == 4 and len(h2) == 0
     assert [h1.delete_min()[1] for _ in range(4)] == ["x", "y", "w", "z"]
 
@@ -168,45 +175,55 @@ def _drain(h, limit):
     return out
 
 
+def _sweep(build, op):
+    # count the comparisons op makes on build(), then yield (k, state) for
+    # every k, where state is a fresh build() on which op raised at its
+    # k-th comparison
+    state = build()
+    Tripwire.countdown = total = 10 ** 9
+    try:
+        op(state)
+    finally:
+        total -= Tripwire.countdown
+        Tripwire.countdown = None
+    for k in range(total):
+        state = build()
+        Tripwire.countdown = k
+        try:
+            with pytest.raises(RuntimeError, match="tripwire"):
+                op(state)
+        finally:
+            Tripwire.countdown = None
+        yield k, state
+
+
+def _tripwire_heap(cls, keys, h=None):
+    h = cls() if h is None else h
+    for k in keys:
+        h.insert(Tripwire(k))
+    return h
+
+
 @pytest.mark.parametrize("cls", HEAPS)
 def test_raise_inside_delete_min_loses_nothing(cls):
     # a comparison raises at each point of one delete_min in turn.  Every
     # heap rolls the delete_min back: the size matches a drain, and the
     # drain is every key, sorted.
     keys = random.Random(6).sample(range(10_000), 200)
-
-    def build():
-        h = cls()
-        for k in keys:
-            h.insert(Tripwire(k))
-        return h
-
-    h = build()
-    Tripwire.countdown = total = 10 ** 9
-    try:
-        h.delete_min()
-    finally:
-        total -= Tripwire.countdown
-        Tripwire.countdown = None
-    for k in range(total):
-        h = build()
-        Tripwire.countdown = k
-        try:
-            with pytest.raises(RuntimeError, match="tripwire"):
-                h.delete_min()
-        finally:
-            Tripwire.countdown = None
+    for k, h in _sweep(lambda: _tripwire_heap(cls, keys),
+                       lambda h: h.delete_min()):
         size = len(h)
         drained = _drain(h, len(keys))
         assert len(drained) == size, k
         assert drained == sorted(keys), k
 
 
-@pytest.mark.parametrize("cls", [p for p in HEAPS if p.id != "BinaryHeap"])
+@pytest.mark.parametrize("cls", HEAPS)
 def test_raise_inside_decrease_key_loses_nothing(cls):
     # a comparison raises at each point of one decrease in turn, for
     # targets all over the heap: the decrease leaves no trace, so the
-    # heap holds every element with its old key and drains sorted
+    # heap holds every element with its old key, drains sorted, and its
+    # counters have not moved
     keys = random.Random(7).sample(range(1, 10_000), 200)
     rest = sorted(keys)[1:]
 
@@ -216,27 +233,82 @@ def test_raise_inside_decrease_key_loses_nothing(cls):
         h.delete_min()
         return h, hs
 
+    counters = asdict(build()[0].telemetry)
     for target in rest[::20] + rest[-3:]:
         for new_key in (0, target - 1):
-            h, hs = build()
-            Tripwire.countdown = total = 10 ** 9
-            try:
+            def op(state):
+                h, hs = state
                 h.decrease_key(hs[target], Tripwire(new_key))
-            finally:
-                total -= Tripwire.countdown
-                Tripwire.countdown = None
-            for k in range(total):
-                h, hs = build()
-                Tripwire.countdown = k
-                try:
-                    with pytest.raises(RuntimeError, match="tripwire"):
-                        h.decrease_key(hs[target], Tripwire(new_key))
-                finally:
-                    Tripwire.countdown = None
+
+            for k, (h, _) in _sweep(build, op):
+                assert asdict(h.telemetry) == counters, (target, new_key, k)
                 size = len(h)
                 drained = _drain(h, len(keys))
                 assert len(drained) == size, (target, new_key, k)
                 assert drained == rest, (target, new_key, k)
+
+
+@pytest.mark.parametrize("cls", HEAPS)
+def test_raise_inside_insert_and_meld_loses_nothing(cls):
+    # insert: a comparison raises at each point of one insert of a new
+    # minimum in turn, and the heap keeps its size, keys and counters
+    keys = random.Random(8).sample(range(1, 10_000), 240)
+    hk = keys[:200]
+    counters = asdict(_tripwire_heap(cls, hk).telemetry)
+    for k, h in _sweep(lambda: _tripwire_heap(cls, hk),
+                       lambda h: h.insert(Tripwire(0))):
+        assert len(h) == len(hk) and asdict(h.telemetry) == counters, k
+        assert _drain(h, len(hk)) == sorted(hk), k
+
+    # meld: the violation and pairing heaps compare once, before they
+    # splice, so both operands are as they were.  BinaryHeap moves the
+    # entries one by one, so the operands are split: both are valid
+    # heaps, and together they hold every key exactly once.
+    ka, kb = keys[200:220], keys[220:]
+
+    def build():
+        a = _tripwire_heap(cls, ka)
+        return a, _tripwire_heap(cls, kb, a.spawn())
+
+    counters = asdict(build()[0].telemetry)
+    for k, (a, b) in _sweep(build, lambda ab: ab[0].meld(ab[1])):
+        split = isinstance(a, BinaryHeap)
+        if not split:
+            assert asdict(a.telemetry) == counters, k
+        sizes = len(a), len(b)
+        da, db = _drain(a, len(keys)), _drain(b, len(keys))
+        assert (len(da), len(db)) == sizes, k
+        assert da == sorted(da) and db == sorted(db), k
+        if split:
+            assert sorted(da + db) == sorted(ka + kb), k
+        else:
+            assert (da, db) == (sorted(ka), sorted(kb)), k
+
+
+def test_binary_ids_unique_across_instances():
+    # handles of two heaps are distinct, and both stay live after a meld
+    a, b = BinaryHeap(), BinaryHeap()
+    ia = a.insert(1)
+    ib = b.insert(2)
+    assert ia != ib
+    a.meld(b)
+    assert a.is_live(ia) and a.is_live(ib)
+
+
+def test_binary_refuses_a_live_handle_of_another_heap():
+    # the entries of a and b share slot numbers: only identity tells them
+    a, b = BinaryHeap(), BinaryHeap()
+    for k in (5, 6, 7):
+        a.insert(k)
+    hb = [b.insert(k) for k in (1, 2, 3)]
+    counters = asdict(a.telemetry), asdict(b.telemetry)
+    for h in hb:
+        assert b.is_live(h) and not a.is_live(h)
+        with pytest.raises(StaleHandleError):
+            a.decrease_key(h, 0)
+    assert (asdict(a.telemetry), asdict(b.telemetry)) == counters
+    assert [a.delete_min()[0] for _ in range(3)] == [5, 6, 7]
+    assert [b.delete_min()[0] for _ in range(3)] == [1, 2, 3]
 
 
 def test_baseline_golden_counters():
@@ -260,6 +332,22 @@ def test_baseline_golden_counters():
         assert h.telemetry == Telemetry(*dijkstra_counts)
 
 
+def test_mixed_golden_counters():
+    # exact counters of all three heaps on mixed_bench, the one workload
+    # that melds.  BinaryHeap.meld takes entries from the end of the
+    # other heap's array, so they arrive in reverse order of slot, which
+    # gave 164827 comparisons where the earlier front-to-back meld gave
+    # 164809.
+    golden = {
+        "violation": (72341, 12108, 820, 0, 8),
+        "binary": (164827, 0, 0, 0, 0),
+        "pairing": (46687, 46687, 2669, 0, 0),
+    }
+    for name, counts in golden.items():
+        r = mixed_bench(name, 20_000, 0)
+        assert tuple(getattr(r, f.name) for f in fields(Telemetry)) == counts
+
+
 def test_telemetry_profiles():
     keys = list(range(100, 0, -1))
     b, q = BinaryHeap(), PairingHeap()
@@ -272,12 +360,3 @@ def test_telemetry_profiles():
     assert b.telemetry.comparisons > 0 and b.telemetry.joins == 0
     # every pairing link is recorded as a join and costs one comparison
     assert q.telemetry.joins == q.telemetry.comparisons > 0
-
-
-def test_binary_ids_unique_across_instances():
-    a, b = BinaryHeap(), BinaryHeap()
-    ia = a.insert(1)
-    ib = b.insert(2)
-    assert ia != ib
-    a.meld(b)
-    assert a.is_live(ia) and a.is_live(ib)

@@ -445,7 +445,7 @@ def test_raise_inside_delete_min_keeps_every_tree(late):
             Tripwire.countdown = None
         assert len(h) == len(keys) - 1
         z = h.first_root()
-        assert z.key == sorted(keys)[1] and p.is_live(z)
+        assert z.key == sorted(keys)[1] and h.is_live(z)
         rules = {v.rule for v in
                  full_audit(h, check_root_multiplicity=True).violations}
         assert rules <= {"root-multiplicity"}, (k, rules)
@@ -535,7 +535,7 @@ def test_pools_are_independent():
     # p2's telemetry and heap unaffected by p1 traffic
     assert p2.telemetry.comparisons == 0
     assert len(h2) == 1 and h2.find_min() == (5, None)
-    assert not p1.is_live(a)
+    assert not h1.is_live(a)
 
 
 def test_items_round_trip():

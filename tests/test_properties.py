@@ -114,7 +114,7 @@ def test_active_children_prop_up_their_parent(n, seed):
     hs = [h.insert(k) for k in rng.sample(range(-n * 10, n * 10), n)]
     h.delete_min()
     for hd in rng.sample(hs, min(n // 3, len(hs))):
-        if pool.is_live(hd):
+        if h.is_live(hd):
             h.decrease_key(hd, pool.key_of(hd) - rng.randrange(1, 10 ** 6))
     for x in hs:
         if not x.alive or x.down is None:
