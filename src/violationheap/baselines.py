@@ -222,6 +222,7 @@ class PairingHeap:
         if root is None:
             raise EmptyHeapError("empty")
         self._root = self._combine(root)
+        root.child = None    # a held handle pins no other node
         root.alive = False
         self._count -= 1
         return root.key, root.item

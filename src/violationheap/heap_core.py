@@ -377,7 +377,9 @@ class ViolationHeap:
         the childless first root, with every other tree on the root cycle
         behind it, and the exception propagates: the heap holds the same
         elements and answers find_min as before the call, though a rank
-        may hold three or more roots until the next delete_min.
+        may hold three or more roots until the next delete_min.  Joins
+        already made stay, and stay counted; a comparison that raised is
+        not counted.
         """
         if self._count == 0:
             raise EmptyHeapError("empty")
@@ -419,16 +421,17 @@ class ViolationHeap:
                     # 3-way join: the smallest key (ties: a, b, v) wins and
                     # links the other two as its newest children, in that
                     # order, then gains one rank.  Compare before clearing
-                    # the slots, so a key that raises loses no tree.
+                    # the slots, so a key that raises loses no tree, and
+                    # count the two comparisons only once both are made.
                     if hook is not None:
                         hook("before", _in_flight(s1, s2, v, i, rest, z))
                     assert a.rank == b.rank == r, "3-way join needs equal ranks"
-                    t.comparisons += 2
                     w = a
                     if b.key < w.key:
                         w = b
                     if v.key < w.key:
                         w = v
+                    t.comparisons += 2
                     s1[r] = s2[r] = None
                     if w is a:
                         l1, l2 = b, v
@@ -479,11 +482,11 @@ class ViolationHeap:
                     bk = u.key
                 else:
                     last.nxt = u
-                    t.comparisons += 1
                     k = u.key
                     if k < bk:
                         best = u
                         bk = k
+                    t.comparisons += 1
                 last = u
             if last is not None:
                 last.nxt = first
@@ -499,6 +502,9 @@ class ViolationHeap:
             self._first = z
             raise
         self._first = best
+        # a removed node keeps no link, so a handle held on to pins
+        # only its own element, not the trees it used to reach
+        z.down = z.nxt = None
         z.alive = False
         self._count -= 1
         return z.key, z.item

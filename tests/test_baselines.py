@@ -1,6 +1,10 @@
 import functools
+import gc
 import math
 import random
+import time
+import weakref
+from collections import Counter
 from dataclasses import asdict, fields
 
 import pytest
@@ -9,6 +13,8 @@ from raising_keys import Tripwire
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
                                      StaleHandleError, Telemetry)
+from violationheap.invariants import full_audit
+from violationheap.oracle import NaivePQ, gen_ops
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
 
@@ -139,150 +145,228 @@ def test_spawn_shares_telemetry(cls):
 
 
 @pytest.mark.parametrize("cls", HEAPS)
+def test_a_removed_element_releases_the_heap(cls):
+    # a handle held after its delete_min pins its own element only: the
+    # removed node keeps no link into the trees it used to reach
+    class Item:
+        pass
+
+    h = cls()
+    handles = [h.insert(k, Item()) for k in range(1000)]
+    refs = [weakref.ref(x.item) for x in handles]
+    kept = handles[0]
+    assert h.delete_min()[0] == 0
+    del h, handles
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == [kept.item]
+
+
+@pytest.mark.parametrize("cls", HEAPS)
 def test_random_traffic_against_dict_model(cls):
+    # the heap and NaivePQ side by side.  Alive keys stay distinct, so
+    # both must delete the same element.
     rng = random.Random(9)
     h = cls()
-    model = {}
-    handles = {}
-    nid = 0
+    model = NaivePQ()
+    handles = []      # model id -> the heap's handle
+
+    def insert(heap):
+        k = rng.randrange(10 ** 9)
+        while model.key_multiplicity(k):
+            k = rng.randrange(10 ** 9)
+        handles.append(heap.insert(k, model.insert(k, len(handles))))
+
     for step in range(12000):
         r = rng.random()
-        if r < 0.5 or not model:
-            k = rng.randrange(10 ** 9)
-            handles[nid] = h.insert(k, nid)
-            model[nid] = k
-            nid += 1
-        elif r < 0.75:
-            i = rng.choice(list(model))
-            nk = model[i] - rng.randrange(1, 10 ** 6)
-            h.decrease_key(handles[i], nk)
-            model[i] = nk
+        if r < 0.45 or not model:
+            insert(h)
+        elif r < 0.7:
+            i = model.ident_at(rng.randrange(len(model)))
+            nk = model.key_of(i) - rng.randrange(1, 10 ** 6)
+            if not model.key_multiplicity(nk):
+                h.decrease_key(handles[i], nk)
+                model.decrease_key(i, nk)
+        elif r < 0.95:
+            assert h.delete_min() == model.delete_min(), step
         else:
-            k, ident = h.delete_min()
-            assert k == min(model.values()), step
-            del model[ident]
-        assert len(h) == len(model)
+            side = h.spawn()
+            for _ in range(rng.randrange(1, 4)):
+                insert(side)
+            assert h.meld(side) is h and side.is_empty(), step
+        assert len(h) == len(model) and h.find_min() == model.find_min(), step
 
 
 def _drain(h, limit):
-    # delete_min until the heap reports empty, or limit + 1 keys came out
+    # delete_min until the heap reports empty, or limit + 1 elements came out
     out = []
     while len(out) <= limit:
         try:
-            out.append(h.delete_min()[0])
+            out.append(h.delete_min())
         except EmptyHeapError:
             break
     return out
 
 
-def _sweep(build, op):
-    # count the comparisons op makes on build(), then yield (k, state) for
-    # every k, where state is a fresh build() on which op raised at its
-    # k-th comparison
-    state = build()
-    Tripwire.countdown = total = 10 ** 9
+def _armed(k, call):
+    # run call with the tripwire set to raise at its k-th comparison,
+    # counting from 0; returns the number of comparisons call made
+    Tripwire.countdown = k
     try:
-        op(state)
+        call()
+        return k - Tripwire.countdown
     finally:
-        total -= Tripwire.countdown
         Tripwire.countdown = None
-    for k in range(total):
-        state = build()
-        Tripwire.countdown = k
-        try:
+
+
+def _stage(h, handles, op):
+    # the heap's side of one OpScript op, with Tripwire keys, as a call and
+    # the heaps it touches.  A meld's side heap is filled here, before the
+    # call, so that only the meld's own comparisons are swept.  An
+    # element's item is its id, which numbers insertions as NaivePQ does.
+    kind = op[0]
+    if kind == "insert":
+        return lambda: handles.append(h.insert(Tripwire(op[1]), len(handles))), (h,)
+    if kind == "deletemin":
+        return h.delete_min, (h,)
+    if kind == "decrease":
+        return lambda: h.decrease_key(handles[op[1]], Tripwire(op[2])), (h,)
+    side = h.spawn()
+    for k in op[1]:
+        handles.append(side.insert(Tripwire(k), len(handles)))
+    return lambda: h.meld(side), (h, side)
+
+
+def _build(name, ops):
+    # ops replayed on a fresh heap and on a NaivePQ with plain int keys
+    h, model, handles = make_heap(name), NaivePQ(), []
+    for op in ops:
+        _stage(h, handles, op)[0]()
+        if op[0] == "deletemin":
+            model.delete_min()
+        elif op[0] == "decrease":
+            model.decrease_key(op[1], op[2])
+        else:
+            for k in (op[1],) if op[0] == "insert" else op[1]:
+                model.insert(k)
+    return h, model, handles
+
+
+def _snapshot(heaps, handles):
+    # what an op that leaves no trace must not change: the counters, each
+    # heap's attributes (a list by its contents) and every handle's slots
+    return (asdict(heaps[0].telemetry),
+            [[list(v) if isinstance(v, list) else v for v in vars(x).values()]
+             for x in heaps],
+            [[getattr(e, s) for s in e.__slots__] for e in handles])
+
+
+def _check(name, op, k, heaps, handles, model, before):
+    # the promise table of README (Baselines), after op raised at its
+    # k-th comparison; the model holds the elements from before op
+    where = name, op, k
+    h = heaps[0]
+    split = op[0] == "meld" and name == "binary"
+    if op[0] == "deletemin" and name != "binary":
+        # rolled back: the joins made stay, but no comparison that raised
+        # is counted, and nothing was cut
+        t0, t1 = before[0], asdict(h.telemetry)
+        assert 0 <= t1["comparisons"] - t0["comparisons"] <= k, where
+        assert [t1[c] - t0[c] for c in ("cuts", "rank_update_steps")] == [0, 0]
+    elif not split:
+        assert _snapshot(heaps, handles) == before, where
+    if name == "violation":
+        assert all(full_audit(x).ok for x in heaps), where
+        assert h.find_min() == model.find_min(), where
+    expect = [[(model.key_of(i), i) for i in map(model.ident_at, range(len(model)))]]
+    if op[0] == "meld":
+        n = len(handles)
+        expect.append(list(zip(op[1], range(n - len(op[1]), n))))
+    drains = []
+    for x in heaps:
+        size = len(x)
+        d = _drain(x, len(handles))
+        assert len(d) == size and x.find_min() is None, where
+        assert [e[0] for e in d] == sorted(e[0] for e in d), where
+        drains.append(d)
+    if split:
+        # both operands are valid heaps that hold every element once
+        drains, expect = [sum(drains, [])], [sum(expect, [])]
+    assert [sorted(d) for d in drains] == [sorted(e) for e in expect], where
+
+
+def _sweep(name, ops, first):
+    # raise at each comparison of each op from ops[first] on, every time
+    # on a fresh replay of the ops before it; returns the raise points
+    # per op kind
+    points = Counter()
+    for i in range(first, len(ops)):
+        op = ops[i]
+        h, _, handles = _build(name, ops[:i])
+        total = _armed(10 ** 9, _stage(h, handles, op)[0])
+        for k in range(total):
+            h, model, handles = _build(name, ops[:i])
+            call, heaps = _stage(h, handles, op)
+            before = _snapshot(heaps, handles)
             with pytest.raises(RuntimeError, match="tripwire"):
-                op(state)
-        finally:
-            Tripwire.countdown = None
-        yield k, state
+                _armed(k, call)
+            _check(name, op, k, heaps, handles, model, before)
+        points[op[0]] += total
+    return points
 
 
-def _tripwire_heap(cls, keys, h=None):
-    h = cls() if h is None else h
-    for k in keys:
-        h.insert(Tripwire(k))
-    return h
+def _sweep_last(name, ops):
+    # the ops before the last build a fixed state; only the last is swept
+    return _sweep(name, ops, len(ops) - 1)
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_raise_inside_delete_min_loses_nothing(cls):
-    # a comparison raises at each point of one delete_min in turn.  Every
-    # heap rolls the delete_min back: the size matches a drain, and the
-    # drain is every key, sorted.
+def _ins(keys):
+    return [("insert", k) for k in keys]
+
+
+NAMED = [pytest.param(name, id=type(make_heap(name)).__name__)
+         for name in HEAP_NAMES]
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_raise_inside_delete_min_loses_nothing(name):
+    # one delete-min of 200 keys
     keys = random.Random(6).sample(range(10_000), 200)
-    for k, h in _sweep(lambda: _tripwire_heap(cls, keys),
-                       lambda h: h.delete_min()):
-        size = len(h)
-        drained = _drain(h, len(keys))
-        assert len(drained) == size, k
-        assert drained == sorted(keys), k
+    _sweep_last(name, _ins(keys) + [("deletemin",)])
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_raise_inside_decrease_key_loses_nothing(cls):
-    # a comparison raises at each point of one decrease in turn, for
-    # targets all over the heap: the decrease leaves no trace, so the
-    # heap holds every element with its old key, drains sorted, and its
-    # counters have not moved
+@pytest.mark.parametrize("name", NAMED)
+def test_raise_inside_decrease_key_loses_nothing(name):
+    # decreases of targets all over a heap, to a new minimum and to just
+    # below the old key, each from a fresh state
     keys = random.Random(7).sample(range(1, 10_000), 200)
     rest = sorted(keys)[1:]
-
-    def build():
-        h = cls()
-        hs = {k: h.insert(Tripwire(k)) for k in keys}
-        h.delete_min()
-        return h, hs
-
-    counters = asdict(build()[0].telemetry)
-    for target in rest[::20] + rest[-3:]:
-        for new_key in (0, target - 1):
-            def op(state):
-                h, hs = state
-                h.decrease_key(hs[target], Tripwire(new_key))
-
-            for k, (h, _) in _sweep(build, op):
-                assert asdict(h.telemetry) == counters, (target, new_key, k)
-                size = len(h)
-                drained = _drain(h, len(keys))
-                assert len(drained) == size, (target, new_key, k)
-                assert drained == rest, (target, new_key, k)
+    for t in rest[::20] + rest[-3:]:
+        for new_key in (0, t - 1):
+            _sweep_last(name, _ins(keys) + [
+                ("deletemin",), ("decrease", keys.index(t), new_key)])
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_raise_inside_insert_and_meld_loses_nothing(cls):
-    # insert: a comparison raises at each point of one insert of a new
-    # minimum in turn, and the heap keeps its size, keys and counters
+@pytest.mark.parametrize("name", NAMED)
+def test_raise_inside_insert_and_meld_loses_nothing(name):
+    # an insert of a new minimum into 200 keys, and a 20 + 20 meld
     keys = random.Random(8).sample(range(1, 10_000), 240)
-    hk = keys[:200]
-    counters = asdict(_tripwire_heap(cls, hk).telemetry)
-    for k, h in _sweep(lambda: _tripwire_heap(cls, hk),
-                       lambda h: h.insert(Tripwire(0))):
-        assert len(h) == len(hk) and asdict(h.telemetry) == counters, k
-        assert _drain(h, len(hk)) == sorted(hk), k
+    _sweep_last(name, _ins(keys[:200]) + [("insert", 0)])
+    _sweep_last(name, _ins(keys[200:220]) + [("meld", tuple(keys[220:]))])
 
-    # meld: the violation and pairing heaps compare once, before they
-    # splice, so both operands are as they were.  BinaryHeap moves the
-    # entries one by one, so the operands are split: both are valid
-    # heaps, and together they hold every key exactly once.
-    ka, kb = keys[200:220], keys[220:]
 
-    def build():
-        a = _tripwire_heap(cls, ka)
-        return a, _tripwire_heap(cls, kb, a.spawn())
-
-    counters = asdict(build()[0].telemetry)
-    for k, (a, b) in _sweep(build, lambda ab: ab[0].meld(ab[1])):
-        split = isinstance(a, BinaryHeap)
-        if not split:
-            assert asdict(a.telemetry) == counters, k
-        sizes = len(a), len(b)
-        da, db = _drain(a, len(keys)), _drain(b, len(keys))
-        assert (len(da), len(db)) == sizes, k
-        assert da == sorted(da) and db == sorted(db), k
-        if split:
-            assert sorted(da + db) == sorted(ka + kb), k
-        else:
-            assert (da, db) == (sorted(ka), sorted(kb)), k
+@pytest.mark.parametrize("name", HEAP_NAMES)
+def test_tripwire_sweep(name):
+    # every op of two generated scripts either completes or keeps the
+    # promise table
+    start = time.perf_counter()
+    points = Counter()
+    for seed in (0, 1):
+        points += _sweep(name, gen_ops(seed, 200).ops, 0)
+    kinds = ("insert", "deletemin", "decrease", "meld")
+    assert all(points[kind] for kind in kinds)
+    print(f"\n[sweep {name}] {sum(points.values())} raise points: "
+          + ", ".join(f"{kind} {points[kind]}" for kind in kinds)
+          + f" ({time.perf_counter() - start:.1f} s)")
 
 
 def test_binary_ids_unique_across_instances():

@@ -10,13 +10,14 @@ import random
 
 import pytest
 
-from raising_keys import Tripwire
+from test_baselines import _sweep_last
 from violationheap import (EmptyHeapError, HeapError, NodePool,
                            StaleHandleError, Telemetry, rank_from_pair)
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
 from violationheap.oracle import run_differential
-from violationheap.workloads import checksum, dijkstra, gen_graph
+from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra,
+                                     gen_graph)
 
 
 def kids_oldest_first(i):
@@ -411,49 +412,17 @@ def test_raising_key_compare_mutates_nothing():
 
 @pytest.mark.parametrize("late", [0, 3])
 def test_raise_inside_delete_min_keeps_every_tree(late):
-    # a comparison may raise anywhere in the consolidation, in a join or
-    # in the min scan: the delete_min is then rolled back, with the
-    # minimum still the first root and every other tree on the root
-    # cycle behind it, and a drain comes out sorted once keys compare
-    # again.  With late = 3, three rank-0 roots inserted after the first
-    # delete_min make joins while z's children are still unwalked.
-    early = random.Random(6).sample(range(10_000), 200)
-    keys = early + list(range(10_000, 10_000 + late))
-
-    def build():
-        p = NodePool()
-        h = p.new_heap()
-        for k in early:
-            h.insert(Tripwire(k))
-        h.delete_min()
-        for k in keys[200:]:
-            h.insert(Tripwire(k))
-        return p, h
-
-    p, h = build()
-    before = vars(p.telemetry).copy()
-    h.delete_min()
-    total = p.telemetry.comparisons - before["comparisons"]
-    assert p.telemetry.joins > before["joins"]
-    for k in range(total):
-        p, h = build()
-        Tripwire.countdown = k
-        try:
-            with pytest.raises(RuntimeError, match="tripwire"):
-                h.delete_min()
-        finally:
-            Tripwire.countdown = None
-        assert len(h) == len(keys) - 1
-        z = h.first_root()
-        assert z.key == sorted(keys)[1] and h.is_live(z)
-        rules = {v.rule for v in
-                 full_audit(h, check_root_multiplicity=True).violations}
-        assert rules <= {"root-multiplicity"}, (k, rules)
-        pops = []
-        while len(h) and len(pops) < len(keys) - 1:
-            pops.append(h.delete_min()[0])
-        assert len(h) == 0 and h.find_min() is None
-        assert pops == sorted(keys)[1:]
+    # a comparison may raise anywhere in a delete_min that follows an
+    # earlier one, in a join or in the min scan; the sweep checks that
+    # it rolls back on every heap.  With late = 3, three rank-0 roots
+    # inserted after the first delete_min make joins while the old
+    # minimum's children are still unwalked.
+    keys = random.Random(6).sample(range(10_000), 200)
+    ops = ([("insert", k) for k in keys] + [("deletemin",)]
+           + [("insert", k) for k in range(10_000, 10_000 + late)]
+           + [("deletemin",)])
+    for name in HEAP_NAMES:
+        _sweep_last(name, ops)
 
 
 def test_golden_counters():
@@ -509,21 +478,21 @@ def test_decrease_key_by():
         h.decrease_key_by(a, -1)
 
 
-def test_stale_handles_after_slot_reuse():
+def test_stale_handles_after_removal():
     p = NodePool()
     h = p.new_heap()
     a = h.insert(1, "gone")
     b = h.insert(2, "stays")
     assert h.delete_min() == (1, "gone")
     assert not h.is_live(a) and h.is_live(b)
-    c = h.insert(3, "reused")
+    c = h.insert(3, "later")
     for op in (lambda: h.decrease_key(a, 0),
                lambda: p.key_of(a),
                lambda: p.item_of(a),
                lambda: p.rank_of(a)):
         with pytest.raises(StaleHandleError):
             op()
-    assert p.key_of(c) == 3 and p.item_of(c) == "reused"
+    assert p.key_of(c) == 3 and p.item_of(c) == "later"
 
 
 def test_pools_are_independent():

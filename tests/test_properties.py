@@ -38,52 +38,37 @@ def test_random_interleavings_stay_sound(codes, seed):
     rng = random.Random(seed)
     pool = NodePool()
     heap = pool.new_heap()
-    model = {}           # id -> key
-    handles = {}
-    used = set()
-    nid = 0
+    model = NaivePQ()
+    handles = []         # model id -> the heap's handle
 
-    def fresh():
-        while True:
+    def insert(h):
+        k = rng.randrange(-10 ** 7, 10 ** 7)
+        while model.key_multiplicity(k):
             k = rng.randrange(-10 ** 7, 10 ** 7)
-            if k not in used:
-                return k
+        handles.append(h.insert(k, model.insert(k, len(handles))))
 
     for code in codes:
         if code <= 2 or not model:      # insert biased 1/2
-            k = fresh()
-            used.add(k)
-            handles[nid] = heap.insert(k, nid)
-            model[nid] = k
-            nid += 1
+            insert(heap)
         elif code == 3:
-            k, ident = heap.delete_min()
-            assert k == min(model.values())
-            used.discard(k)
-            del model[ident]
+            assert heap.delete_min() == model.delete_min()
         elif code == 4:
-            ident = rng.choice(list(model))
-            nk = model[ident] - rng.randrange(1, 10 ** 7)
-            assume(nk not in used)
-            used.discard(model[ident])
-            used.add(nk)
+            ident = model.ident_at(rng.randrange(len(model)))
+            nk = model.key_of(ident) - rng.randrange(1, 10 ** 7)
+            assume(not model.key_multiplicity(nk))
             heap.decrease_key(handles[ident], nk)
-            model[ident] = nk
+            model.decrease_key(ident, nk)
         else:
             side = pool.new_heap()
             for _ in range(rng.randrange(1, 3)):
-                k = fresh()
-                used.add(k)
-                handles[nid] = side.insert(k, nid)
-                model[nid] = k
-                nid += 1
+                insert(side)
             heap.meld(side)
         assert len(heap) == len(model)
 
     report = full_audit(heap)
     assert report.ok, report.to_json()
-    drained = [heap.delete_min()[0] for _ in range(len(heap))]
-    assert drained == sorted(model.values())
+    drained = [heap.delete_min() for _ in range(len(heap))]
+    assert drained == [model.delete_min() for _ in range(len(model))]
 
 
 @given(st.integers(2, 500), st.integers(0, 2 ** 32))
@@ -137,12 +122,10 @@ class DifferentialMachine(RuleBasedStateMachine):
         self.heap = self.pool.new_heap()
         self.naive = NaivePQ()
         self.handles = {}
-        self.used = set()
 
     @rule(key=st.integers(-10 ** 9, 10 ** 9))
     def insert(self, key):
-        assume(key not in self.used)
-        self.used.add(key)
+        assume(not self.naive.key_multiplicity(key))
         ident = self.naive.insert(key, key)
         self.handles[ident] = self.heap.insert(key, key)
 
@@ -152,26 +135,23 @@ class DifferentialMachine(RuleBasedStateMachine):
         nk, _ = self.naive.delete_min()
         hk, _ = self.heap.delete_min()
         assert hk == nk
-        self.used.discard(nk)
 
     @rule(data=st.data(), delta=st.integers(1, 10 ** 9))
     @precondition(lambda self: len(self.naive) > 0)
     def decrease(self, data, delta):
-        ident = data.draw(st.sampled_from(sorted(self.naive._pos)))
+        pos = data.draw(st.integers(0, len(self.naive) - 1))
+        ident = self.naive.ident_at(pos)
         nk = self.naive.key_of(ident) - delta
-        assume(nk not in self.used)
-        self.used.discard(self.naive.key_of(ident))
-        self.used.add(nk)
+        assume(not self.naive.key_multiplicity(nk))
         self.heap.decrease_key(self.handles[ident], nk)
         self.naive.decrease_key(ident, nk)
 
     @rule(keys=st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1,
                         max_size=3, unique=True))
     def meld_batch(self, keys):
-        assume(not any(k in self.used for k in keys))
+        assume(not any(self.naive.key_multiplicity(k) for k in keys))
         side = self.pool.new_heap()
         for k in keys:
-            self.used.add(k)
             ident = self.naive.insert(k, k)
             self.handles[ident] = side.insert(k, k)
         self.heap.meld(side)
