@@ -7,7 +7,6 @@ from .heap_core import (
     EmptyHeapError,
     HeapError,
     NodeHandle,
-    NodePool,
     StaleHandleError,
     Telemetry,
     ViolationHeap,
@@ -18,7 +17,6 @@ __all__ = [
     "EmptyHeapError",
     "HeapError",
     "NodeHandle",
-    "NodePool",
     "StaleHandleError",
     "Telemetry",
     "ViolationHeap",

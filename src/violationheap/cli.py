@@ -10,11 +10,22 @@ import argparse
 import json
 import sys
 
-from .heap_core import HeapError, NodePool
+from .heap_core import HeapError, ViolationHeap
 from .invariants import full_audit
 from .oracle import DEFAULT_WEIGHTS, parse_weights, run_differential
 from .workloads import (CSV_HEADER, HEAP_NAMES, dijkstra_bench, gen_graph,
                         heapsort_bench, mixed_bench, read_dimacs)
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its error message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,14 +35,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("fuzz", help="differential fuzzing against a naive queue")
-    f.add_argument("--seeds", type=int, default=10,
+    f.add_argument("--seeds", type=_count(1), default=10,
                    help="number of seeds, starting at --seed-base (default 10)")
     f.add_argument("--seed-base", type=int, default=0)
-    f.add_argument("--ops", type=int, default=1000, help="operations per seed")
+    f.add_argument("--ops", type=_count(1), default=1000, help="operations per seed")
     f.add_argument("--weights", type=parse_weights, default=DEFAULT_WEIGHTS,
                    metavar="I,D,K,M",
                    help="insert,delete,decrease,meld weights (normalized)")
-    f.add_argument("--audit-every", type=int, default=None, metavar="N",
+    f.add_argument("--audit-every", type=_count(0), default=None, metavar="N",
                    help="structural audit cadence; 0 disables, default adapts")
 
     c = sub.add_parser("check", help="replay a trace file against the heap")
@@ -40,11 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a workload and print counter records")
     b.add_argument("workload", choices=("heapsort", "mixed", "dijkstra"))
     b.add_argument("--heap", choices=HEAP_NAMES + ("all",), default="all")
-    b.add_argument("--n", type=int, default=10000,
+    b.add_argument("--n", type=_count(1), default=10000,
                    help="elements (heapsort), ops (mixed), vertices (dijkstra)")
-    b.add_argument("--m", type=int, default=50000, help="dijkstra arc count")
+    b.add_argument("--m", type=_count(0), default=50000, help="dijkstra arc count")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--repeat", type=int, default=1,
+    b.add_argument("--repeat", type=_count(1), default=1,
                    help="run seeds seed..seed+repeat-1")
     b.add_argument("--dimacs", metavar="FILE",
                    help="dijkstra only: read the graph instead of generating")
@@ -68,8 +79,9 @@ class TraceError(Exception):
 
 
 def run_trace(lines, out=None) -> None:
-    """Replay a line-oriented trace.  One shared pool; heap names are
-    aliases, and a meld points the absorbed heap's names at the other.
+    """Replay a line-oriented trace.  Every heap is spawned from one
+    family, so any two can meld; heap names are aliases, and a meld
+    points the absorbed heap's names at the other.
 
         new H            create an empty heap named H
         insert H ID KEY  insert; ID becomes the element's name
@@ -84,7 +96,7 @@ def run_trace(lines, out=None) -> None:
     """
     if out is None:
         out = sys.stdout
-    pool = NodePool()
+    family = ViolationHeap()
     heaps: dict = {}
     handles: dict = {}
     owners: dict = {}   # element id -> heap name at insert time; the
@@ -112,7 +124,7 @@ def run_trace(lines, out=None) -> None:
             if op == "new" and len(rest) == 1:
                 if rest[0] in heaps:
                     raise TraceError(f"line {lineno}: heap {rest[0]!r} exists")
-                heaps[rest[0]] = pool.new_heap()
+                heaps[rest[0]] = family.spawn()
             elif op == "insert" and len(rest) == 3:
                 name, ident, key = rest
                 if ident in handles:

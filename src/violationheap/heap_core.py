@@ -71,9 +71,9 @@ class NodeHandle:
 
 @dataclass
 class Telemetry:
-    """Monotone operation counters shared by every heap in one pool.
+    """Monotone operation counters shared by every heap in one family.
 
-    ``max_rank`` is a high-water mark over every rank the pool ever
+    ``max_rank`` is a high-water mark over every rank the family ever
     assigned.  ``rank_update_steps`` counts executed rank decreases during
     upward propagation, which is the length of the repair walk each
     decrease-key pays for.
@@ -93,12 +93,6 @@ def rank_from_pair(r1: int, r2: int) -> int:
     integer s, including s in {-2, -1} which occur for missing children.
     """
     return (r1 + r2 + 1) // 2 + 1
-
-
-def _live(h: NodeHandle) -> NodeHandle:
-    if not h.alive:
-        raise StaleHandleError(f"stale handle {h!r}")
-    return h
 
 
 def _recalc(x: NodeHandle) -> int:
@@ -137,11 +131,13 @@ def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
     return [u for u in dict.fromkeys(trees) if u is not None]
 
 
+# public only because perfbench names NodePool().new_heap() and heap.pool
 class NodePool:
-    """One family of meldable heaps: shared counters and join hook.
+    """The family a ``ViolationHeap()`` starts and its ``spawn()`` joins:
+    shared counters and join hook.
 
-    Heaps from different pools cannot meld, since ``delete_min`` sizes
-    its rank slots from the pool's shared ``max_rank``.
+    Heaps from different families cannot meld, since ``delete_min`` sizes
+    its rank slots from the family's shared ``max_rank``.
     """
 
     def __init__(self) -> None:
@@ -153,32 +149,26 @@ class NodePool:
         self.join_hook = None
 
     def new_heap(self) -> "ViolationHeap":
-        """Create a fresh empty heap in this pool."""
-        return ViolationHeap(self)
-
-    # -- node inspection ------------------------------------------------
-
-    def key_of(self, h: NodeHandle):
-        return _live(h).key
-
-    def item_of(self, h: NodeHandle):
-        return _live(h).item
-
-    def rank_of(self, h: NodeHandle) -> int:
-        return _live(h).rank
+        """Create a fresh empty heap in this family."""
+        h = ViolationHeap()
+        h.pool = self
+        h.telemetry = self.telemetry
+        return h
 
 
 class ViolationHeap:
-    """One meldable min-heap inside a NodePool.
+    """One meldable min-heap.
 
     find_min and insert are O(1), meld is O(1), decrease_key is amortized
-    O(1), delete_min is amortized O(log n).  meld empties its argument
-    into this heap; ``spawn`` makes an empty heap that can meld with it.
+    O(1), delete_min is amortized O(log n).  ``ViolationHeap()`` starts
+    a family of its own: fresh ``Telemetry`` and no join hook.  ``spawn``
+    makes an empty sibling that shares both and can meld with this heap;
+    meld empties its argument into this heap.
     """
 
-    def __init__(self, pool: NodePool) -> None:
-        self.pool = pool
-        self.telemetry = pool.telemetry
+    def __init__(self) -> None:
+        self.pool = NodePool()
+        self.telemetry = self.pool.telemetry
         self._first: Optional[NodeHandle] = None
         self._count = 0
 
@@ -191,7 +181,7 @@ class ViolationHeap:
         return len(self) == 0
 
     def is_live(self, h: NodeHandle) -> bool:
-        """True while the handle still names an element in the pool."""
+        """True while the handle's element has not been removed."""
         return h.alive
 
     def find_min(self) -> Optional[tuple]:
@@ -201,13 +191,9 @@ class ViolationHeap:
             return None
         return f.key, f.item
 
-    def first_root(self) -> Optional[NodeHandle]:
-        """Handle of the current first (minimum) root, or None when empty."""
-        return self._first
-
     def spawn(self) -> "ViolationHeap":
-        """An empty heap in the same pool, so it can meld with this one."""
-        return ViolationHeap(self.pool)
+        """An empty heap in the same family, so it can meld with this one."""
+        return self.pool.new_heap()
 
     # -- updates --------------------------------------------------------
 
@@ -237,7 +223,7 @@ class ViolationHeap:
         return x
 
     def meld(self, other: "ViolationHeap") -> "ViolationHeap":
-        """Move every element of other, a heap of the same pool, into this
+        """Move every element of other, a heap of the same family, into this
         one; other is left empty and usable.  Returns self.
 
         The circular root lists are spliced in O(1); the smaller of the
@@ -246,7 +232,7 @@ class ViolationHeap:
         if other is self:
             raise HeapError("cannot meld a heap with itself")
         if other.pool is not self.pool:
-            raise HeapError("pool mismatch")
+            raise HeapError("cannot meld heaps of different families")
         f1, f2 = self._first, other._first
         if f1 is None:
             self._first = f2
@@ -274,7 +260,9 @@ class ViolationHeap:
         The handle must belong to this heap.  Only an empty heap is
         detected: ownership has no O(1) check without parent pointers.
         """
-        x = _live(h)
+        if not h.alive:
+            raise StaleHandleError(f"stale handle {h!r}")
+        x = h
         f = self._first
         if f is None:
             raise HeapError("handle does not belong to this empty heap")
@@ -508,11 +496,3 @@ class ViolationHeap:
         z.alive = False
         self._count -= 1
         return z.key, z.item
-
-    # -- conveniences ---------------------------------------------------
-
-    def decrease_key_by(self, h: NodeHandle, delta) -> None:
-        """Integer convenience: lower the key at h by a non-negative delta."""
-        if delta < 0:
-            raise HeapError("delta must be non-negative")
-        self.decrease_key(h, _live(h).key - delta)

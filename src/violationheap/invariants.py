@@ -1,4 +1,4 @@
-"""Structural audit and potential telemetry for pools of violation heaps.
+"""Structural audit and potential telemetry for violation heaps.
 
 ``full_audit`` walks one heap and reports every broken rule instead of
 raising, so corrupted structures can be diagnosed.  Rules carry stable
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .heap_core import HeapError, NodeHandle, NodePool, ViolationHeap, rank_from_pair
+from .heap_core import HeapError, NodeHandle, ViolationHeap, rank_from_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -306,27 +306,29 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
 class JoinNeutralityMonitor:
     """Brackets every 3-way join with degree-excess measurements.
 
-    Install on a pool before driving operations; afterwards ``joins``
-    counts observed joins and ``mismatches`` holds any join that changed
-    the degree excess of the trees in flight (there must never be one).
-    Those trees are every tree of the heap being consolidated, and a
-    join touches no node outside them, so the excess of the pool's other
-    heaps cannot move and is not walked.
+    Install on a heap before driving operations.  The monitor hooks the
+    heap's family, so it sees the joins of every heap in it: the heap
+    and each sibling ``spawn()`` made or makes.  Afterwards ``joins`` counts observed joins and
+    ``mismatches`` holds any join that changed the degree excess of the
+    trees in flight (there must never be one).  Those trees are every
+    tree of the heap being consolidated, and a join touches no node
+    outside them, so the excess of the family's other heaps cannot move
+    and is not walked.
     """
 
-    def __init__(self, pool: NodePool) -> None:
-        self.pool = pool
+    def __init__(self, heap: ViolationHeap) -> None:
+        self._family = heap.pool
         self.joins = 0
         self.mismatches: list[tuple[int, int, int]] = []
         self._before = 0
 
     def install(self) -> "JoinNeutralityMonitor":
-        self.pool.join_hook = self._observe
+        self._family.join_hook = self._observe
         return self
 
     def remove(self) -> None:
-        if self.pool.join_hook == self._observe:
-            self.pool.join_hook = None
+        if self._family.join_hook == self._observe:
+            self._family.join_hook = None
 
     def _observe(self, phase: str, trees: list[NodeHandle]) -> None:
         if phase == "before":

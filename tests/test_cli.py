@@ -192,6 +192,23 @@ class TestBench:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "fuzz --seeds 0", "fuzz --seeds -3", "fuzz --ops 0", "fuzz --ops -5",
+    "fuzz --audit-every -1", "bench heapsort --n -5",
+    "bench dijkstra --m -7", "bench heapsort --repeat 0"])
+def test_counts_that_run_nothing_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2 and "must be at least" in capsys.readouterr().err
+
+
+def test_smallest_accepted_counts_run(capsys):
+    code, out, _ = run(capsys, *"fuzz --seeds 1 --ops 1 --audit-every 0".split())
+    assert code == 0 and json.loads(out)["audits"] == 0
+    code, out, _ = run(capsys, *"bench dijkstra --n 1 --m 0 --heap binary".split())
+    assert code == 0 and "dijkstra,binary,1,0" in out
+
+
 def test_readme_commands_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = [line.split("#", 1)[0].strip()

@@ -7,12 +7,13 @@ code drifted from the rules, not that the numbers need refreshing.
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from test_baselines import _sweep_last
-from violationheap import (EmptyHeapError, HeapError, NodePool,
-                           StaleHandleError, Telemetry, rank_from_pair)
+from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
+                           Telemetry, ViolationHeap, rank_from_pair)
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
 from violationheap.oracle import run_differential
@@ -48,8 +49,7 @@ def test_rank_formula_examples():
 
 
 def test_insert_keeps_newest_near_front():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = [h.insert(k) for k in (1, 2, 3, 4, 5)]
     # new roots splice in right behind the first root
     assert [i.key for i in root_cycle(h)] == [1, 5, 4, 3, 2]
@@ -58,9 +58,9 @@ def test_insert_keeps_newest_near_front():
 
 
 def test_empty_heap_queries():
-    h = NodePool().new_heap()
+    h = ViolationHeap()
     assert h.find_min() is None
-    assert h.first_root() is None
+    assert h._first is None
     assert len(h) == 0 and h.is_empty()
     with pytest.raises(EmptyHeapError):
         h.delete_min()
@@ -68,8 +68,7 @@ def test_empty_heap_queries():
 
 def test_four_singletons_consolidate():
     # third tree of a rank triggers one 3-way join; survivors: that tree
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in (1, 2, 3, 4)}
     assert h.delete_min() == (1, None)
     i2 = hs[2]
@@ -81,8 +80,7 @@ def test_four_singletons_consolidate():
 
 
 def test_ten_keys_cut_and_propagation_chain():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     assert h.delete_min()[0] == 1
     i = lambda k: hs[k]
@@ -90,7 +88,7 @@ def test_ten_keys_cut_and_propagation_chain():
     assert kids_oldest_first(i(2)) == [i(4), i(3), i(8), i(5)]
     assert i(8).rank == 1 and i(5).rank == 1
 
-    t = p.telemetry
+    t = h.telemetry
     base = t.rank_update_steps
     # cutting 6 leaves 5 with one rank-0 child: ceiling keeps rank 1
     h.decrease_key(hs[6], 0)
@@ -111,8 +109,7 @@ def test_ten_keys_cut_and_propagation_chain():
 
 
 def test_active_parent_on_the_ten_key_tree():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
     i = lambda k: hs[k]
@@ -129,8 +126,7 @@ def test_cut_second_to_last_child_with_children():
     # Cutting 8 glues its last child 9 (tie at rank 0) into 8's place:
     # 3 -> 9 -> 5 among 2's children, 8 keeps 10.  The walk starts at 2,
     # whose active pair drops to (0, 0), so 2 falls to rank 1.
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
     i = lambda k: hs[k]
@@ -139,7 +135,7 @@ def test_cut_second_to_last_child_with_children():
     assert kids_oldest_first(i(2)) == [i(4), i(3), i(8), i(5)]
     assert (i(2).rank, i(5).rank, i(8).rank) == (2, 0, 1)
     assert [r.key for r in root_cycle(h)] == [-1, 2, 0]
-    t = p.telemetry
+    t = h.telemetry
     before = (t.comparisons, t.cuts, t.rank_update_steps)
 
     h.decrease_key(hs[8], 1)
@@ -165,15 +161,14 @@ def test_cut_non_active_child_with_children():
     # active and has children [7, 6], both rank 0.  Cutting 5 glues 6 (the
     # last child wins the tie) between 8 and 20, 5 keeps 7, and no rank
     # repair runs.
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 29)}
     h.delete_min()
     i = lambda k: hs[k]
     assert kids_oldest_first(i(2)) == [i(k) for k in (4, 3, 8, 5, 20, 11)]
     assert kids_oldest_first(i(5)) == [i(7), i(6)]
     ranks = {k: x.rank for k, x in hs.items()}
-    t = p.telemetry
+    t = h.telemetry
     before = (t.comparisons, t.cuts, t.rank_update_steps)
 
     h.decrease_key(hs[5], 1)
@@ -195,8 +190,7 @@ def test_cut_non_active_child_with_children():
 
 
 def test_eight_singletons_survivor_ranks():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     for k in range(1, 9):
         h.insert(k)
     assert h.delete_min()[0] == 1
@@ -209,38 +203,35 @@ def test_nonactive_child_always_cuts():
     # in the 10-key tree, 3 is childless and older than the two active
     # children of 2; even a decrease that stays above the parent's key
     # must detach it
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 11)}
     h.delete_min()
     i = lambda k: hs[k]
-    cuts0 = p.telemetry.cuts
+    cuts0 = h.telemetry.cuts
     h.decrease_key(hs[3], 3)   # same key: allowed, still a cut
-    assert p.telemetry.cuts == cuts0 + 1
+    assert h.telemetry.cuts == cuts0 + 1
     assert i(3).prv is None and i(3) in root_cycle(h)
     assert kids_oldest_first(i(2)) == [i(4), i(8), i(5)]
     assert h.find_min() == (2, None)
 
 
 def test_active_child_above_parent_stays_put():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in (1, 4, 9, 12)}
     h.delete_min()
     i4, i9 = hs[4], hs[9]
     assert kids_oldest_first(i4) == [hs[12], i9]
-    cuts0 = p.telemetry.cuts
+    cuts0 = h.telemetry.cuts
     h.decrease_key(hs[9], 5)   # active, still above parent key 4
-    assert p.telemetry.cuts == cuts0
+    assert h.telemetry.cuts == cuts0
     assert kids_oldest_first(i4)[-1] == i9 and i9.key == 5
     h.decrease_key(hs[9], 3)   # now undercuts the parent
-    assert p.telemetry.cuts == cuts0 + 1
+    assert h.telemetry.cuts == cuts0 + 1
     assert h.find_min() == (3, None)
 
 
 def test_82_keys_glue_surgeries():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in range(1, 83)}
     assert h.delete_min()[0] == 1
     i = lambda k: hs[k]
@@ -269,8 +260,7 @@ def test_82_keys_glue_surgeries():
 
 
 def test_join_swaps_misordered_last_children():
-    p = NodePool()
-    h1 = p.new_heap()
+    h1 = ViolationHeap()
     a = {k: h1.insert(k) for k in range(100, 110)}
     assert h1.delete_min()[0] == 100
     i1 = lambda k: a[k]
@@ -281,10 +271,10 @@ def test_join_swaps_misordered_last_children():
     assert kids_oldest_first(i1(101)) == [i1(103), i1(102), i1(107), i1(105)]
     assert i1(105).rank == 0 and i1(107).rank == 1
 
-    h2 = p.new_heap()
+    h2 = h1.spawn()
     b = {k: h2.insert(k) for k in range(200, 210)}
     assert h2.delete_min()[0] == 200
-    h3 = p.new_heap()
+    h3 = h1.spawn()
     c = {k: h3.insert(k) for k in range(300, 310)}
     assert h3.delete_min()[0] == 300
     h = h1.meld(h2).meld(h3)
@@ -304,8 +294,7 @@ def test_join_swaps_misordered_last_children():
 def test_decrease_on_the_emptied_meld_operand_is_refused():
     # a handle must belong to the heap it is used on; the one breach that
     # is detected is a decrease called on an empty heap
-    p = NodePool()
-    a = p.new_heap()
+    a = ViolationHeap()
     b = a.spawn()
     for k in (5, 6):
         a.insert(k)
@@ -313,22 +302,38 @@ def test_decrease_on_the_emptied_meld_operand_is_refused():
     b.delete_min()           # joins 8, 9, 10: a root and two children
     del hb[7]
     assert a.meld(b) is a and len(a) == 5
-    before = (len(a), p.telemetry.comparisons)
+    before = (len(a), a.telemetry.comparisons)
     for h in hb.values():
         with pytest.raises(HeapError, match="empty"):
             b.decrease_key(h, 1)
     assert len(b) == 0 and b.find_min() is None
-    assert (len(a), p.telemetry.comparisons) == before
-    assert {k: p.key_of(h) for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+    assert (len(a), a.telemetry.comparisons) == before
+    assert {k: h.key for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
     assert full_audit(a).ok
     assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
 
 
 def test_meld_rejects_foreign_pool():
-    h1 = NodePool().new_heap()
-    h2 = NodePool().new_heap()
-    with pytest.raises(HeapError, match="pool"):
-        h1.meld(h2)
+    # two heaps built apart are two families: meld refuses either way
+    # round and changes neither, while a spawned sibling melds
+    h1, h2 = ViolationHeap(), ViolationHeap()
+    for h, base in ((h1, 0), (h2, 100)):
+        for k in range(50):
+            h.insert(base + k * 37 % 50)
+        h.delete_min()
+    state = lambda: [(len(h), h.find_min(), vars(h.telemetry).copy())
+                     for h in (h1, h2)]
+    before = state()
+    for a, b in ((h1, h2), (h2, h1)):
+        with pytest.raises(HeapError, match="different families"):
+            a.meld(b)
+        assert state() == before and full_audit(h1).ok and full_audit(h2).ok
+    sib = h1.spawn()
+    sib.insert(-1)
+    assert h1.meld(sib) is h1 and len(h1) == 50 and h1.find_min() == (-1, None)
+    for h in (h1, h2):
+        drained = [h.delete_min()[0] for _ in range(len(h))]
+        assert drained == sorted(drained)
 
 
 class OwnKindOnly:
@@ -363,15 +368,14 @@ class NoStrictOrder:
 
 
 def test_raising_key_compare_mutates_nothing():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = {k: h.insert(k) for k in (5, 3, 8)}
-    side = p.new_heap()
+    side = h.spawn()
     side.insert(OwnKindOnly(1))
-    before = (len(h), len(side), p.telemetry.comparisons)
+    before = (len(h), len(side), h.telemetry.comparisons)
 
     def unchanged():
-        assert (len(h), len(side), p.telemetry.comparisons) == before
+        assert (len(h), len(side), h.telemetry.comparisons) == before
         assert full_audit(h).ok and full_audit(side).ok
         assert [i.key for i in root_cycle(h)] == [3, 8, 5]
 
@@ -394,19 +398,18 @@ def test_raising_key_compare_mutates_nothing():
 
     # children compare with the parent (active) or the first root
     # (deeper) before anything is stored or cut
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     hs = [h.insert(k) for k in range(12)]
     h.delete_min()
     roots = set(root_cycle(h))
     assert len(roots) < 11
     for handle in hs[1:]:
         snap = ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
-                h._first, vars(p.telemetry).copy())
+                h._first, vars(h.telemetry).copy())
         with pytest.raises(TypeError):
             h.decrease_key(handle, NoStrictOrder())
         assert snap == ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
-                        h._first, vars(p.telemetry))
+                        h._first, vars(h.telemetry))
     assert full_audit(h).ok
 
 
@@ -429,17 +432,16 @@ def test_golden_counters():
     # exact counters, not derived on paper: any change to the join order,
     # the root order or the min scan moves them
     rng = random.Random(0)
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     for _ in range(20_000):
         h.insert(rng.randrange(1 << 60))
     while len(h):
         h.delete_min()
-    assert p.telemetry == Telemetry(comparisons=465174, joins=143071, cuts=0,
+    assert h.telemetry == Telemetry(comparisons=465174, joins=143071, cuts=0,
                                     rank_update_steps=0, max_rank=9)
-    p = NodePool()
-    dist = dijkstra(gen_graph(10_000, 100_000, 7), 0, p.new_heap())
-    assert p.telemetry == Telemetry(comparisons=256529, joins=72223,
+    h = ViolationHeap()
+    dist = dijkstra(gen_graph(10_000, 100_000, 7), 0, h)
+    assert h.telemetry == Telemetry(comparisons=256529, joins=72223,
                                     cuts=13894, rank_update_steps=3260,
                                     max_rank=8)
     assert checksum(dist) == 182835793
@@ -453,7 +455,7 @@ def test_golden_counters():
 
 
 def test_key_increase_rejected():
-    h = NodePool().new_heap()
+    h = ViolationHeap()
     a = h.insert(10)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, 11)
@@ -469,46 +471,31 @@ def test_key_increase_rejected():
     assert full_audit(h).ok and h.find_min() == (10, None)
 
 
-def test_decrease_key_by():
-    h = NodePool().new_heap()
-    a = h.insert(10, "x")
-    h.decrease_key_by(a, 4)
-    assert h.find_min() == (6, "x")
-    with pytest.raises(HeapError):
-        h.decrease_key_by(a, -1)
-
-
 def test_stale_handles_after_removal():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     a = h.insert(1, "gone")
     b = h.insert(2, "stays")
     assert h.delete_min() == (1, "gone")
     assert not h.is_live(a) and h.is_live(b)
     c = h.insert(3, "later")
-    for op in (lambda: h.decrease_key(a, 0),
-               lambda: p.key_of(a),
-               lambda: p.item_of(a),
-               lambda: p.rank_of(a)):
-        with pytest.raises(StaleHandleError):
-            op()
-    assert p.key_of(c) == 3 and p.item_of(c) == "later"
+    with pytest.raises(StaleHandleError):
+        h.decrease_key(a, 0)
+    assert not h.is_live(a) and h.is_live(c) and (c.key, c.item) == (3, "later")
 
 
 def test_pools_are_independent():
-    p1, p2 = NodePool(), NodePool()
-    h1, h2 = p1.new_heap(), p2.new_heap()
+    h1, h2 = ViolationHeap(), ViolationHeap()
     a = h1.insert(5)
     h2.insert(5)
     h1.delete_min()
-    # p2's telemetry and heap unaffected by p1 traffic
-    assert p2.telemetry.comparisons == 0
+    # h2's telemetry and heap unaffected by h1 traffic
+    assert h2.telemetry.comparisons == 0
     assert len(h2) == 1 and h2.find_min() == (5, None)
     assert not h1.is_live(a)
 
 
 def test_items_round_trip():
-    h = NodePool().new_heap()
+    h = ViolationHeap()
     h.insert(3, {"payload": 1})
     h.insert(1, "first")
     h.insert(2, None)
@@ -518,10 +505,18 @@ def test_items_round_trip():
 
 
 def test_telemetry_counts_move():
-    p = NodePool()
-    h = p.new_heap()
+    h = ViolationHeap()
     for k in range(64):
         h.insert(k)
     h.delete_min()
-    t = p.telemetry
+    t = h.telemetry
     assert t.joins > 0 and t.comparisons > 0 and t.max_rank >= 2
+
+
+def test_only_heap_core_names_the_family_record():
+    # heaps are built with ViolationHeap() and spawn(); the record behind
+    # a family is heap_core's own
+    src = Path(__file__).resolve().parents[1] / "src" / "violationheap"
+    naming = [f.name for f in sorted(src.glob("*.py"))
+              if any(w in f.read_text() for w in ("NodePool", "new_heap"))]
+    assert naming == ["heap_core.py"]

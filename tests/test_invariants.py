@@ -6,25 +6,23 @@ import re
 
 import pytest
 
-from violationheap import HeapError, NodePool
+from violationheap import HeapError, ViolationHeap
 from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
                                       max_rank_bound, potential_snapshot,
                                       size_floor)
 
 
-def build(n, pool=None):
-    pool = pool or NodePool()
-    h = pool.new_heap()
-    hs = [h.insert(k) for k in range(n)]
-    return pool, h, hs
+def build(n):
+    h = ViolationHeap()
+    return h, [h.insert(k) for k in range(n)]
 
 
 def test_audit_clean_small_and_empty():
-    pool, h, _ = build(0)
+    h, _ = build(0)
     rep = full_audit(h)
     assert rep.ok and rep.node_count == 0 and rep.max_rank == 0
 
-    pool, h, _ = build(10)
+    h, _ = build(10)
     h.delete_min()
     rep = full_audit(h, check_root_multiplicity=True)
     assert rep.ok
@@ -32,7 +30,7 @@ def test_audit_clean_small_and_empty():
 
 
 def test_audit_clean_through_decreases():
-    pool, h, hs = build(50)
+    h, hs = build(50)
     h.delete_min()
     for i, target in enumerate((30, 41, 17, 8, 25)):
         h.decrease_key(hs[target], -i)
@@ -41,12 +39,12 @@ def test_audit_clean_through_decreases():
 
 
 def test_report_json_shape():
-    pool, h, _ = build(6)
+    h, _ = build(6)
     h.delete_min()
     doc = json.loads(full_audit(h).to_json())
     assert doc == {"violations": [], "nodes": 5, "max_rank": doc["max_rank"]}
 
-    root = h.first_root()
+    root = h._first
     root.rank = 40
     doc = json.loads(full_audit(h).to_json())
     assert doc["violations"]
@@ -55,9 +53,9 @@ def test_report_json_shape():
 
 
 def test_inflated_rank_breaks_two_rules():
-    pool, h, _ = build(40)
+    h, _ = build(40)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     keep = root.rank
     root.rank = 30
     rules = {v.rule for v in full_audit(h).violations}
@@ -67,17 +65,17 @@ def test_inflated_rank_breaks_two_rules():
 
 
 def test_negative_rank_flagged():
-    pool, h, _ = build(4)
+    h, _ = build(4)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     root.rank = -1
     assert any(v.rule == "rank-bound" for v in full_audit(h).violations)
 
 
 def test_heap_order_violation_flagged():
-    pool, h, _ = build(10)
+    h, _ = build(10)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     child = root.down
     keep = child.key
     child.key = -100
@@ -96,9 +94,9 @@ class Unordered:
 
 
 def test_raising_key_compare_is_a_finding():
-    pool, h, _ = build(12)
+    h, _ = build(12)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     other_root = root.nxt
     assert other_root != root
     # a child, the first root (against every root and child), another root
@@ -114,7 +112,7 @@ def test_raising_key_compare_is_a_finding():
 
 
 def test_first_root_rule():
-    pool, h, _ = build(6)
+    h, _ = build(6)
     h.delete_min()
     # rotate the designation away from the minimum
     first = h._first
@@ -127,16 +125,16 @@ def test_first_root_rule():
 
 
 def test_count_mismatch_flagged():
-    pool, h, _ = build(8)
+    h, _ = build(8)
     h._count += 1
     assert any(v.rule == "count" for v in full_audit(h).violations)
     h._count -= 1
 
 
 def test_broken_sibling_link_flagged():
-    pool, h, _ = build(10)
+    h, _ = build(10)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     child = root.down
     keep = child.nxt
     child.nxt = child   # last child no longer points at parent
@@ -147,9 +145,9 @@ def test_broken_sibling_link_flagged():
 
 def test_unending_lists_raise():
     # the oldest child's prv points back at the newest: a child cycle
-    pool, h, _ = build(10)
+    h, _ = build(10)
     h.delete_min()
-    root = h.first_root()
+    root = h._first
     kids = []
     c = root.down
     while c is not None:
@@ -176,10 +174,10 @@ def test_lists_that_run_into_another_heap_and_loop_there():
     # the walks are bounded by the nodes they have met, not by a count:
     # a list that leaves the heap and cycles among another heap's nodes
     # still ends in a finding or an error naming the node
-    pool, h, _ = build(10)
+    h, _ = build(10)
     h.delete_min()
-    root = h.first_root()
-    g = pool.new_heap()
+    root = h._first
+    g = h.spawn()
     x, y = g.insert(500), g.insert(501)
     assert x.nxt is y and y.nxt is x
 
@@ -207,8 +205,7 @@ def test_lists_that_run_into_another_heap_and_loop_there():
 
 
 def test_root_multiplicity_only_on_request():
-    pool = NodePool()
-    h = pool.new_heap()
+    h = ViolationHeap()
     for k in range(3):
         h.insert(k)
     # three rank-0 roots: legal between operations, flagged when the
@@ -219,7 +216,7 @@ def test_root_multiplicity_only_on_request():
 
 
 def test_snapshot_chain_counts():
-    pool, h, hs = build(10)
+    h, hs = build(10)
     h.delete_min()
     # root 1 (rank 2) has the children 3, 2, 7, 4, oldest first, and 4 and
     # 7 each hold two childless children.  Cutting one child of 4 leaves
@@ -236,45 +233,46 @@ def test_snapshot_chain_counts():
 
 
 def test_join_neutrality_monitor():
-    pool = NodePool()
-    h = pool.new_heap()
+    h = ViolationHeap()
     for k in (1, 2, 3, 4):
         h.insert(k)
-    mon = JoinNeutralityMonitor(pool).install()
+    mon = JoinNeutralityMonitor(h).install()
     h.delete_min()
     mon.remove()
-    assert mon.joins == 1 == pool.telemetry.joins and not mon.mismatches
-    assert pool.join_hook is None
+    assert mon.joins == 1 == h.telemetry.joins and not mon.mismatches
+    # a removed monitor sees no further join
+    for k in (5, 6, 7, 8):
+        h.insert(k)
+    h.delete_min()
+    assert mon.joins == 1 < h.telemetry.joins
     # every join, from roots, from children or past the slots' first
     # size, runs between the two hook calls
     for k in range(300):
         h.insert(k * 7919 % 300)
-    joins = pool.telemetry.joins
-    mon = JoinNeutralityMonitor(pool).install()
+    joins = h.telemetry.joins
+    mon = JoinNeutralityMonitor(h).install()
     while len(h):
         h.delete_min()
     mon.remove()
-    assert mon.joins == pool.telemetry.joins - joins > 100
+    assert mon.joins == h.telemetry.joins - joins > 100
     assert not mon.mismatches
 
 
 def test_join_neutrality_monitor_beside_a_heap_with_excess():
-    # two heaps of one pool carry degree excess; the monitor measures the
-    # trees in flight of whichever heap consolidates, and the other
-    # heap's excess, which no join can touch, never shows as a mismatch
-    pool = NodePool()
-    heaps = []
-    for base in (0, 1000):
-        h = pool.new_heap()
+    # two heaps of one family carry degree excess; the monitor, installed
+    # on one of them, measures the trees in flight of whichever heap
+    # consolidates, and the other heap's excess, which no join can touch,
+    # never shows as a mismatch
+    a = ViolationHeap()
+    b = a.spawn()
+    for h, base in ((a, 0), (b, 1000)):
         hs = {k: h.insert(base + k) for k in range(10)}
         h.delete_min()
         for i, k in enumerate((5, 6, 8, 9)):
             h.decrease_key(hs[k], base - 1 - i)
-        heaps.append(h)
-    a, b = heaps
-    assert [potential_snapshot(h).degree_excess for h in heaps] == [2, 2]
-    joins = pool.telemetry.joins
-    mon = JoinNeutralityMonitor(pool).install()
+    assert [potential_snapshot(h).degree_excess for h in (a, b)] == [2, 2]
+    joins = a.telemetry.joins
+    mon = JoinNeutralityMonitor(a).install()
     for k in range(20):
         a.insert(100 + k)
     a.delete_min()
@@ -286,12 +284,12 @@ def test_join_neutrality_monitor_beside_a_heap_with_excess():
     while len(a):
         a.delete_min()
     mon.remove()
-    assert mon.joins == pool.telemetry.joins - joins > 10
+    assert mon.joins == a.telemetry.joins - joins > 10
     assert not mon.mismatches
 
 
 def test_join_neutrality_snapshot_pair():
-    pool, h, _ = build(20)
+    h, _ = build(20)
     before = potential_snapshot(h)
     h.delete_min()
     after = potential_snapshot(h)
@@ -310,7 +308,7 @@ def test_bound_helpers():
 
 
 def test_audit_does_not_mutate():
-    pool, h, hs = build(25)
+    h, hs = build(25)
     h.delete_min()
     snap_links = [(x.nxt, x.prv, x.down, x.rank) for x in hs]
     full_audit(h, check_root_multiplicity=True)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from violationheap import NodePool, rank_from_pair
+from violationheap import ViolationHeap, rank_from_pair
 from violationheap.invariants import full_audit, max_rank_bound
 from violationheap.oracle import NaivePQ
 
@@ -24,7 +24,7 @@ def test_rank_formula_matches_exact_ceiling(r1, r2):
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=300,
                 unique=True))
 def test_insert_then_drain_sorts(keys):
-    h = NodePool().new_heap()
+    h = ViolationHeap()
     for k in keys:
         h.insert(k)
     assert [h.delete_min()[0] for _ in keys] == sorted(keys)
@@ -36,8 +36,7 @@ def test_insert_then_drain_sorts(keys):
 def test_random_interleavings_stay_sound(codes, seed):
     """Interpret small op streams; audit and drain at the end."""
     rng = random.Random(seed)
-    pool = NodePool()
-    heap = pool.new_heap()
+    heap = ViolationHeap()
     model = NaivePQ()
     handles = []         # model id -> the heap's handle
 
@@ -59,7 +58,7 @@ def test_random_interleavings_stay_sound(codes, seed):
             heap.decrease_key(handles[ident], nk)
             model.decrease_key(ident, nk)
         else:
-            side = pool.new_heap()
+            side = heap.spawn()
             for _ in range(rng.randrange(1, 3)):
                 insert(side)
             heap.meld(side)
@@ -75,8 +74,7 @@ def test_random_interleavings_stay_sound(codes, seed):
 @settings(max_examples=40, deadline=None)
 def test_max_rank_stays_logarithmic(n, seed):
     rng = random.Random(seed)
-    pool = NodePool()
-    h = pool.new_heap()
+    h = ViolationHeap()
     keys = list(range(n))
     rng.shuffle(keys)
     for k in keys:
@@ -85,7 +83,7 @@ def test_max_rank_stays_logarithmic(n, seed):
     report = full_audit(h)
     assert report.ok
     assert report.max_rank <= max_rank_bound(n)
-    assert pool.telemetry.max_rank <= max_rank_bound(n)
+    assert h.telemetry.max_rank <= max_rank_bound(n)
 
 
 @given(st.integers(3, 400), st.integers(0, 2 ** 32))
@@ -94,13 +92,12 @@ def test_active_children_prop_up_their_parent(n, seed):
     """Corollary of the rank rule: wherever a node keeps its two newest
     children, the higher-ranked one reaches at least rank - 1."""
     rng = random.Random(seed)
-    pool = NodePool()
-    h = pool.new_heap()
+    h = ViolationHeap()
     hs = [h.insert(k) for k in rng.sample(range(-n * 10, n * 10), n)]
     h.delete_min()
     for hd in rng.sample(hs, min(n // 3, len(hs))):
         if h.is_live(hd):
-            h.decrease_key(hd, pool.key_of(hd) - rng.randrange(1, 10 ** 6))
+            h.decrease_key(hd, hd.key - rng.randrange(1, 10 ** 6))
     for x in hs:
         if not x.alive or x.down is None:
             continue
@@ -118,8 +115,7 @@ class DifferentialMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.pool = NodePool()
-        self.heap = self.pool.new_heap()
+        self.heap = ViolationHeap()
         self.naive = NaivePQ()
         self.handles = {}
 
@@ -150,7 +146,7 @@ class DifferentialMachine(RuleBasedStateMachine):
                         max_size=3, unique=True))
     def meld_batch(self, keys):
         assume(not any(self.naive.key_multiplicity(k) for k in keys))
-        side = self.pool.new_heap()
+        side = self.heap.spawn()
         for k in keys:
             ident = self.naive.insert(k, k)
             self.handles[ident] = side.insert(k, k)

@@ -67,6 +67,8 @@ class TestGenGraph:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             gen_graph(0, 5, 1)
+        with pytest.raises(ValueError, match="arc count"):
+            gen_graph(5, -1, 1)
 
 
 class TestDimacs:
