@@ -2,18 +2,19 @@
 
 Both expose the violation heap's surface: insert returns a handle,
 delete_min returns (key, item), decrease_key takes the handle,
-``a.meld(b)`` empties b into a and returns a, and ``spawn`` makes an
-empty heap sharing a's Telemetry.  As in the violation heap, a handle
-is the object that stores its element.  BinaryHeap pays O(log n) per
-decrease and O(n log n) per meld; PairingHeap is the strong practical
-baseline with cheap decrease and O(1) meld.
+``a.meld(b)`` empties b, a heap of a's class, into a and returns a,
+and ``spawn`` makes an empty heap sharing a's Telemetry.  As in the
+violation heap, a handle is the object that stores its element.
+BinaryHeap pays O(log n) per decrease and O(n log n) per meld;
+PairingHeap is the strong practical baseline with cheap decrease and
+O(1) meld.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .heap_core import EmptyHeapError, HeapError, StaleHandleError, Telemetry
+from .heap_core import EmptyHeapError, HeapError, StaleHandleError, Telemetry, check_meld
 
 
 class _BEntry:
@@ -97,8 +98,7 @@ class BinaryHeap:
         once its place here is found.  If a comparison raises, both heaps
         are still valid and every element is in exactly one of them.
         """
-        if other is self:
-            raise HeapError("cannot meld a heap with itself")
+        check_meld(self, other)
         rest = other._arr
         while rest:
             e = rest[-1]
@@ -175,7 +175,7 @@ class _PNode:
         self.child = None
         self.sibling = None
         self.prev = None     # parent when first child, else left sibling
-        self.alive = True
+        self.alive = True    # a removed root has a live singleton's links
 
 
 class PairingHeap:
@@ -266,8 +266,7 @@ class PairingHeap:
 
     def meld(self, other: "PairingHeap") -> "PairingHeap":
         """Absorb the other heap's elements; the other heap empties."""
-        if other is self:
-            raise HeapError("cannot meld a heap with itself")
+        check_meld(self, other)
         if other._root is not None:
             self._root = other._root if self._root is None \
                 else self._link(self._root, other._root)

@@ -79,9 +79,9 @@ class TraceError(Exception):
 
 
 def run_trace(lines, out=None) -> None:
-    """Replay a line-oriented trace.  Every heap is spawned from one
-    family, so any two can meld; heap names are aliases, and a meld
-    points the absorbed heap's names at the other.
+    """Replay a line-oriented trace.  Every heap is a ``ViolationHeap()``
+    of its own; any two meld.  Heap names are aliases, and a meld points
+    the absorbed heap's names at the other.
 
         new H            create an empty heap named H
         insert H ID KEY  insert; ID becomes the element's name
@@ -96,7 +96,6 @@ def run_trace(lines, out=None) -> None:
     """
     if out is None:
         out = sys.stdout
-    family = ViolationHeap()
     heaps: dict = {}
     handles: dict = {}
     owners: dict = {}   # element id -> heap name at insert time; the
@@ -124,7 +123,7 @@ def run_trace(lines, out=None) -> None:
             if op == "new" and len(rest) == 1:
                 if rest[0] in heaps:
                     raise TraceError(f"line {lineno}: heap {rest[0]!r} exists")
-                heaps[rest[0]] = family.spawn()
+                heaps[rest[0]] = ViolationHeap()
             elif op == "insert" and len(rest) == 3:
                 name, ident, key = rest
                 if ident in handles:
@@ -217,6 +216,8 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.dimacs and args.workload != "dijkstra":
+        parser.error(f"--dimacs is for the dijkstra workload only, not {args.workload}")
     try:
         if args.command == "fuzz":
             return _cmd_fuzz(args)

@@ -28,8 +28,8 @@ children into the gap, and walks ranks upward, each executed update
 decreasing a stored rank by exactly one.
 
 Each element is one node object, and the node is the handle ``insert``
-returns.  Removing the element clears the node's ``alive`` flag, so
-operations on a stale handle raise instead of corrupting the structure.
+returns.  A live node has a successor (next root, parent or newer
+sibling); removal clears the links, so using a stale handle raises.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class EmptyHeapError(HeapError):
 class NodeHandle:
     """One stored element, and the stable reference insert returns for it."""
 
-    __slots__ = ("key", "item", "rank", "down", "nxt", "prv", "alive")
+    __slots__ = ("key", "item", "rank", "down", "nxt", "prv")
 
     def __init__(self, key, item, nxt: Optional["NodeHandle"]) -> None:
         self.key = key
@@ -63,7 +63,6 @@ class NodeHandle:
         self.down = None
         self.nxt = nxt
         self.prv = None
-        self.alive = True
 
     def __repr__(self) -> str:
         return f"NodeHandle({self.key!r}, {self.item!r})"
@@ -73,10 +72,10 @@ class NodeHandle:
 class Telemetry:
     """Monotone operation counters shared by every heap in one family.
 
-    ``max_rank`` is a high-water mark over every rank the family ever
-    assigned.  ``rank_update_steps`` counts executed rank decreases during
-    upward propagation, which is the length of the repair walk each
-    decrease-key pays for.
+    ``max_rank`` is the high-water mark of every rank assigned in the
+    family or brought into it by ``meld``.  ``rank_update_steps`` counts
+    executed rank decreases during upward propagation, which is the
+    length of the repair walk each decrease-key pays for.
     """
 
     comparisons: int = 0
@@ -84,6 +83,15 @@ class Telemetry:
     cuts: int = 0
     rank_update_steps: int = 0
     max_rank: int = 0
+
+
+def check_meld(heap, other) -> None:
+    """Refuse to meld a heap with itself or with a heap of another class."""
+    if other is heap:
+        raise HeapError("cannot meld a heap with itself")
+    if type(other) is not type(heap):
+        raise HeapError(f"cannot meld a {type(other).__name__} "
+                        f"into a {type(heap).__name__}")
 
 
 def rank_from_pair(r1: int, r2: int) -> int:
@@ -134,11 +142,7 @@ def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
 # public only because perfbench names NodePool().new_heap() and heap.pool
 class NodePool:
     """The family a ``ViolationHeap()`` starts and its ``spawn()`` joins:
-    shared counters and join hook.
-
-    Heaps from different families cannot meld, since ``delete_min`` sizes
-    its rank slots from the family's shared ``max_rank``.
-    """
+    shared counters and join hook."""
 
     def __init__(self) -> None:
         self.telemetry = Telemetry()
@@ -162,8 +166,8 @@ class ViolationHeap:
     find_min and insert are O(1), meld is O(1), decrease_key is amortized
     O(1), delete_min is amortized O(log n).  ``ViolationHeap()`` starts
     a family of its own: fresh ``Telemetry`` and no join hook.  ``spawn``
-    makes an empty sibling that shares both and can meld with this heap;
-    meld empties its argument into this heap.
+    makes an empty sibling that shares both.  meld empties any other
+    violation heap into this one.
     """
 
     def __init__(self) -> None:
@@ -182,7 +186,7 @@ class ViolationHeap:
 
     def is_live(self, h: NodeHandle) -> bool:
         """True while the handle's element has not been removed."""
-        return h.alive
+        return h.nxt is not None
 
     def find_min(self) -> Optional[tuple]:
         """(key, item) of a minimum element, or None when empty."""
@@ -192,7 +196,7 @@ class ViolationHeap:
         return f.key, f.item
 
     def spawn(self) -> "ViolationHeap":
-        """An empty heap in the same family, so it can meld with this one."""
+        """An empty heap in the same family: it shares the counters."""
         return self.pool.new_heap()
 
     # -- updates --------------------------------------------------------
@@ -223,25 +227,26 @@ class ViolationHeap:
         return x
 
     def meld(self, other: "ViolationHeap") -> "ViolationHeap":
-        """Move every element of other, a heap of the same family, into this
-        one; other is left empty and usable.  Returns self.
+        """Move every element of other, any violation heap, into this one;
+        other is left empty and usable.  Returns self.
 
         The circular root lists are spliced in O(1); the smaller of the
         two minimums becomes the first root, this heap winning ties.
+        Other's ranks come along, so this family's ``max_rank`` rises to
+        at least other's: ``delete_min`` sizes its rank slots from it.
         """
-        if other is self:
-            raise HeapError("cannot meld a heap with itself")
-        if other.pool is not self.pool:
-            raise HeapError("cannot meld heaps of different families")
+        check_meld(self, other)
+        t = self.telemetry
         f1, f2 = self._first, other._first
         if f1 is None:
             self._first = f2
         elif f2 is not None:
             # compare before splicing: a key that raises leaves no trace
             self._first = f2 if f2.key < f1.key else f1
-            self.telemetry.comparisons += 1
+            t.comparisons += 1
             # exchanging the two successors merges the two cycles
             f1.nxt, f2.nxt = f2.nxt, f1.nxt
+        t.max_rank = max(t.max_rank, other.telemetry.max_rank)
         self._count += other._count
         other._first = None
         other._count = 0
@@ -260,7 +265,7 @@ class ViolationHeap:
         The handle must belong to this heap.  Only an empty heap is
         detected: ownership has no O(1) check without parent pointers.
         """
-        if not h.alive:
+        if h.nxt is None:
             raise StaleHandleError(f"stale handle {h!r}")
         x = h
         f = self._first
@@ -490,9 +495,8 @@ class ViolationHeap:
             self._first = z
             raise
         self._first = best
-        # a removed node keeps no link, so a handle held on to pins
-        # only its own element, not the trees it used to reach
+        # a removed node keeps no link: its None nxt marks it removed, and
+        # a handle held on to pins its own element, not the trees it left
         z.down = z.nxt = None
-        z.alive = False
         self._count -= 1
         return z.key, z.item

@@ -7,7 +7,7 @@ string ids:
     structure           links disagree (dangling sibling links, a
                         last child not pointing at its parent, a root
                         with a prv link, unreachable or doubly reached
-                        nodes, broken circular root list)
+                        nodes, broken root cycle, removed nodes linked)
     heap-order          a child's key is smaller than its parent's
     first-root          some root's key undercuts the first root's
     key-compare         comparing a node's key with its parent's or the
@@ -27,7 +27,7 @@ string ids:
 charges against: the number of critical nodes, the total degree excess
 (twice the violation units), and the tree count.  It raises
 ``HeapError`` on a root or child list that runs into a node it already
-walked, where ``full_audit`` reports a ``structure`` finding.
+walked or a removed node, where ``full_audit`` reports ``structure``.
 ``JoinNeutralityMonitor`` measures the same degree excess over the trees
 in flight around every join of a ``delete_min``.  Every walk is bounded
 by the identity of the nodes it has met, not by a node count.
@@ -99,12 +99,12 @@ class AuditReport:
 
 
 def _root_list(first: NodeHandle) -> tuple[list[NodeHandle], Optional[NodeHandle]]:
-    # the roots along nxt from first, up to the node the walk stops at:
-    # a root met again, None or a removed node.  The list is whole when
-    # the walk stops at first
+    # the roots along nxt from first, up to the node the walk stops at: a
+    # root met again, or None past a removed node.  The list is whole
+    # when the walk stops at first
     roots: dict[NodeHandle, None] = {}
     i = first
-    while i not in roots and i is not None and i.alive:
+    while i not in roots and i is not None:
         roots[i] = None
         i = i.nxt
     return list(roots), i
@@ -129,8 +129,8 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
         return AuditReport(violations, 0, 0)
 
     roots, stop = _root_list(first)
-    if stop is None or not stop.alive:
-        bad("structure", None, f"root list reaches a removed node {stop!r}")
+    if stop is None:
+        bad("structure", roots.pop(), "root list reaches a removed node")
     elif stop is not first:
         bad("structure", stop, "root list does not cycle back to the first root")
 
@@ -173,9 +173,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
             if d is None:
                 r1 = r2 = -1
             else:
-                if not d.alive:
-                    bad("structure", p, f"down points at a removed node {d!r}")
-                    continue
                 if d.nxt is not p:
                     bad("structure", d, "last child does not point back at its parent")
                 r1 = d.rank
@@ -198,9 +195,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
                     pstack.append(pos)
                     older = c.prv
                     if older is None:
-                        break
-                    if not older.alive:
-                        bad("structure", c, f"prv points at a removed node {older!r}")
                         break
                     if older.nxt is not c:
                         bad("structure", older, "sibling links disagree")
@@ -256,8 +250,8 @@ class PotentialSnapshot:
 
 
 def _walk_trees(trees: list[NodeHandle]) -> PotentialSnapshot:
-    # one pass over the given trees.  Raises HeapError, naming the
-    # parent, when a child list reaches a root or a node already walked
+    # one pass over the given trees.  Raises HeapError, naming the parent,
+    # when a child list reaches a root, a node walked or a removed node
     seen = set(trees)
     critical = excess = 0
     stack = list(trees)
@@ -269,6 +263,8 @@ def _walk_trees(trees: list[NodeHandle]) -> PotentialSnapshot:
             if c in seen:
                 raise HeapError(f"child list of node {p!r} does not end: "
                                 f"it reaches {c!r} again")
+            if c.nxt is None:
+                raise HeapError(f"child list of node {p!r} reaches a removed node {c!r}")
             seen.add(c)
             stack.append(c)
             # p's two newest children are active; one is critical when
@@ -292,7 +288,7 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
     """Measure the heap's potential components in one traversal.
 
     Raises HeapError, naming the node, when a root or child list runs
-    into a node the walk already met: the list does not end.
+    into a removed node or a node the walk already met (it does not end).
     """
     first = heap._first
     if first is None:

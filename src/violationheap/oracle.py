@@ -144,7 +144,6 @@ class OpScript:
 
     seed: int
     ops: list = field(default_factory=list)
-    weights: tuple = DEFAULT_WEIGHTS
 
 
 def _normalize_weights(weights) -> tuple:
@@ -228,7 +227,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
                 model.insert(k)
             ops.append(("meld", tuple(batch)))
 
-    return OpScript(seed=seed, ops=ops, weights=w)
+    return OpScript(seed=seed, ops=ops)
 
 
 @dataclass(kw_only=True)

@@ -18,24 +18,24 @@ from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
 
 # every heap make_heap knows runs the same interface tests, named by class
-HEAPS = [pytest.param(cls, id=cls.__name__)
-         for cls in (type(make_heap(name)) for name in HEAP_NAMES)]
+HEAPS = [pytest.param(name, id=type(make_heap(name)).__name__)
+         for name in HEAP_NAMES]
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_sorts(cls):
+@pytest.mark.parametrize("name", HEAPS)
+def test_sorts(name):
     rng = random.Random(1)
     keys = [rng.randrange(10 ** 9) for _ in range(4000)]
-    h = cls()
+    h = make_heap(name)
     for k in keys:
         h.insert(k)
     assert [h.delete_min()[0] for _ in keys] == sorted(keys)
     assert len(h) == 0 and h.is_empty()
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_decrease_reorders(cls):
-    h = cls()
+@pytest.mark.parametrize("name", HEAPS)
+def test_decrease_reorders(name):
+    h = make_heap(name)
     a = h.insert(10, "a")
     h.insert(20, "b")
     c = h.insert(30, "c")
@@ -50,9 +50,9 @@ def test_decrease_reorders(cls):
     assert h.find_min() == (1, "a")
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_error_paths(cls):
-    h = cls()
+@pytest.mark.parametrize("name", HEAPS)
+def test_error_paths(name):
+    h = make_heap(name)
     a = h.insert(10)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, 11)
@@ -73,9 +73,9 @@ def test_error_paths(cls):
         h.meld(h)
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_meld_absorbs(cls):
-    h1 = cls()
+@pytest.mark.parametrize("name", HEAPS)
+def test_meld_absorbs(name):
+    h1 = make_heap(name)
     h2 = h1.spawn()
     x = h1.insert(4, "x")
     y = h2.insert(1, "y")
@@ -102,9 +102,9 @@ def test_meld_absorbs(cls):
     assert [h1.delete_min()[1] for _ in range(4)] == ["x", "y", "w", "z"]
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_meld_empty_sides(cls):
-    h = cls()
+@pytest.mark.parametrize("name", HEAPS)
+def test_meld_empty_sides(name):
+    h = make_heap(name)
     h.insert(3)
     assert h.meld(h.spawn()) is h and len(h) == 1
     e = h.spawn()
@@ -113,10 +113,43 @@ def test_meld_empty_sides(cls):
     assert h.meld(h.spawn()) is h and len(h) == 0 and h.find_min() is None
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_decrease_on_the_emptied_meld_operand_is_refused(cls):
+@pytest.mark.parametrize("name", HEAPS)
+def test_meld_takes_its_own_kind_only(name):
+    # a heap of another kind is refused with HeapError and both heaps are
+    # left as they were; two heaps of one kind built apart meld
+    keys = random.Random(3).sample(range(1000), 40)
+
+    def filled(kind, part):
+        h = make_heap(kind)
+        for k in part:
+            h.insert(k)
+        h.delete_min()
+        return h
+
+    def drain(h):
+        out = [h.delete_min()[0] for _ in range(len(h))]
+        assert out == sorted(out) and h.is_empty()
+        return out
+
+    for other in HEAP_NAMES:
+        if other == name:
+            continue
+        a, b = filled(name, keys[:20]), filled(other, keys[20:])
+        state = lambda: [(len(h), asdict(h.telemetry)) for h in (a, b)]
+        before = state()
+        with pytest.raises(HeapError, match="cannot meld"):
+            a.meld(b)
+        assert state() == before, other
+        assert len(drain(a)) == len(drain(b)) == 19
+    a, b = filled(name, keys[:20]), filled(name, keys[20:])
+    assert a.meld(b) is a and len(a) == 38 and b.is_empty()
+    assert drain(a) == sorted(sorted(keys[:20])[1:] + sorted(keys[20:])[1:])
+
+
+@pytest.mark.parametrize("name", HEAPS)
+def test_decrease_on_the_emptied_meld_operand_is_refused(name):
     # BinaryHeap reports the handle as stale, a HeapError subclass
-    a = cls()
+    a = make_heap(name)
     b = a.spawn()
     for k in (5, 6):
         a.insert(k)
@@ -131,9 +164,9 @@ def test_decrease_on_the_emptied_meld_operand_is_refused(cls):
     assert a.is_empty()
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_spawn_shares_telemetry(cls):
-    h = cls()
+@pytest.mark.parametrize("name", HEAPS)
+def test_spawn_shares_telemetry(name):
+    h = make_heap(name)
     side = h.spawn()
     assert side.telemetry is h.telemetry
     side.insert(2)
@@ -142,14 +175,14 @@ def test_spawn_shares_telemetry(cls):
     assert h.telemetry.comparisons > before
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_a_removed_element_releases_the_heap(cls):
+@pytest.mark.parametrize("name", HEAPS)
+def test_a_removed_element_releases_the_heap(name):
     # a handle held after its delete_min pins its own element only: the
     # removed node keeps no link into the trees it used to reach
     class Item:
         pass
 
-    h = cls()
+    h = make_heap(name)
     handles = [h.insert(k, Item()) for k in range(1000)]
     refs = [weakref.ref(x.item) for x in handles]
     kept = handles[0]
@@ -159,12 +192,12 @@ def test_a_removed_element_releases_the_heap(cls):
     assert [r() for r in refs if r() is not None] == [kept.item]
 
 
-@pytest.mark.parametrize("cls", HEAPS)
-def test_random_traffic_against_dict_model(cls):
+@pytest.mark.parametrize("name", HEAPS)
+def test_random_traffic_against_dict_model(name):
     # the heap and NaivePQ side by side.  Alive keys stay distinct, so
     # both must delete the same element.
     rng = random.Random(9)
-    h = cls()
+    h = make_heap(name)
     model = NaivePQ()
     handles = []      # model id -> the heap's handle
 
@@ -321,18 +354,14 @@ def _ins(keys):
     return [("insert", k) for k in keys]
 
 
-NAMED = [pytest.param(name, id=type(make_heap(name)).__name__)
-         for name in HEAP_NAMES]
-
-
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name", HEAPS)
 def test_raise_inside_delete_min_loses_nothing(name):
     # one delete-min of 200 keys
     keys = random.Random(6).sample(range(10_000), 200)
     _sweep_last(name, _ins(keys) + [("deletemin",)])
 
 
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name", HEAPS)
 def test_raise_inside_decrease_key_loses_nothing(name):
     # decreases of targets all over a heap, to a new minimum and to just
     # below the old key, each from a fresh state
@@ -344,7 +373,7 @@ def test_raise_inside_decrease_key_loses_nothing(name):
                 ("deletemin",), ("decrease", keys.index(t), new_key)])
 
 
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name", HEAPS)
 def test_raise_inside_insert_and_meld_loses_nothing(name):
     # an insert of a new minimum into 200 keys, and a 20 + 20 meld
     keys = random.Random(8).sample(range(1, 10_000), 240)

@@ -186,6 +186,13 @@ class TestBench:
         code, _, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.parametrize("workload", ["heapsort", "mixed"])
+    def test_dimacs_outside_dijkstra_usage_error(self, capsys, workload):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", workload, "--n", "5", "--dimacs", "/nonexistent"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and "--dimacs" in out.err and out.out == ""
+
     def test_unknown_workload_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "quicksort"])

@@ -313,27 +313,24 @@ def test_decrease_on_the_emptied_meld_operand_is_refused():
     assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
 
 
-def test_meld_rejects_foreign_pool():
-    # two heaps built apart are two families: meld refuses either way
-    # round and changes neither, while a spawned sibling melds
-    h1, h2 = ViolationHeap(), ViolationHeap()
-    for h, base in ((h1, 0), (h2, 100)):
-        for k in range(50):
-            h.insert(base + k * 37 % 50)
-        h.delete_min()
-    state = lambda: [(len(h), h.find_min(), vars(h.telemetry).copy())
-                     for h in (h1, h2)]
-    before = state()
-    for a, b in ((h1, h2), (h2, h1)):
-        with pytest.raises(HeapError, match="different families"):
-            a.meld(b)
-        assert state() == before and full_audit(h1).ok and full_audit(h2).ok
-    sib = h1.spawn()
-    sib.insert(-1)
-    assert h1.meld(sib) is h1 and len(h1) == 50 and h1.find_min() == (-1, None)
-    for h in (h1, h2):
-        drained = [h.delete_min()[0] for _ in range(len(h))]
-        assert drained == sorted(drained)
+def test_meld_takes_a_heap_built_apart():
+    # the absorbed heap's family reached a higher max_rank than the
+    # absorber's, whose delete_min sizes its rank slots from its own:
+    # meld lifts it, and each family keeps its own counters
+    a, b = ViolationHeap(), ViolationHeap()
+    for k in (150, 250, 350):
+        a.insert(k)
+    for k in random.Random(4).sample(range(100, 300), 200):
+        b.insert(k)
+    b.delete_min()
+    assert a.telemetry.max_rank == 0 and b.telemetry.max_rank == 4
+    b_counts = vars(b.telemetry).copy()
+    assert a.meld(b) is a and len(a) == 202 and b.is_empty()
+    assert full_audit(a).ok
+    drained = [a.delete_min()[0] for _ in range(202)]
+    assert drained == sorted([150, 250, 350] + list(range(101, 300)))
+    assert a.telemetry.max_rank >= 4 and a.telemetry.joins > 0
+    assert vars(b.telemetry) == b_counts
 
 
 class OwnKindOnly:

@@ -204,6 +204,28 @@ def test_lists_that_run_into_another_heap_and_loop_there():
     assert full_audit(h).ok and full_audit(g).ok
 
 
+def test_links_into_a_removed_node():
+    # a removed node keeps no links: a root's nxt, a parent's down or an
+    # oldest child's prv that names it is a structure finding, and the
+    # snapshot refuses to measure past it
+    h, hs = build(10)
+    h.delete_min()
+    z, root = hs[0], h._first
+    assert not h.is_live(z) and z.nxt is None and z.down is None
+    oldest = root.down
+    while oldest.prv is not None:
+        oldest = oldest.prv
+    for node, link in ((root, "nxt"), (root, "down"), (oldest, "prv")):
+        keep = getattr(node, link)
+        setattr(node, link, z)
+        report = full_audit(h)
+        assert "structure" in {v.rule for v in report.violations}, link
+        with pytest.raises(HeapError):
+            potential_snapshot(h)
+        setattr(node, link, keep)
+        assert full_audit(h).ok
+
+
 def test_root_multiplicity_only_on_request():
     h = ViolationHeap()
     for k in range(3):

@@ -99,7 +99,7 @@ def test_active_children_prop_up_their_parent(n, seed):
         if h.is_live(hd):
             h.decrease_key(hd, hd.key - rng.randrange(1, 10 ** 6))
     for x in hs:
-        if not x.alive or x.down is None:
+        if not h.is_live(x) or x.down is None:
             continue
         d = x.down
         r1 = d.rank
