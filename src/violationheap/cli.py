@@ -183,22 +183,30 @@ def _cmd_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     names = HEAP_NAMES if args.heap == "all" else (args.heap,)
-    graph = None
-    if args.workload == "dijkstra":
-        graph = read_dimacs(args.dimacs) if args.dimacs \
-            else gen_graph(args.n, args.m, args.seed)
+    seeds = range(args.seed, args.seed + args.repeat)
+    dimacs = None
+    if args.dimacs:
+        try:
+            dimacs = read_dimacs(args.dimacs)
+        except OSError as exc:
+            print(f"cannot read graph: {exc}", file=sys.stderr)
+            return 2
 
-    records = []
-    for name in names:
-        for seed in range(args.seed, args.seed + args.repeat):
+    # seed by seed, so that each seed's graph is built once and dropped
+    # before the next one is built
+    runs = {}
+    for seed in seeds:
+        graph = None
+        if args.workload == "dijkstra":
+            graph = dimacs if dimacs is not None else gen_graph(args.n, args.m, seed)
+        for name in names:
             if args.workload == "heapsort":
-                records.append(heapsort_bench(name, args.n, seed))
+                runs[name, seed] = heapsort_bench(name, args.n, seed)
             elif args.workload == "mixed":
-                records.append(mixed_bench(name, args.n, seed))
+                runs[name, seed] = mixed_bench(name, args.n, seed)
             else:
-                g = graph if (args.dimacs or seed == args.seed) \
-                    else gen_graph(args.n, args.m, seed)
-                records.append(dijkstra_bench(name, g, seed))
+                runs[name, seed] = dijkstra_bench(name, graph, seed)
+    records = [runs[name, seed] for name in names for seed in seeds]
 
     if args.format == "json":
         for r in records:

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from violationheap import cli
 from violationheap.cli import TraceError, _build_parser, main, run_trace
 from violationheap.heap_core import Telemetry
 from violationheap.oracle import run_differential
-from violationheap.workloads import CSV_HEADER
+from violationheap.workloads import CSV_HEADER, HEAP_NAMES
 
 TELEMETRY = [f.name for f in fields(Telemetry)]
 
@@ -185,6 +186,29 @@ class TestBench:
         f.write_text("a 1 2 3\n")
         code, _, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
         assert code == 2 and "line 1" in err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):
+        path = tmp_path / "absent.gr" if where == "missing" else tmp_path
+        code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read graph: ") and str(path) in err
+
+    def test_repeat_builds_each_graph_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.gen_graph
+
+        def counting(n, m, seed):
+            built.append(seed)
+            return real(n, m, seed)
+
+        monkeypatch.setattr(cli, "gen_graph", counting)
+        code, out, _ = run(capsys, "bench", "dijkstra", "--n", "50", "--m", "200",
+                           "--heap", "all", "--seed", "4", "--repeat", "3")
+        assert code == 0 and built == [4, 5, 6]
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert [(r[1], int(r[4])) for r in rows] == \
+            [(h, s) for h in HEAP_NAMES for s in (4, 5, 6)]
 
     @pytest.mark.parametrize("workload", ["heapsort", "mixed"])
     def test_dimacs_outside_dijkstra_usage_error(self, capsys, workload):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,26 @@ class TestGenGraph:
             gen_graph(0, 5, 1)
         with pytest.raises(ValueError, match="arc count"):
             gen_graph(5, -1, 1)
+
+
+class TestAdjacency:
+    def test_flat_pairs_in_arc_order(self):
+        # parallel arcs 0->1, self-loops on 0 and 2, and a vertex with none
+        g = Graph(4, [(0, 1, 5), (2, 2, 0), (0, 0, 3), (0, 1, 2), (2, 0, 7),
+                      (0, 1, 5)])
+        assert g.adjacency() == [[1, 5, 0, 3, 1, 2, 1, 5], [], [2, 0, 0, 7], []]
+
+    def test_memory_per_arc(self):
+        # the flat lists peak at about 25 bytes per arc; a (head, weight)
+        # tuple per arc would peak at about 72
+        g = gen_graph(2_000, 20_000, 1)
+        tracemalloc.start()
+        try:
+            g.adjacency()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / g.m < 40
 
 
 class TestDimacs:
