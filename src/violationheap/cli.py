@@ -12,7 +12,7 @@ import sys
 
 from .heap_core import HeapError, ViolationHeap
 from .invariants import full_audit
-from .oracle import DEFAULT_WEIGHTS, parse_weights, run_differential
+from .oracle import DEFAULT_WEIGHTS, gen_ops, parse_weights, run_differential
 from .workloads import (CSV_HEADER, HEAP_NAMES, dijkstra_bench, gen_graph,
                         heapsort_bench, mixed_bench, read_dimacs)
 
@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("workload", choices=("heapsort", "mixed", "dijkstra"))
     b.add_argument("--heap", choices=HEAP_NAMES + ("all",), default="all")
     b.add_argument("--n", type=_count(1), default=10000,
-                   help="elements (heapsort), ops (mixed), vertices (dijkstra)")
+                   help="elements (heapsort), ops of a gen_ops script at the "
+                        "default weights (mixed), vertices (dijkstra)")
     b.add_argument("--m", type=_count(0), default=50000, help="dijkstra arc count")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--repeat", type=_count(1), default=1,
@@ -192,18 +193,19 @@ def _cmd_bench(args) -> int:
             print(f"cannot read graph: {exc}", file=sys.stderr)
             return 2
 
-    # seed by seed, so that each seed's graph is built once and dropped
-    # before the next one is built
+    # seed by seed, so that each seed's graph or script is built once and
+    # dropped before the next one is built
     runs = {}
     for seed in seeds:
-        graph = None
         if args.workload == "dijkstra":
             graph = dimacs if dimacs is not None else gen_graph(args.n, args.m, seed)
+        elif args.workload == "mixed":
+            script = gen_ops(seed, args.n)
         for name in names:
             if args.workload == "heapsort":
                 runs[name, seed] = heapsort_bench(name, args.n, seed)
             elif args.workload == "mixed":
-                runs[name, seed] = mixed_bench(name, args.n, seed)
+                runs[name, seed] = mixed_bench(name, script)
             else:
                 runs[name, seed] = dijkstra_bench(name, graph, seed)
     records = [runs[name, seed] for name in names for seed in seeds]

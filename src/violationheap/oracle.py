@@ -5,16 +5,18 @@
 plain and obviously correct, which is the whole point.  ``gen_ops``
 drives a ``NaivePQ`` to build random operation scripts whose alive keys
 are always pairwise distinct, so the minimum element is unambiguous and
-both structures must delete the same element; ``run_differential``
-replays a script against a fresh naive queue and a violation heap side
-by side, comparing sizes, minimums, deleted elements, and (at a
-configurable cadence) the full structural audit.
+both structures must delete the same element.  ``apply_op`` steps any
+heap through one op; ``run_differential`` replays a script through it
+against a fresh naive queue and a violation heap side by side, comparing
+sizes, minimums, deleted elements, and (at a configurable cadence) the
+full structural audit.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -147,8 +149,8 @@ class OpScript:
 
 
 def _normalize_weights(weights) -> tuple:
-    """Check four insert/delete/decrease/meld weights (non-negative, not
-    all zero) and scale them to sum to one."""
+    """Check four insert/delete/decrease/meld weights (non-negative,
+    finite, not all zero) and scale them to sum to one."""
     w = tuple(weights)
     if len(w) != 4:
         raise ValueError("expected four weights")
@@ -156,6 +158,8 @@ def _normalize_weights(weights) -> tuple:
     if not all(x >= 0 for x in w):
         raise ValueError("weights must be non-negative")
     total = sum(w)
+    if not math.isfinite(total):   # else they would scale to NaN or zeros
+        raise ValueError("weights and their sum must be finite")
     if total <= 0:
         raise ValueError("weights must not all be zero")
     return tuple(x / total for x in w)
@@ -230,6 +234,26 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
     return OpScript(seed=seed, ops=ops)
 
 
+def apply_op(heap, handles: list, op: tuple):
+    """Apply one ``OpScript`` op to any of the three heaps; return what
+    ``delete_min`` returned, else None.  Each inserted element takes its
+    id, its index in ``handles``, as its item, and a meld melds in a
+    ``heap.spawn()`` that holds its batch.  This is the one mapping from
+    the op format onto the heap API."""
+    kind = op[0]
+    if kind == "insert":
+        handles.append(heap.insert(op[1], len(handles)))
+    elif kind == "deletemin":
+        return heap.delete_min()
+    elif kind == "decrease":
+        heap.decrease_key(handles[op[1]], op[2])
+    else:
+        side = heap.spawn()
+        for k in op[1]:
+            handles.append(side.insert(k, len(handles)))
+        heap.meld(side)
+
+
 @dataclass(kw_only=True)
 class Verdict(Telemetry):
     """Outcome of one differential run, plus run statistics: counts per
@@ -273,6 +297,7 @@ def _resolve_cadence(audit_every: Optional[int], n_ops: int) -> int:
 def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
     """Run one script against NaivePQ and a fresh violation heap.
 
+    Each op steps the heap through ``apply_op``, then the naive queue.
     Returns a failing Verdict on the first observable divergence,
     structural audit finding, or heap-side exception.  Scripts with
     duplicate alive keys must not decrease an id after an ambiguous
@@ -298,34 +323,29 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
     for i, op in enumerate(script.ops):
         try:
             kind = op[0]
-            was_delete = False
-            if kind == "insert":
-                naive.insert(op[1], len(handles))
-                handles.append(heap.insert(op[1], len(handles)))
-                v.inserts += 1
-            elif kind == "deletemin":
-                was_delete = True
+            was_delete = kind == "deletemin"
+            if was_delete:
                 v.deletes += 1
+            first_id = len(handles)
+            # heap first: a stale target or a refused key then yields a
+            # failing verdict instead of an oracle-side exception
+            got = apply_op(heap, handles, op)
+            if kind == "insert":
+                naive.insert(op[1], first_id)
+                v.inserts += 1
+            elif was_delete:
+                hk, hitem = got
                 nk, nitem = naive.delete_min()
-                unique = naive.key_multiplicity(nk) == 0
-                hk, hitem = heap.delete_min()
                 if hk != nk:
                     return fail(i, f"delete_min key {hk!r}, oracle removed {nk!r}")
-                if unique and hitem != nitem:
+                if naive.key_multiplicity(nk) == 0 and hitem != nitem:
                     return fail(i, f"delete_min item {hitem!r}, oracle removed {nitem!r}")
             elif kind == "decrease":
-                _, ident, nk = op
-                # heap first: a stale target then yields a failing
-                # verdict instead of an oracle-side KeyError
-                heap.decrease_key(handles[ident], nk)
-                naive.decrease_key(ident, nk)
+                naive.decrease_key(op[1], op[2])
                 v.decreases += 1
             else:
-                side = heap.spawn()
-                for k in op[1]:
-                    naive.insert(k, len(handles))
-                    handles.append(side.insert(k, len(handles)))
-                heap.meld(side)
+                for ident, k in enumerate(op[1], first_id):
+                    naive.insert(k, ident)
                 v.melds += 1
 
             if len(heap) != len(naive):

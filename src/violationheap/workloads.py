@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import BinaryHeap, PairingHeap
 from .heap_core import Telemetry, ViolationHeap
+from .oracle import OpScript, apply_op
 
 # sentinel for "not yet reached"; larger than any real path length
 INF_KEY = (1 << 63) - 1
@@ -207,41 +208,16 @@ def heapsort_bench(heap_name: str, n: int, seed: int) -> BenchRecord:
     return _record("heapsort", heap_name, heap, n, 0, seed, wall)
 
 
-def mixed_bench(heap_name: str, n_ops: int, seed: int) -> BenchRecord:
-    """Random insert/delete/decrease/meld traffic.
-
-    Decrease targets are sampled from every insert ever made, so some
-    are stale by the time they come up; those are skipped via is_live,
-    which itself exercises the handle liveness path.
-    """
-    rng = random.Random(seed)
+def mixed_bench(heap_name: str, script: OpScript) -> BenchRecord:
+    """Time ``apply_op`` over a prebuilt ``gen_ops`` script: exactly the
+    traffic that ``vheap fuzz`` checks, generated outside the timed loop."""
     heap = make_heap(heap_name)
     handles: list = []
-    keys: list = []
     t0 = time.perf_counter_ns()
-    for _ in range(n_ops):
-        r = rng.random()
-        if r < 0.45 or not len(heap):
-            k = rng.randrange(1 << 40)
-            handles.append(heap.insert(k, len(handles)))
-            keys.append(k)
-        elif r < 0.70:
-            heap.delete_min()
-        elif r < 0.95:
-            i = rng.randrange(len(handles))
-            if heap.is_live(handles[i]):
-                nk = keys[i] - rng.randrange(1, 1 << 20)
-                heap.decrease_key(handles[i], nk)
-                keys[i] = nk
-        else:
-            side = heap.spawn()
-            for _ in range(rng.randrange(1, 4)):
-                k = rng.randrange(1 << 40)
-                handles.append(side.insert(k, len(handles)))
-                keys.append(k)
-            heap.meld(side)
+    for op in script.ops:
+        apply_op(heap, handles, op)
     wall = time.perf_counter_ns() - t0
-    return _record("mixed", heap_name, heap, n_ops, 0, seed, wall)
+    return _record("mixed", heap_name, heap, len(script.ops), 0, script.seed, wall)
 
 
 def dijkstra_bench(heap_name: str, graph: Graph, seed: int) -> BenchRecord:

@@ -445,17 +445,15 @@ def test_baseline_golden_counters():
 
 def test_mixed_golden_counters():
     # exact counters of all three heaps on mixed_bench, the one workload
-    # that melds.  BinaryHeap.meld takes entries from the end of the
-    # other heap's array, so they arrive in reverse order of slot, which
-    # gave 164827 comparisons where the earlier front-to-back meld gave
-    # 164809.
+    # that melds, over gen_ops(0, 20_000): the traffic vheap fuzz checks
     golden = {
-        "violation": (72341, 12108, 820, 0, 8),
-        "binary": (164827, 0, 0, 0, 0),
-        "pairing": (46687, 46687, 2669, 0, 0),
+        "violation": (82393, 15077, 2644, 192, 8),
+        "binary": (169472, 0, 0, 0, 0),
+        "pairing": (57601, 57601, 5000, 0, 0),
     }
+    script = gen_ops(0, 20_000)
     for name, counts in golden.items():
-        r = mixed_bench(name, 20_000, 0)
+        r = mixed_bench(name, script)
         assert tuple(getattr(r, f.name) for f in fields(Telemetry)) == counts
 
 

@@ -194,16 +194,21 @@ class TestBench:
         assert code == 2 and out == ""
         assert err.startswith("cannot read graph: ") and str(path) in err
 
-    def test_repeat_builds_each_graph_once(self, capsys, monkeypatch):
+    # the builder's name in cli, and where its arguments hold the seed
+    @pytest.mark.parametrize("workload,builder,seed_at", [
+        ("dijkstra", "gen_graph", 2), ("mixed", "gen_ops", 0)],
+        ids=["dijkstra", "mixed"])
+    def test_repeat_builds_each_input_once(self, capsys, monkeypatch,
+                                           workload, builder, seed_at):
         built = []
-        real = cli.gen_graph
+        real = getattr(cli, builder)
 
-        def counting(n, m, seed):
-            built.append(seed)
-            return real(n, m, seed)
+        def counting(*args):
+            built.append(args[seed_at])
+            return real(*args)
 
-        monkeypatch.setattr(cli, "gen_graph", counting)
-        code, out, _ = run(capsys, "bench", "dijkstra", "--n", "50", "--m", "200",
+        monkeypatch.setattr(cli, builder, counting)
+        code, out, _ = run(capsys, "bench", workload, "--n", "50", "--m", "200",
                            "--heap", "all", "--seed", "4", "--repeat", "3")
         assert code == 0 and built == [4, 5, 6]
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]

@@ -130,8 +130,14 @@ def test_parse_weights():
     for bad in ("1,2,3", "a,b,c,d", "-1,1,1,1", "0,0,0,0", "nan,1,1,1"):
         with pytest.raises(ValueError):
             parse_weights(bad)
+    # an infinite weight, or a sum that overflows, is refused as such,
+    # not scaled to NaN or to all zeros
+    for bad in ("inf,1,1,1", "1e308,1e308,0,0"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_weights(bad)
     # gen_ops checks the weights it is given the same way
-    for bad in ((1, 2, 3), (-1, 1, 1, 1), (0, 0, 0, 0), (float("nan"), 1, 1, 1)):
+    for bad in ((1, 2, 3), (-1, 1, 1, 1), (0, 0, 0, 0), (float("nan"), 1, 1, 1),
+                (float("inf"), 1, 1, 1)):
         with pytest.raises(ValueError):
             gen_ops(0, 10, bad)
 
@@ -220,6 +226,13 @@ class TestReplay:
         v = replay(s)
         assert not v.passed and v.fail_at == 2
         assert "StaleHandleError" in v.detail
+
+    def test_refused_key_becomes_failing_verdict(self):
+        # the heap steps first, so its HeapError is the verdict, not the
+        # naive queue's ValueError
+        v = replay(OpScript(seed=0, ops=[("insert", 1), ("insert", float("nan"))]))
+        assert v.passed is False and v.fail_at == 1
+        assert v.detail.startswith("HeapError")
 
     def test_empty_deletemin_becomes_failing_verdict(self):
         v = replay(OpScript(seed=0, ops=[("deletemin",)]))

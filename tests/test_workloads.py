@@ -1,29 +1,30 @@
 import io
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
-from violationheap.workloads import (CSV_HEADER, INF_KEY, Graph, checksum,
-                                     dijkstra, dijkstra_bench, gen_graph,
-                                     heapsort_bench, make_heap, mixed_bench,
-                                     read_dimacs)
-
-ALL = ("violation", "binary", "pairing")
+from violationheap.heap_core import Telemetry
+from violationheap.oracle import gen_ops, replay
+from violationheap.workloads import (CSV_HEADER, HEAP_NAMES, INF_KEY, Graph,
+                                     checksum, dijkstra, dijkstra_bench,
+                                     gen_graph, heapsort_bench, make_heap,
+                                     mixed_bench, read_dimacs)
 
 
 def test_make_heap_names():
-    for name in ALL:
+    for name in HEAP_NAMES:
         h = make_heap(name)
         h.insert(1)
         assert h.delete_min()[0] == 1
     with pytest.raises(ValueError, match="unknown heap"):
-        make_heap("fibonacci")
+        make_heap("no-such-heap")
 
 
 class TestDijkstra:
     def test_path_graph(self):
         g = Graph(3, [(0, 1, 2), (1, 2, 3)])
-        for name in ALL:
+        for name in HEAP_NAMES:
             assert dijkstra(g, 0, make_heap(name)) == [0, 2, 5]
 
     def test_unreachable_stays_infinite(self):
@@ -130,13 +131,25 @@ class TestBenches:
         assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
 
     def test_mixed_all_heaps(self):
-        for name in ALL:
-            r = mixed_bench(name, 3000, seed=4)
+        script = gen_ops(4, 3000)
+        for name in HEAP_NAMES:
+            r = mixed_bench(name, script)
             assert r.wall_ns > 0 and r.comparisons > 0
+            assert (r.n, r.seed) == (3000, 4)
+
+    def test_mixed_drives_the_heap_calls_replay_checks(self):
+        # the bench and the fuzzer step the heap through one apply_op, so
+        # one script gives one set of violation-heap counters
+        script = gen_ops(0, 20_000)
+        r = mixed_bench("violation", script)
+        v = replay(script, audit_every=0)
+        assert v.passed
+        assert [getattr(r, f.name) for f in fields(Telemetry)] == \
+            [getattr(v, f.name) for f in fields(Telemetry)]
 
     def test_dijkstra_checksums_match(self):
         g = gen_graph(400, 2000, seed=3)
-        sums = {dijkstra_bench(name, g, 3).checksum for name in ALL}
+        sums = {dijkstra_bench(name, g, 3).checksum for name in HEAP_NAMES}
         assert len(sums) == 1
 
     def test_checksum_is_order_sensitive(self):
