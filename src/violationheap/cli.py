@@ -28,6 +28,15 @@ def _count(least: int):
     return parse
 
 
+def _weights(text: str) -> tuple:
+    """An argparse type: ``parse_weights``, with its reason kept in the
+    usage error."""
+    try:
+        return parse_weights(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="vheap",
@@ -39,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of seeds, starting at --seed-base (default 10)")
     f.add_argument("--seed-base", type=int, default=0)
     f.add_argument("--ops", type=_count(1), default=1000, help="operations per seed")
-    f.add_argument("--weights", type=parse_weights, default=DEFAULT_WEIGHTS,
+    f.add_argument("--weights", type=_weights, default=DEFAULT_WEIGHTS,
                    metavar="I,D,K,M",
                    help="insert,delete,decrease,meld weights (normalized)")
     f.add_argument("--audit-every", type=_count(0), default=None, metavar="N",

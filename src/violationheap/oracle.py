@@ -2,7 +2,8 @@
 
 ``NaivePQ`` is the one reference model: an unordered list of live
 (key, id) entries plus a lazy ``heapq`` over the same tuples.  It is
-plain and obviously correct, which is the whole point.  ``gen_ops``
+plain and obviously correct, which is the whole point.  ``sampler``
+makes every seeded integer draw in the package.  ``gen_ops``
 drives a ``NaivePQ`` to build random operation scripts whose alive keys
 are always pairwise distinct, so the minimum element is unambiguous and
 both structures must delete the same element.  ``apply_op`` steps any
@@ -165,6 +166,33 @@ def _normalize_weights(weights) -> tuple:
     return tuple(x / total for x in w)
 
 
+def sampler(rng: random.Random):
+    """Return ``below``, where ``below(n)`` draws a uniform int in [0, n)
+    from ``rng``; it raises ValueError, without drawing, unless n > 0.
+
+    ``below`` takes ``k = n.bit_length()`` bits from ``rng.getrandbits``
+    and draws again while the result is not below n.  That is CPython
+    3.11's ``Random._randbelow_with_getrandbits``, which ``Random``'s own
+    range draw calls through a second Python frame, so ``a + below(b - a)``
+    repeats that draw over [a, b) value for value.  Every seeded stream
+    in the package is defined by it: the graphs, the op scripts and the
+    heapsort keys reproduce on any Python whose ``getrandbits`` keeps the
+    Mersenne Twister's output.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"below(n) needs n > 0, got {n}")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def parse_weights(text: str) -> tuple:
     """Parse "a,b,c,d" into normalized insert/delete/decrease/meld weights."""
     return _normalize_weights(float(p) for p in text.split(","))
@@ -178,8 +206,11 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
     target.  Distinct alive keys make the minimum unique, so a naive
     queue and the heap under test must always agree on which element
     delete_min removes.  Keys freed by deletion may be drawn again later.
+    The stream is ``random.Random(seed)``, its integers drawn through
+    ``sampler``.
     """
     rng = random.Random(seed)
+    below = sampler(rng)
     w = _normalize_weights(weights)
     c1 = w[0]
     c2 = c1 + w[1]
@@ -190,7 +221,7 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
 
     def fresh_key() -> int:
         while True:
-            k = rng.randrange(-KEY_SPAN, KEY_SPAN)
+            k = below(2 * KEY_SPAN) - KEY_SPAN
             if not model.key_multiplicity(k):
                 return k
 
@@ -212,20 +243,20 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
             model.delete_min()
             ops.append(("deletemin",))
         elif kind == 2:
-            ident = model.ident_at(rng.randrange(len(model)))
+            ident = model.ident_at(below(len(model)))
             cur = model.key_of(ident)
             # mix local nudges with span-scale drops: nudges mostly stay
             # above the parent, drops force cuts and rank repairs
             hi = 1000 if rng.random() < 0.5 else KEY_SPAN
             while True:
-                nk = cur - rng.randrange(1, hi + 1)
+                nk = cur - 1 - below(hi)
                 if not model.key_multiplicity(nk):
                     break
             model.decrease_key(ident, nk)
             ops.append(("decrease", ident, nk))
         else:
             batch = []
-            for _ in range(rng.randrange(1, MELD_BATCH_MAX + 1)):
+            for _ in range(1 + below(MELD_BATCH_MAX)):
                 k = fresh_key()
                 batch.append(k)
                 model.insert(k)

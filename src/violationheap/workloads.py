@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import BinaryHeap, PairingHeap
 from .heap_core import Telemetry, ViolationHeap
-from .oracle import OpScript, apply_op
+from .oracle import OpScript, apply_op, sampler
 
 # sentinel for "not yet reached"; larger than any real path length
 INF_KEY = (1 << 63) - 1
@@ -69,14 +69,15 @@ class Graph:
 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Random directed multigraph: m uniform ordered pairs, self-loops
-    allowed, weights uniform on [0, MAX_WEIGHT]."""
+    allowed, weights uniform on [0, MAX_WEIGHT].  The stream is
+    ``random.Random(seed)``, drawn through ``oracle.sampler``: tail,
+    head, then weight, arc by arc."""
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     if m < 0:
         raise ValueError(f"arc count must be non-negative, got {m}")
-    rng = random.Random(seed)
-    arcs = [(rng.randrange(n), rng.randrange(n), rng.randrange(MAX_WEIGHT + 1))
-            for _ in range(m)]
+    below = sampler(random.Random(seed))
+    arcs = [(below(n), below(n), below(MAX_WEIGHT + 1)) for _ in range(m)]
     return Graph(n, arcs)
 
 
@@ -192,8 +193,8 @@ def _record(workload: str, heap_name: str, heap, n: int, m: int, seed: int,
 
 def heapsort_bench(heap_name: str, n: int, seed: int) -> BenchRecord:
     """Insert n random keys, pop them all; output must come out sorted."""
-    rng = random.Random(seed)
-    keys = [rng.randrange(1 << 60) for _ in range(n)]
+    below = sampler(random.Random(seed))
+    keys = [below(1 << 60) for _ in range(n)]
     heap = make_heap(heap_name)
     t0 = time.perf_counter_ns()
     for k in keys:

@@ -54,9 +54,16 @@ class TestFuzz:
                 assert doc[name] == getattr(v, name), name
 
     def test_bad_weights_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fuzz", "--weights", "1,2"])
-        assert exc.value.code == 2
+        # argparse exits 2 and its message keeps parse_weights's reason
+        for text, reason in [("1,2", "expected four weights"),
+                             ("inf,1,1,1", "must be finite"),
+                             ("-1,1,1,1", "must be non-negative"),
+                             ("0,0,0,0", "must not all be zero")]:
+            with pytest.raises(SystemExit) as exc:
+                # the = form lets a leading minus sign through
+                main(["fuzz", "--weights=" + text])
+            assert exc.value.code == 2, text
+            assert reason in capsys.readouterr().err, text
 
 
 class TestTrace:

@@ -9,7 +9,8 @@ import pytest
 
 from violationheap.heap_core import EmptyHeapError
 from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, OpScript, gen_ops,
-                                  parse_weights, replay, run_differential)
+                                  parse_weights, replay, run_differential,
+                                  sampler)
 
 
 class TestNaivePQ:
@@ -142,17 +143,52 @@ def test_parse_weights():
             gen_ops(0, 10, bad)
 
 
+# bounds for the sampler: small, Dijkstra-sized, past 2**31 and 2**32,
+# and each side of every power of two up to 2**61
+SAMPLER_BOUNDS = sorted({1, 2, 3, 15_000, 10 ** 6 + 1, 2 * 10 ** 9,
+                         *(2 ** k + d for k in range(1, 62) for d in (-1, 0, 1))})
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_stream_as_randrange(self, seed):
+        below = sampler(random.Random(seed))
+        ref = random.Random(seed)
+        for n in SAMPLER_BOUNDS:
+            for _ in range(20):
+                assert below(n) == ref.randrange(n), n
+
+    def test_same_stream_with_random_interleaved(self):
+        rng = random.Random(5)
+        below = sampler(rng)
+        ref = random.Random(5)
+        for i, n in enumerate(SAMPLER_BOUNDS * 3):
+            assert below(n) == ref.randrange(n), n
+            if i % 3:
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_refuses_empty_range_without_drawing(self, n):
+        rng = random.Random(9)
+        below = sampler(rng)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            below(n)
+        assert rng.getstate() == state
+
+
 class TestGenOps:
     def test_deterministic(self):
         assert gen_ops(7, 500).ops == gen_ops(7, 500).ops
 
     # first and last scripts of acceptance criteria 1 and 2; the fuzz
-    # benchmark replays seed 0's as well
+    # benchmark replays seed 0's as well, and seed 2's at its --seed 1
     @pytest.mark.parametrize("seed,n_ops,weights,crc", [
         (0, 10_000, (0.45, 0.25, 0.25, 0.05), 812743672),
         (199, 10_000, (0.45, 0.25, 0.25, 0.05), 2311269027),
         (1000, 2000, (0.35, 0.35, 0.25, 0.05), 85114265),
         (1049, 2000, (0.35, 0.35, 0.25, 0.05), 3180099146),
+        (2, 10_000, (0.45, 0.25, 0.25, 0.05), 2893532162),
     ])
     def test_scripts_pinned(self, seed, n_ops, weights, crc):
         ops = gen_ops(seed, n_ops, weights).ops

@@ -66,6 +66,11 @@ class TestGenGraph:
         assert g.arcs == gen_graph(50, 200, seed=5).arcs
         assert g.arcs != gen_graph(50, 200, seed=6).arcs
 
+    def test_stream_pinned(self):
+        # perfbench's dijkstra graph at --seed 0, arc by arc
+        g = gen_graph(15_000, 150_000, 0)
+        assert checksum(x for arc in g.arcs for x in arc) == 2070937815
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             gen_graph(0, 5, 1)
