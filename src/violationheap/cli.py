@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .heap_core import HeapError, ViolationHeap
@@ -35,6 +36,25 @@ def _weights(text: str) -> tuple:
         return parse_weights(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# a value that starts with a number's minus sign: argparse reads it as an
+# option after "--weights", unless it comes in the "--weights=..." form
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_weights(argv: list) -> list:
+    """``--weights V`` as ``--weights=V`` when V starts with a minus sign,
+    so ``parse_weights`` sees V and names why it is refused.  Abbreviations
+    down to ``--w`` count, as argparse accepts them."""
+    out = []
+    for a in argv:
+        if (out and out[-1].startswith("--w") and "--weights".startswith(out[-1])
+                and _NEGATIVE.match(a)):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,7 +254,7 @@ def _cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_weights(sys.argv[1:] if argv is None else argv))
     if args.command == "bench" and args.dimacs and args.workload != "dijkstra":
         parser.error(f"--dimacs is for the dijkstra workload only, not {args.workload}")
     try:

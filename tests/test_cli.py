@@ -58,12 +58,23 @@ class TestFuzz:
         for text, reason in [("1,2", "expected four weights"),
                              ("inf,1,1,1", "must be finite"),
                              ("-1,1,1,1", "must be non-negative"),
+                             ("-inf,1,1,1", "must be non-negative"),
+                             ("-.5,1,1,1", "must be non-negative"),
                              ("0,0,0,0", "must not all be zero")]:
-            with pytest.raises(SystemExit) as exc:
-                # the = form lets a leading minus sign through
-                main(["fuzz", "--weights=" + text])
-            assert exc.value.code == 2, text
-            assert reason in capsys.readouterr().err, text
+            # a leading minus sign reaches parse_weights in either form
+            for argv in (["fuzz", "--weights=" + text], ["fuzz", "--weights", text],
+                         ["fuzz", "--w", text]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2, argv
+                assert reason in capsys.readouterr().err, argv
+
+    def test_negative_values_of_other_options_are_left_alone(self, capsys):
+        # only the value right after --weights is joined to it
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--ops", "-1", "--weights", "1,1,1,1"])
+        assert exc.value.code == 2
+        assert "argument --ops: must be at least 1, got -1" in capsys.readouterr().err
 
 
 class TestTrace:

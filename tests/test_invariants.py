@@ -10,6 +10,7 @@ from violationheap import HeapError, ViolationHeap
 from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
                                       max_rank_bound, potential_snapshot,
                                       size_floor)
+from violationheap.oracle import apply_op, gen_ops
 
 
 def build(n):
@@ -64,12 +65,101 @@ def test_inflated_rank_breaks_two_rules():
     assert full_audit(h).ok
 
 
+def test_size_bound_counts_whole_subtrees():
+    # one tree: root 1 over 3, 2, 7, 4, with 7 and 4 holding two childless
+    # children each, so 9 nodes in all and 3 under 4.  A rank whose floor
+    # (fib) the subtree meets breaks the rank formula only
+    h, hs = build(10)
+    h.delete_min()
+    root, four = h._first, hs[4]
+    assert root.nxt is root and four.down.nxt is four
+    for node, rank, size, floor in ((root, 5, 9, 8), (root, 6, 9, 13),
+                                    (four, 3, 3, 3), (four, 4, 3, 5)):
+        keep = node.rank
+        node.rank = rank
+        found = [(v.rule, v.detail) for v in full_audit(h).violations]
+        short = [f"subtree size {size} below floor {floor} for rank {rank}"] * (size < floor)
+        assert [d for rule, d in found if rule == "size-bound"] == short, (node, found)
+        assert "rank-bound" in {rule for rule, _ in found}
+        node.rank = keep
+    assert full_audit(h).ok
+
+
 def test_negative_rank_flagged():
     h, _ = build(4)
     h.delete_min()
     root = h._first
     root.rank = -1
     assert any(v.rule == "rank-bound" for v in full_audit(h).violations)
+
+
+def test_childless_node_rank_rules():
+    # a childless node's formula bound is rank_from_pair(-1, -1) = 0, and
+    # a lone node meets the size floor of ranks 0 and 1 only
+    h, _ = build(10)
+    h.delete_min()
+    leaf = h._first
+    while leaf.down is not None:
+        leaf = leaf.down
+    for rank, messages in ((2, {("rank-bound", "rank 2 exceeds formula bound 0"),
+                                ("size-bound", "subtree size 1 below floor 2 for rank 2")}),
+                           (-1, {("rank-bound", "negative rank -1")})):
+        leaf.rank = rank
+        report = full_audit(h)
+        assert {(v.rule, v.detail) for v in report.violations} == messages
+        assert all(v.node is leaf for v in report.violations)
+        leaf.rank = 0
+        assert full_audit(h).ok
+
+
+def test_child_list_into_a_root_of_the_same_heap():
+    # roots x -> z -> y -> x: y's nxt names x and x's names z, so y hung
+    # under x, or x under z, is a last child whose links agree, yet it is
+    # also a root; the walk meets it twice and says so without raising
+    h = ViolationHeap()
+    x, y, z = h.insert(1), h.insert(2), h.insert(3)
+    assert x.nxt is z and z.nxt is y and y.nxt is x
+    for parent, root in ((x, y), (z, x)):
+        parent.down = root
+        report = full_audit(h)
+        assert [(v.rule, v.node) for v in report.violations] == [("structure", root)]
+        with pytest.raises(HeapError):
+            potential_snapshot(h)
+        parent.down = None
+        assert full_audit(h).ok
+
+
+def _count_and_max_rank(heap):
+    # a plain depth-first walk over the root cycle and the child lists
+    count = max_rank = 0
+    stack = []
+    r = heap._first
+    while r is not None:
+        stack.append(r)
+        r = r.nxt
+        if r is heap._first:
+            break
+    while stack:
+        p = stack.pop()
+        count += 1
+        max_rank = max(max_rank, p.rank)
+        c = p.down
+        while c is not None:
+            stack.append(c)
+            c = c.prv
+    return count, max_rank
+
+
+def test_report_matches_an_independent_walk():
+    for seed in (0, 1, 2):
+        h, handles = ViolationHeap(), []
+        for i, op in enumerate(gen_ops(seed, 2000).ops, 1):
+            apply_op(h, handles, op)
+            if i % 250 == 0:
+                report = full_audit(h)
+                assert report.ok, (seed, i, report.to_json())
+                assert (report.node_count, report.max_rank) == _count_and_max_rank(h)
+                assert report.node_count == len(h) > 0
 
 
 def test_heap_order_violation_flagged():

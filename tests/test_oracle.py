@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from violationheap import invariants, oracle
 from violationheap.heap_core import EmptyHeapError
 from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, OpScript, gen_ops,
                                   parse_weights, replay, run_differential,
@@ -292,6 +293,11 @@ class TestReplay:
     def test_audit_cadence_zero_disables(self):
         v = run_differential(1, 300, audit_every=0)
         assert v.passed and v.audits == 0
+
+    def test_audits_through_the_invariants_function(self):
+        # replay calls full_audit through the oracle module's own binding,
+        # which perfbench's trace patches to time the audit
+        assert oracle.full_audit is invariants.full_audit
 
     def test_json_line(self):
         import json
