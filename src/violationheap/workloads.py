@@ -14,7 +14,9 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from array import array
+from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 from .baselines import BinaryHeap, PairingHeap
 from .heap_core import Telemetry, ViolationHeap
@@ -24,6 +26,10 @@ from .oracle import OpScript, apply_op, sampler
 INF_KEY = (1 << 63) - 1
 # gen_graph draws arc weights uniformly from [0, MAX_WEIGHT]
 MAX_WEIGHT = 10 ** 6
+# gen_graph draws this many arcs per chunk of its arc array
+_GEN_CHUNK = 1 << 10
+# a Graph stores every tail, head and weight in [-_INT64, _INT64)
+_INT64 = 1 << 63
 
 # the run columns, then one column per Telemetry counter
 CSV_COLUMNS = ("workload", "heap", "n", "m", "seed", "wall_ns",
@@ -42,58 +48,99 @@ def make_heap(name: str):
     return _HEAP_CLASSES[name]()
 
 
-@dataclass
 class Graph:
-    """Directed graph; arcs are (tail, head, weight) with 0-based vertices."""
+    """Directed graph on vertices 0..n-1.
 
-    n: int
-    arcs: list = field(default_factory=list)
+    ``flat`` holds the arcs as one ``array('q')`` laid out ``[tail, head,
+    weight, tail, head, weight, ...]`` in arc order, 24 bytes per arc.
+    ``Graph(n, arcs)`` takes any iterable of ``(tail, head, weight)``
+    triples, refusing a vertex outside 0..n-1 with ValueError, and
+    ``arcs`` yields them back in arc order.
+    """
+
+    __slots__ = ("n", "flat")
+
+    def __init__(self, n: int, arcs=()) -> None:
+        self.n = n
+        self.flat = array("q")
+        for u, v, w in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc {u}->{v} has a vertex outside 0..{n - 1}")
+            self.flat.extend((u, v, w))
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return len(self.flat) // 3
 
-    def adjacency(self) -> list:
-        """Each vertex's out-arcs as one flat list ``[head, weight, head,
-        weight, ...]`` in arc order.
+    @property
+    def arcs(self):
+        """An iterator of ``(tail, head, weight)`` in arc order."""
+        it = iter(self.flat)
+        return zip(it, it, it)
 
-        Flat pairs cost about 25 bytes per arc where one ``(head, weight)``
-        tuple per arc costs about 72, and they add no object for the
-        cyclic collector to track.  ``dijkstra`` reads them in pairs.
+    def adjacency(self) -> tuple:
+        """The out-arcs in CSR form, ``(first, pairs)``: ``pairs`` is an
+        ``array('q')`` of ``[head, weight, ...]`` grouped by tail, in arc
+        order within each tail, and ``pairs[first[u]:first[u + 1]]`` is
+        vertex u's out-arcs.  ``first`` is a list of n + 1 offsets.
+
+        One pass counts each tail's arcs and one scatters the arcs into
+        place; ``pairs`` takes 16 bytes per arc.
         """
-        adj: list = [[] for _ in range(self.n)]
-        for u, v, w in self.arcs:
-            adj[u] += v, w
-        return adj
+        count = [0] * (self.n + 1)
+        for u in memoryview(self.flat)[::3]:
+            count[u + 1] += 2
+        first = list(accumulate(count))
+        nxt = first[:-1]
+        pairs = array("q", [0]) * (2 * self.m)
+        it = iter(self.flat)
+        for u, v, w in zip(it, it, it):
+            p = nxt[u]
+            nxt[u] = p + 2
+            pairs[p] = v
+            pairs[p + 1] = w
+        return first, pairs
 
 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Random directed multigraph: m uniform ordered pairs, self-loops
     allowed, weights uniform on [0, MAX_WEIGHT].  The stream is
     ``random.Random(seed)``, drawn through ``oracle.sampler``: tail,
-    head, then weight, arc by arc."""
+    head, then weight, arc by arc.
+
+    The arc array is allocated at its final size, 24 bytes per arc, and
+    filled _GEN_CHUNK arcs at a time, so no list of all 3m draws is ever
+    made.
+    """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     if m < 0:
         raise ValueError(f"arc count must be non-negative, got {m}")
     below = sampler(random.Random(seed))
-    arcs = [(below(n), below(n), below(MAX_WEIGHT + 1)) for _ in range(m)]
-    return Graph(n, arcs)
+    size = 3 * m
+    flat = array("q", [0]) * size
+    bounds = (n, n, MAX_WEIGHT + 1) * _GEN_CHUNK
+    for start in range(0, size, len(bounds)):
+        stop = min(start + len(bounds), size)
+        flat[start:stop] = array("q", [below(b) for b in bounds[:stop - start]])
+    graph = Graph(n)
+    graph.flat = flat
+    return graph
 
 
 def read_dimacs(source) -> Graph:
     """Parse shortest-path DIMACS text: 'c' comments, one 'p sp N M'
     header, then M lines 'a tail head weight' with 1-based vertices.
 
-    Accepts a path or an iterable of lines.  Malformed input raises
-    ValueError naming the offending line number.
+    Accepts a path or an iterable of lines.  Malformed input, including
+    a weight outside the int64 range, raises ValueError naming the
+    offending line number.
     """
     if isinstance(source, str):
         with open(source) as fh:
             return read_dimacs(fh)
-    n = -1
+    graph = None
     declared_m = -1
-    arcs: list = []
     lineno = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -101,7 +148,7 @@ def read_dimacs(source) -> Graph:
             continue
         fields = line.split()
         if fields[0] == "p":
-            if n >= 0:
+            if graph is not None:
                 raise ValueError(f"line {lineno}: duplicate problem line")
             if len(fields) != 4 or fields[1] != "sp":
                 raise ValueError(f"line {lineno}: expected 'p sp <n> <m>'")
@@ -109,10 +156,12 @@ def read_dimacs(source) -> Graph:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer sizes") from None
-            if n <= 0 or declared_m < 0:
+            # vertex n is stored as n - 1, which must fit in int64
+            if not 0 < n <= _INT64 or declared_m < 0:
                 raise ValueError(f"line {lineno}: bad sizes n={n} m={declared_m}")
+            graph = Graph(n)
         elif fields[0] == "a":
-            if n < 0:
+            if graph is None:
                 raise ValueError(f"line {lineno}: arc before problem line")
             if len(fields) != 4:
                 raise ValueError(f"line {lineno}: expected 'a <tail> <head> <weight>'")
@@ -120,32 +169,36 @@ def read_dimacs(source) -> Graph:
                 u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer arc") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"line {lineno}: vertex out of range 1..{n}")
-            arcs.append((u - 1, v - 1, w))
+            if not (1 <= u <= graph.n and 1 <= v <= graph.n):
+                raise ValueError(f"line {lineno}: vertex out of range 1..{graph.n}")
+            if not -_INT64 <= w < _INT64:
+                raise ValueError(f"line {lineno}: weight {w} outside the int64 range")
+            graph.flat.extend((u - 1, v - 1, w))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {fields[0]!r}")
-    if n < 0:
+    if graph is None:
         raise ValueError("no problem line found")
-    if len(arcs) != declared_m:
+    if graph.m != declared_m:
         raise ValueError(
-            f"problem line declares {declared_m} arcs, file has {len(arcs)}")
-    return Graph(n, arcs)
+            f"problem line declares {declared_m} arcs, file has {graph.m}")
+    return graph
 
 
 def dijkstra(graph: Graph, source: int, heap=None) -> list:
     """Single-source shortest distances; unreachable stays INF_KEY.
 
     Negative arc weights raise ValueError when the search reaches them.
-    The relax loop walks ``Graph.adjacency()``'s flat ``[head, weight,
-    ...]`` lists with ``zip(it, it)``, which reuses its result tuple, so
-    relaxing an arc allocates nothing.
+    The relax loop reads vertex u's out-arcs from ``Graph.adjacency()``'s
+    CSR form as ``pairs[first[u]:first[u + 1]]``, sliced through a
+    ``memoryview`` so that nothing is copied, and walks the slice with
+    ``zip(it, it)``, which reuses its result tuple.
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
     if heap is None:
         heap = make_heap("violation")
-    adj = graph.adjacency()
+    first, pairs = graph.adjacency()
+    out = memoryview(pairs)
     dist = [INF_KEY] * graph.n
     dist[source] = 0
     handles = [heap.insert(dist[v], v) for v in range(graph.n)]
@@ -153,7 +206,7 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
         du, u = heap.delete_min()
         if du == INF_KEY:
             break   # nothing reachable remains
-        it = iter(adj[u])
+        it = iter(out[first[u]:first[u + 1]])
         for v, w in zip(it, it):
             if w < 0:
                 raise ValueError(f"negative weight {w} on arc {u}->{v}")

@@ -205,6 +205,14 @@ class TestBench:
         code, _, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.parametrize("weight", [2 ** 63, -2 ** 63 - 1])
+    def test_dimacs_weight_outside_int64_exit_two(self, capsys, tmp_path, weight):
+        f = tmp_path / "wide.gr"
+        f.write_text(f"p sp 2 1\na 1 2 {weight}\n")
+        code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
+        assert code == 2 and out == ""
+        assert "line 2" in err and "int64" in err
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):
         path = tmp_path / "absent.gr" if where == "missing" else tmp_path

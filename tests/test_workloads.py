@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -45,6 +46,12 @@ class TestDijkstra:
         g = Graph(3, [(0, 1, 2), (2, 0, -9)])
         assert dijkstra(g, 0) == [0, 2, INF_KEY]
 
+    @pytest.mark.parametrize("arc", [(0, -1, 5), (-1, 1, 5), (0, 2, 5), (2, 0, 5)])
+    def test_graph_refuses_vertex_out_of_range(self, arc):
+        # a negative vertex would otherwise index from the end of a list
+        with pytest.raises(ValueError, match="outside 0..1"):
+            Graph(2, [arc])
+
     def test_bad_source(self):
         with pytest.raises(ValueError, match="source"):
             dijkstra(Graph(2, []), 5)
@@ -63,8 +70,8 @@ class TestGenGraph:
         assert g.n == 50 and g.m == 200
         assert all(0 <= u < 50 and 0 <= v < 50 and 0 <= w <= 10 ** 6
                    for u, v, w in g.arcs)
-        assert g.arcs == gen_graph(50, 200, seed=5).arcs
-        assert g.arcs != gen_graph(50, 200, seed=6).arcs
+        assert list(g.arcs) == list(gen_graph(50, 200, seed=5).arcs)
+        assert list(g.arcs) != list(gen_graph(50, 200, seed=6).arcs)
 
     def test_stream_pinned(self):
         # perfbench's dijkstra graph at --seed 0, arc by arc
@@ -77,16 +84,55 @@ class TestGenGraph:
         with pytest.raises(ValueError, match="arc count"):
             gen_graph(5, -1, 1)
 
+    def test_memory_per_arc(self):
+        # the arc array keeps 24 bytes per arc, and the chunked fill adds
+        # only one chunk on top; a (tail, head, weight) tuple per arc kept
+        # about 155
+        tracemalloc.start()
+        try:
+            g = gen_graph(2_000, 20_000, 1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept / g.m <= 25
+        assert peak / g.m < 40
+
 
 class TestAdjacency:
+    @staticmethod
+    def out_arcs(g):
+        first, pairs = g.adjacency()
+        assert len(first) == g.n + 1 and first[0] == 0
+        assert first[-1] == len(pairs) == 2 * g.m
+        return [list(pairs[first[u]:first[u + 1]]) for u in range(g.n)]
+
     def test_flat_pairs_in_arc_order(self):
         # parallel arcs 0->1, self-loops on 0 and 2, and a vertex with none
         g = Graph(4, [(0, 1, 5), (2, 2, 0), (0, 0, 3), (0, 1, 2), (2, 0, 7),
                       (0, 1, 5)])
-        assert g.adjacency() == [[1, 5, 0, 3, 1, 2, 1, 5], [], [2, 0, 0, 7], []]
+        first, pairs = g.adjacency()
+        assert isinstance(pairs, array) and pairs.typecode == "q"
+        assert list(first) == [0, 8, 8, 12, 12]
+        assert list(pairs) == [1, 5, 0, 3, 1, 2, 1, 5, 2, 0, 0, 7]
+        assert self.out_arcs(g) == [[1, 5, 0, 3, 1, 2, 1, 5], [], [2, 0, 0, 7], []]
+
+    def test_boundary_vertices(self):
+        # vertex 0 has no arcs and the last vertex has some
+        g = Graph(3, [(2, 0, 4), (1, 2, 1), (2, 1, 6)])
+        first, pairs = g.adjacency()
+        assert list(first) == [0, 0, 2, 6]
+        assert self.out_arcs(g) == [[], [2, 1], [0, 4, 1, 6]]
+        assert dijkstra(g, 0) == [0, INF_KEY, INF_KEY]
+        assert dijkstra(g, 2) == [4, 6, 0]
+
+    def test_single_vertex_without_arcs(self):
+        g = Graph(1, [])
+        first, pairs = g.adjacency()
+        assert list(first) == [0, 0] and len(pairs) == 0
+        assert dijkstra(g, 0) == [0]
 
     def test_memory_per_arc(self):
-        # the flat lists peak at about 25 bytes per arc; a (head, weight)
+        # the CSR form peaks at about 24 bytes per arc; a (head, weight)
         # tuple per arc would peak at about 72
         g = gen_graph(2_000, 20_000, 1)
         tracemalloc.start()
@@ -102,8 +148,13 @@ class TestDimacs:
     def test_round_trip(self):
         text = "c tiny\np sp 2 1\na 1 2 7\n"
         g = read_dimacs(io.StringIO(text))
-        assert g.n == 2 and g.arcs == [(0, 1, 7)]
+        assert g.n == 2 and list(g.arcs) == [(0, 1, 7)]
         assert dijkstra(g, 0) == [0, 7]
+
+    def test_int64_extremes_kept(self):
+        text = f"p sp 2 2\na 1 2 {2 ** 63 - 1}\na 2 1 {-2 ** 63}\n"
+        g = read_dimacs(io.StringIO(text))
+        assert list(g.arcs) == [(0, 1, 2 ** 63 - 1), (1, 0, -2 ** 63)]
 
     @pytest.mark.parametrize("text,fragment", [
         ("a 1 2 7\n", "line 1: arc before problem line"),
@@ -114,6 +165,9 @@ class TestDimacs:
         ("p sp 2 1\np sp 2 1\n", "duplicate problem line"),
         ("p sp x 1\n", "line 1"),
         ("", "no problem line"),
+        (f"p sp 2 1\na 1 2 {2 ** 63}\n", "line 2: weight"),
+        (f"p sp 2 1\na 1 2 {-2 ** 63 - 1}\n", "line 2: weight"),
+        (f"p sp {2 ** 63 + 1} 0\n", "line 1: bad sizes"),
     ])
     def test_errors_name_the_line(self, text, fragment):
         with pytest.raises(ValueError) as err:
