@@ -3,14 +3,18 @@
 ``NaivePQ`` is the one reference model: an unordered list of live
 (key, id) entries plus a lazy ``heapq`` over the same tuples.  It is
 plain and obviously correct, which is the whole point.  ``sampler``
-makes every seeded integer draw in the package.  ``gen_ops``
-drives a ``NaivePQ`` to build random operation scripts whose alive keys
-are always pairwise distinct, so the minimum element is unambiguous and
-both structures must delete the same element.  ``apply_op`` steps any
-heap through one op; ``run_differential`` replays a script through it
-against a fresh naive queue and a violation heap side by side, comparing
-sizes, minimums, deleted elements, and (at a configurable cadence) the
-full structural audit.
+makes every seeded integer draw in the package.  ``_draw_ops`` draws
+each op from a ``NaivePQ``'s state, which its consumer steps before it
+asks for the next, keeping the alive keys pairwise distinct so the
+minimum element is unambiguous and both structures must delete the
+same element.  ``apply_op`` steps any heap through one op.  ``_check``
+is the one checking loop: it steps a fresh violation heap and a naive
+queue side by side, comparing sizes, minimums, deleted elements, and
+(at a configurable cadence) the full structural audit.  Each
+differential run steps one model: ``run_differential`` draws each op
+from the very ``NaivePQ`` that ``_check`` steps, while ``gen_ops``
+keeps a drawn script for ``replay``, which checks it against a fresh
+model.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import heapq
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -99,13 +104,28 @@ class NaivePQ:
 
     def delete_min(self) -> tuple:
         """Remove and return (key, item) of the minimum element."""
-        top = self.find_min()
-        if top is None:
+        heap = self._heap
+        entries = self._entries
+        pos = self._pos
+        while heap:
+            top = heapq.heappop(heap)
+            key, ident = top
+            p = pos.get(ident)
+            if p is not None and entries[p] is top:
+                break
+        else:
             raise EmptyHeapError("empty")
-        heapq.heappop(self._heap)
-        key, ident = top
-        self._remove(ident)
-        self._drop_key(key)
+        del pos[ident]
+        last = entries.pop()
+        if p < len(entries):
+            entries[p] = last
+            pos[last[1]] = p
+        count = self._key_count
+        c = count[key] - 1
+        if c:
+            count[key] = c
+        else:
+            del count[key]
         return key, self._items[ident]
 
     def decrease_key(self, ident: int, new_key) -> None:
@@ -118,22 +138,13 @@ class NaivePQ:
         entry = (new_key, ident)
         self._entries[pos] = entry
         heapq.heappush(self._heap, entry)
-        self._drop_key(old_key)
-        self._key_count[new_key] = self._key_count.get(new_key, 0) + 1
-
-    def _remove(self, ident: int) -> None:
-        pos = self._pos.pop(ident)
-        last = self._entries.pop()
-        if pos < len(self._entries):
-            self._entries[pos] = last
-            self._pos[last[1]] = pos
-
-    def _drop_key(self, key) -> None:
-        c = self._key_count[key] - 1
+        count = self._key_count
+        c = count[old_key] - 1
         if c:
-            self._key_count[key] = c
+            count[old_key] = c
         else:
-            del self._key_count[key]
+            del count[old_key]
+        count[new_key] = count.get(new_key, 0) + 1
 
 
 @dataclass
@@ -198,70 +209,85 @@ def parse_weights(text: str) -> tuple:
     return _normalize_weights(float(p) for p in text.split(","))
 
 
-def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript:
-    """Build a random script with pairwise-distinct alive keys.
+def _draw_ops(seed: int, n_ops: int, w: tuple, model: NaivePQ):
+    """Yield ``n_ops`` ops drawn from ``random.Random(seed)`` and the
+    state of ``model``, under normalized weights ``w``.
 
-    The script is built by driving a ``NaivePQ``: it supplies the alive
-    keys, the minimum each delete removes, and the ids that decreases
-    target.  Distinct alive keys make the minimum unique, so a naive
-    queue and the heap under test must always agree on which element
-    delete_min removes.  Keys freed by deletion may be drawn again later.
-    The stream is ``random.Random(seed)``, its integers drawn through
-    ``sampler``.
+    The consumer steps ``model`` through each op before it asks for the
+    next, so the model supplies the alive keys, the minimum each delete
+    removes, and the ids that decreases target.  Every drawn key is
+    absent from the model, and a meld batch's keys also from each other,
+    so the alive keys stay pairwise distinct.  The stream's integers are
+    drawn through ``sampler``.
     """
     rng = random.Random(seed)
+    rand = rng.random
     below = sampler(rng)
-    w = _normalize_weights(weights)
-    c1 = w[0]
-    c2 = c1 + w[1]
-    c3 = c2 + w[2]
+    cuts = (w[0], w[0] + w[1], w[0] + w[1] + w[2])
+    multiplicity = model.key_multiplicity
 
-    model = NaivePQ()
-    ops: list = []
-
-    def fresh_key() -> int:
+    def fresh_key(batch=()) -> int:
         while True:
             k = below(2 * KEY_SPAN) - KEY_SPAN
-            if not model.key_multiplicity(k):
+            if not multiplicity(k) and k not in batch:
                 return k
 
     for _ in range(n_ops):
-        for _attempt in range(8):
-            r = rng.random()
-            kind = 0 if r < c1 else 1 if r < c2 else 2 if r < c3 else 3
-            if kind in (1, 2) and not model:
-                continue
-            break
-        else:
-            kind = 0
+        # insert, delete_min, decrease_key or meld; a delete or decrease
+        # drawn on an empty model is redrawn, up to 8 draws in all
+        kind = bisect_right(cuts, rand())
+        if 0 < kind < 3 and not model:
+            for _attempt in range(7):
+                kind = bisect_right(cuts, rand())
+                if not 0 < kind < 3:
+                    break
+            else:
+                kind = 0
 
         if kind == 0:
-            k = fresh_key()
-            ops.append(("insert", k))
-            model.insert(k)
+            yield ("insert", fresh_key())
         elif kind == 1:
-            model.delete_min()
-            ops.append(("deletemin",))
+            yield ("deletemin",)
         elif kind == 2:
             ident = model.ident_at(below(len(model)))
             cur = model.key_of(ident)
             # mix local nudges with span-scale drops: nudges mostly stay
             # above the parent, drops force cuts and rank repairs
-            hi = 1000 if rng.random() < 0.5 else KEY_SPAN
-            while True:
+            hi = 1000 if rand() < 0.5 else KEY_SPAN
+            nk = cur - 1 - below(hi)
+            while multiplicity(nk):
                 nk = cur - 1 - below(hi)
-                if not model.key_multiplicity(nk):
-                    break
-            model.decrease_key(ident, nk)
-            ops.append(("decrease", ident, nk))
+            yield ("decrease", ident, nk)
         else:
             batch = []
             for _ in range(1 + below(MELD_BATCH_MAX)):
-                k = fresh_key()
-                batch.append(k)
-                model.insert(k)
-            ops.append(("meld", tuple(batch)))
+                batch.append(fresh_key(batch))
+            yield ("meld", tuple(batch))
 
+
+def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript:
+    """Build a random script with pairwise-distinct alive keys.
+
+    The ops are drawn by ``_draw_ops`` from a ``NaivePQ`` stepped through
+    each op in turn.  Distinct alive keys make the minimum unique, so a
+    naive queue and the heap under test must always agree on which
+    element delete_min removes.  Keys freed by deletion may be drawn
+    again later.
+    """
+    model = NaivePQ()
+    ops: list = []
+    for op in _draw_ops(seed, n_ops, _normalize_weights(weights), model):
+        ops.append(op)
+        kind = op[0]
+        if kind == "insert":
+            model.insert(op[1])
+        elif kind == "deletemin":
+            model.delete_min()
+        elif kind == "decrease":
+            model.decrease_key(op[1], op[2])
+        else:
+            for k in op[1]:
+                model.insert(k)
     return OpScript(seed=seed, ops=ops)
 
 
@@ -270,19 +296,25 @@ def apply_op(heap, handles: list, op: tuple):
     ``delete_min`` returned, else None.  Each inserted element takes its
     id, its index in ``handles``, as its item, and a meld melds in a
     ``heap.spawn()`` that holds its batch.  This is the one mapping from
-    the op format onto the heap API."""
+    the op format onto the heap API.  An op of unknown kind, or a
+    decrease of an id not yet inserted, raises ValueError before the
+    heap is touched."""
     kind = op[0]
     if kind == "insert":
         handles.append(heap.insert(op[1], len(handles)))
     elif kind == "deletemin":
         return heap.delete_min()
     elif kind == "decrease":
+        if not 0 <= op[1] < len(handles):
+            raise ValueError(f"decrease of an id never inserted: {op!r}")
         heap.decrease_key(handles[op[1]], op[2])
-    else:
+    elif kind == "meld":
         side = heap.spawn()
         for k in op[1]:
             handles.append(side.insert(k, len(handles)))
         heap.meld(side)
+    else:
+        raise ValueError(f"unknown op kind: {op!r}")
 
 
 @dataclass(kw_only=True)
@@ -319,26 +351,29 @@ class Verdict(Telemetry):
 
 def _resolve_cadence(audit_every: Optional[int], n_ops: int) -> int:
     """0 disables audits; None picks every op for short scripts and a
-    sparse schedule for long ones."""
+    sparse schedule for long ones; a negative cadence is refused."""
     if audit_every is None:
         return 1 if n_ops <= 2000 else max(1, n_ops // 25)
+    if audit_every < 0:
+        raise ValueError(f"audit_every must be None or >= 0, got {audit_every}")
     return audit_every
 
 
-def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
-    """Run one script against NaivePQ and a fresh violation heap.
+def _check(seed: int, ops, n_ops: int, audit_every: Optional[int],
+           naive: NaivePQ) -> Verdict:
+    """Step a fresh violation heap and ``naive`` through ``ops``, which
+    holds ``n_ops`` ops, side by side: the one checking loop.
 
-    Each op steps the heap through ``apply_op``, then the naive queue.
-    Returns a failing Verdict on the first observable divergence,
-    structural audit finding, or heap-side exception.  Scripts with
-    duplicate alive keys must not decrease an id after an ambiguous
-    deletion; generated scripts never contain duplicates.
+    Each op steps the heap through ``apply_op``, then the naive queue,
+    and only then is the next op taken from ``ops``, which may draw it
+    from ``naive``'s state.  Returns a failing Verdict on the first
+    observable divergence, structural audit finding, or heap-side
+    exception.
     """
-    cadence = _resolve_cadence(audit_every, len(script.ops))
-    v = Verdict(seed=script.seed, op_count=len(script.ops), passed=False)
+    cadence = _resolve_cadence(audit_every, n_ops)
+    v = Verdict(seed=seed, op_count=n_ops, passed=False)
 
     heap = ViolationHeap()
-    naive = NaivePQ()
     handles: list = []   # dense id -> NodeHandle
 
     def fill_stats() -> None:
@@ -351,7 +386,7 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
         fill_stats()
         return v
 
-    for i, op in enumerate(script.ops):
+    for i, op in enumerate(ops):
         try:
             kind = op[0]
             was_delete = kind == "deletemin"
@@ -406,15 +441,30 @@ def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
         report = full_audit(heap)
         v.audits += 1
         if not report.ok:
-            return fail(len(script.ops), "final audit: " + report.to_json())
+            return fail(n_ops, "final audit: " + report.to_json())
 
     v.passed = True
     fill_stats()
     return v
 
 
+def replay(script: OpScript, audit_every: Optional[int] = None) -> Verdict:
+    """Run one script against a fresh NaivePQ and violation heap.
+
+    See ``_check``.  Scripts with duplicate alive keys must not decrease
+    an id after an ambiguous deletion; generated scripts never contain
+    duplicates.
+    """
+    return _check(script.seed, script.ops, len(script.ops), audit_every, NaivePQ())
+
+
 def run_differential(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS,
                      audit_every: Optional[int] = None) -> Verdict:
-    """Generate a script for this seed and replay it; see ``replay``."""
-    script = gen_ops(seed, n_ops, weights)
-    return replay(script, audit_every=audit_every)
+    """Check a fresh violation heap against one NaivePQ over the script
+    ``gen_ops(seed, n_ops, weights)``, drawing each op from that model
+    as the check steps it; the Verdict equals ``replay``'s of the
+    script, but no script list is built."""
+    naive = NaivePQ()
+    ops = _draw_ops(seed, n_ops, _normalize_weights(weights), naive)
+    # gen_ops makes an empty script of a negative n_ops
+    return _check(seed, ops, max(n_ops, 0), audit_every, naive)

@@ -8,10 +8,11 @@ import zlib
 import pytest
 
 from violationheap import invariants, oracle
-from violationheap.heap_core import EmptyHeapError
-from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, OpScript, gen_ops,
-                                  parse_weights, replay, run_differential,
-                                  sampler)
+from violationheap.heap_core import EmptyHeapError, ViolationHeap
+from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, OpScript, apply_op,
+                                  gen_ops, parse_weights, replay,
+                                  run_differential, sampler)
+from violationheap.workloads import HEAP_NAMES, make_heap
 
 
 class TestNaivePQ:
@@ -137,11 +138,15 @@ def test_parse_weights():
     for bad in ("inf,1,1,1", "1e308,1e308,0,0"):
         with pytest.raises(ValueError, match="finite"):
             parse_weights(bad)
-    # gen_ops checks the weights it is given the same way
+    # gen_ops and run_differential check the weights they are given the
+    # same way, before any op is drawn
     for bad in ((1, 2, 3), (-1, 1, 1, 1), (0, 0, 0, 0), (float("nan"), 1, 1, 1),
                 (float("inf"), 1, 1, 1)):
-        with pytest.raises(ValueError):
-            gen_ops(0, 10, bad)
+        for n_ops in (0, 10):
+            with pytest.raises(ValueError):
+                gen_ops(0, n_ops, bad)
+            with pytest.raises(ValueError):
+                run_differential(0, n_ops, bad)
 
 
 # bounds for the sampler: small, Dijkstra-sized, past 2**31 and 2**32,
@@ -299,11 +304,90 @@ class TestReplay:
         # which perfbench's trace patches to time the audit
         assert oracle.full_audit is invariants.full_audit
 
+    def test_negative_cadence_refused(self):
+        for bad in (-1, -7):
+            with pytest.raises(ValueError, match="audit_every"):
+                run_differential(3, 300, audit_every=bad)
+            with pytest.raises(ValueError, match="audit_every"):
+                replay(gen_ops(3, 30), audit_every=bad)
+
     def test_json_line(self):
         import json
         doc = json.loads(run_differential(2, 100).to_json())
         assert doc["seed"] == 2 and doc["ops"] == 100
         assert doc["verdict"] == "pass" and doc["fail_at"] is None
+
+
+class TestApplyOp:
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    @pytest.mark.parametrize("op", [("melt", (1,)), ("decrease", -1, 1),
+                                    ("decrease", 1, 1)])
+    def test_malformed_op_refused_before_the_heap_moves(self, name, op):
+        heap = make_heap(name)
+        handles: list = []
+        apply_op(heap, handles, ("insert", 3))
+        with pytest.raises(ValueError) as err:
+            apply_op(heap, handles, op)
+        assert repr(op) in str(err.value)
+        assert len(heap) == 1 and len(handles) == 1
+        assert heap.delete_min() == (3, 0)
+
+    def test_replay_refuses_an_unknown_kind(self):
+        # it would otherwise be stepped as a meld, and the run pass
+        with pytest.raises(ValueError, match="melt"):
+            replay(OpScript(0, [("insert", 3), ("melt", (1,))]))
+
+    def test_replay_refuses_a_negative_decrease_id(self):
+        # it would otherwise decrease the last element inserted
+        with pytest.raises(ValueError, match="never inserted"):
+            replay(OpScript(0, [("insert", 3), ("insert", 4), ("decrease", -1, 1)]))
+
+
+class TestOneModel:
+    """run_differential draws each op from the model its check steps;
+    its verdict must be the one replay gives on gen_ops' script."""
+
+    @pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, (0.2, 0.7, 0.05, 0.05)])
+    @pytest.mark.parametrize("audit_every", [None, 0, 1, 7])
+    def test_same_verdict_as_replaying_the_script(self, weights, audit_every):
+        for seed in range(4):
+            v = run_differential(seed, 600, weights, audit_every)
+            assert v.passed, (seed, v.detail)
+            assert v == replay(gen_ops(seed, 600, weights), audit_every)
+
+    def test_same_verdict_on_the_sparse_schedule(self):
+        for seed in (5, 6):
+            v = run_differential(seed, 2600)
+            assert v.audits == 2600 // 104 + 1
+            assert v == replay(gen_ops(seed, 2600))
+
+    def test_same_verdict_with_no_ops(self):
+        for n_ops in (0, -3):
+            assert run_differential(1, n_ops) == replay(gen_ops(1, n_ops))
+
+    def test_same_failing_verdict_with_a_bug_injected(self, monkeypatch):
+        # a decrease-key that drops every key divisible by 7 leaves the
+        # heap holding the old key; both paths must catch it at one op
+        real = ViolationHeap.decrease_key
+
+        def lossy(self, handle, new_key):
+            if new_key % 7:
+                real(self, handle, new_key)
+
+        monkeypatch.setattr(ViolationHeap, "decrease_key", lossy)
+        for seed, audit_every in ((0, None), (1, 0), (2, 7)):
+            v = run_differential(seed, 1500, audit_every=audit_every)
+            assert not v.passed and v.fail_at is not None and v.detail
+            w = replay(gen_ops(seed, 1500), audit_every)
+            assert (v.fail_at, v.detail) == (w.fail_at, w.detail)
+            assert v == w
+
+    # verdicts of the first and last seeds of acceptance criterion 1,
+    # as test_scripts_pinned pins their scripts
+    @pytest.mark.parametrize("seed,crc", [(0, 389648628), (199, 696774414)])
+    def test_verdicts_pinned(self, seed, crc):
+        doc = run_differential(seed, 10_000).to_json()
+        assert zlib.crc32(doc.encode()) == crc
 
 
 def test_default_weights_shape():
