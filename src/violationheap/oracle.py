@@ -7,14 +7,14 @@ makes every seeded integer draw in the package.  ``_draw_ops`` draws
 each op from a ``NaivePQ``'s state, which its consumer steps before it
 asks for the next, keeping the alive keys pairwise distinct so the
 minimum element is unambiguous and both structures must delete the
-same element.  ``apply_op`` steps any heap through one op.  ``_check``
-is the one checking loop: it steps a fresh violation heap and a naive
-queue side by side, comparing sizes, minimums, deleted elements, and
-(at a configurable cadence) the full structural audit.  Each
-differential run steps one model: ``run_differential`` draws each op
-from the very ``NaivePQ`` that ``_check`` steps, while ``gen_ops``
-keeps a drawn script for ``replay``, which checks it against a fresh
-model.
+same element.  ``apply_op`` steps any heap, or a ``NaivePQ``, through
+one op.  ``_check`` is the one checking loop: it steps a fresh violation
+heap and a naive queue side by side through ``apply_op``, comparing
+sizes, minimums, deleted elements, and (at a configurable cadence) the
+full structural audit.  Each differential run steps one model:
+``run_differential`` draws each op from the very ``NaivePQ`` that
+``_check`` steps, while ``gen_ops`` keeps a drawn script for
+``replay``, which checks it against a fresh model.
 """
 
 from __future__ import annotations
@@ -146,6 +146,18 @@ class NaivePQ:
             del count[old_key]
         count[new_key] = count.get(new_key, 0) + 1
 
+    def spawn(self) -> "NaivePQ":
+        """The queue itself: the model is one multiset, so ``apply_op``
+        inserts a meld batch straight into it."""
+        return self
+
+    def meld(self, other) -> "NaivePQ":
+        """Return self when other is self (the spawned side of a meld);
+        any other queue raises HeapError."""
+        if other is not self:
+            raise HeapError("a NaivePQ melds only itself, its own spawn")
+        return self
+
 
 @dataclass
 class OpScript:
@@ -275,30 +287,23 @@ def gen_ops(seed: int, n_ops: int, weights: tuple = DEFAULT_WEIGHTS) -> OpScript
     again later.
     """
     model = NaivePQ()
+    ids: list = []
     ops: list = []
     for op in _draw_ops(seed, n_ops, _normalize_weights(weights), model):
         ops.append(op)
-        kind = op[0]
-        if kind == "insert":
-            model.insert(op[1])
-        elif kind == "deletemin":
-            model.delete_min()
-        elif kind == "decrease":
-            model.decrease_key(op[1], op[2])
-        else:
-            for k in op[1]:
-                model.insert(k)
+        apply_op(model, ids, op)
     return OpScript(seed=seed, ops=ops)
 
 
 def apply_op(heap, handles: list, op: tuple):
-    """Apply one ``OpScript`` op to any of the three heaps; return what
-    ``delete_min`` returned, else None.  Each inserted element takes its
-    id, its index in ``handles``, as its item, and a meld melds in a
-    ``heap.spawn()`` that holds its batch.  This is the one mapping from
-    the op format onto the heap API.  An op of unknown kind, or a
-    decrease of an id not yet inserted, raises ValueError before the
-    heap is touched."""
+    """Apply one ``OpScript`` op to any of the three heaps or to a
+    ``NaivePQ``; return what ``delete_min`` returned, else None.  Each
+    inserted element takes its id, its index in ``handles``, as its
+    item, and a meld melds in a ``heap.spawn()`` that holds its batch
+    (a ``NaivePQ`` spawns and melds itself).  This is the one mapping
+    from the op format onto the heap API, for the heaps under test and
+    the model alike.  An op of unknown kind, or a decrease of an id not
+    yet inserted, raises ValueError before the heap is touched."""
     kind = op[0]
     if kind == "insert":
         handles.append(heap.insert(op[1], len(handles)))
@@ -364,17 +369,18 @@ def _check(seed: int, ops, n_ops: int, audit_every: Optional[int],
     """Step a fresh violation heap and ``naive`` through ``ops``, which
     holds ``n_ops`` ops, side by side: the one checking loop.
 
-    Each op steps the heap through ``apply_op``, then the naive queue,
-    and only then is the next op taken from ``ops``, which may draw it
-    from ``naive``'s state.  Returns a failing Verdict on the first
-    observable divergence, structural audit finding, or heap-side
-    exception.
+    Each op steps the heap through ``apply_op``, then the naive queue
+    through it too, and only then is the next op taken from ``ops``,
+    which may draw it from ``naive``'s state.  Returns a failing Verdict
+    on the first observable divergence, structural audit finding, or
+    heap-side exception.
     """
     cadence = _resolve_cadence(audit_every, n_ops)
     v = Verdict(seed=seed, op_count=n_ops, passed=False)
 
     heap = ViolationHeap()
     handles: list = []   # dense id -> NodeHandle
+    ids: list = []       # dense id -> naive's id, the same number
 
     def fill_stats() -> None:
         for name, value in asdict(heap.telemetry).items():
@@ -392,26 +398,22 @@ def _check(seed: int, ops, n_ops: int, audit_every: Optional[int],
             was_delete = kind == "deletemin"
             if was_delete:
                 v.deletes += 1
-            first_id = len(handles)
             # heap first: a stale target or a refused key then yields a
             # failing verdict instead of an oracle-side exception
             got = apply_op(heap, handles, op)
+            want = apply_op(naive, ids, op)
             if kind == "insert":
-                naive.insert(op[1], first_id)
                 v.inserts += 1
             elif was_delete:
                 hk, hitem = got
-                nk, nitem = naive.delete_min()
+                nk, nitem = want
                 if hk != nk:
                     return fail(i, f"delete_min key {hk!r}, oracle removed {nk!r}")
                 if naive.key_multiplicity(nk) == 0 and hitem != nitem:
                     return fail(i, f"delete_min item {hitem!r}, oracle removed {nitem!r}")
             elif kind == "decrease":
-                naive.decrease_key(op[1], op[2])
                 v.decreases += 1
             else:
-                for ident, k in enumerate(op[1], first_id):
-                    naive.insert(k, ident)
                 v.melds += 1
 
             if len(heap) != len(naive):

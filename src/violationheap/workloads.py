@@ -187,11 +187,14 @@ def read_dimacs(source) -> Graph:
 def dijkstra(graph: Graph, source: int, heap=None) -> list:
     """Single-source shortest distances; unreachable stays INF_KEY.
 
-    Negative arc weights raise ValueError when the search reaches them.
-    The relax loop reads vertex u's out-arcs from ``Graph.adjacency()``'s
-    CSR form as ``pairs[first[u]:first[u + 1]]``, sliced through a
-    ``memoryview`` so that nothing is copied, and walks the slice with
-    ``zip(it, it)``, which reuses its result tuple.
+    Negative arc weights raise ValueError when the search reaches them,
+    and so does a vertex that is reached but whose distance is INF_KEY
+    or more, which INF_KEY could not tell from unreachable.  An arc that
+    would offer such a distance is legal while its head is reached
+    another way.  The relax loop reads vertex u's out-arcs from
+    ``Graph.adjacency()``'s CSR form as ``pairs[first[u]:first[u + 1]]``,
+    sliced through a ``memoryview`` so that nothing is copied, and walks
+    the slice with ``zip(it, it)``, which reuses its result tuple.
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
@@ -202,18 +205,27 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
     dist = [INF_KEY] * graph.n
     dist[source] = 0
     handles = [heap.insert(dist[v], v) for v in range(graph.n)]
+    too_far = []   # heads of arcs that offered a distance >= INF_KEY
     for _ in range(graph.n):
         du, u = heap.delete_min()
         if du == INF_KEY:
             break   # nothing reachable remains
+        room = INF_KEY - du   # a weight of room or more reaches INF_KEY
         it = iter(out[first[u]:first[u + 1]])
         for v, w in zip(it, it):
-            if w < 0:
-                raise ValueError(f"negative weight {w} on arc {u}->{v}")
+            if not 0 <= w < room:
+                if w < 0:
+                    raise ValueError(f"negative weight {w} on arc {u}->{v}")
+                too_far.append(v)
+                continue
             nd = du + w
             if nd < dist[v]:
                 dist[v] = nd
                 heap.decrease_key(handles[v], nd)
+    for v in too_far:
+        if dist[v] == INF_KEY:
+            raise ValueError(f"vertex {v} is reached, but its distance is "
+                             f"at least {INF_KEY}, the unreachable sentinel")
     return dist
 
 

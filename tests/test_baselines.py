@@ -13,7 +13,7 @@ from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
                                      StaleHandleError, Telemetry)
 from violationheap.invariants import full_audit
-from violationheap.oracle import NaivePQ, gen_ops
+from violationheap.oracle import DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
 
@@ -193,38 +193,17 @@ def test_a_removed_element_releases_the_heap(name):
 
 
 @pytest.mark.parametrize("name", HEAPS)
-def test_random_traffic_against_dict_model(name):
-    # the heap and NaivePQ side by side.  Alive keys stay distinct, so
-    # both must delete the same element.
-    rng = random.Random(9)
-    h = make_heap(name)
-    model = NaivePQ()
-    handles = []      # model id -> the heap's handle
-
-    def insert(heap):
-        k = rng.randrange(10 ** 9)
-        while model.key_multiplicity(k):
-            k = rng.randrange(10 ** 9)
-        handles.append(heap.insert(k, model.insert(k, len(handles))))
-
-    for step in range(12000):
-        r = rng.random()
-        if r < 0.45 or not model:
-            insert(h)
-        elif r < 0.7:
-            i = model.ident_at(rng.randrange(len(model)))
-            nk = model.key_of(i) - rng.randrange(1, 10 ** 6)
-            if not model.key_multiplicity(nk):
-                h.decrease_key(handles[i], nk)
-                model.decrease_key(i, nk)
-        elif r < 0.95:
-            assert h.delete_min() == model.delete_min(), step
-        else:
-            side = h.spawn()
-            for _ in range(rng.randrange(1, 4)):
-                insert(side)
-            assert h.meld(side) is h and side.is_empty(), step
-        assert len(h) == len(model) and h.find_min() == model.find_min(), step
+def test_replay_against_the_model(name):
+    # the heap and NaivePQ side by side, both stepped by apply_op over
+    # generated scripts.  Alive keys stay distinct, so both must delete
+    # the same element.
+    for weights in (DEFAULT_WEIGHTS, (0.2, 0.7, 0.05, 0.05)):
+        h, handles, model, ids = make_heap(name), [], NaivePQ(), []
+        for step, op in enumerate(gen_ops(9, 12000, weights).ops):
+            where = weights, step, op
+            assert apply_op(h, handles, op) == apply_op(model, ids, op), where
+            assert len(h) == len(model), where
+            assert h.find_min() == model.find_min(), where
 
 
 def _drain(h, limit):
@@ -269,16 +248,10 @@ def _stage(h, handles, op):
 
 def _build(name, ops):
     # ops replayed on a fresh heap and on a NaivePQ with plain int keys
-    h, model, handles = make_heap(name), NaivePQ(), []
+    h, model, handles, ids = make_heap(name), NaivePQ(), [], []
     for op in ops:
         _stage(h, handles, op)[0]()
-        if op[0] == "deletemin":
-            model.delete_min()
-        elif op[0] == "decrease":
-            model.decrease_key(op[1], op[2])
-        else:
-            for k in (op[1],) if op[0] == "insert" else op[1]:
-                model.insert(k)
+        apply_op(model, ids, op)
     return h, model, handles
 
 

@@ -213,6 +213,13 @@ class TestBench:
         assert code == 2 and out == ""
         assert "line 2" in err and "int64" in err
 
+    def test_dimacs_distance_reaching_the_sentinel_exit_two(self, capsys, tmp_path):
+        f = tmp_path / "far.gr"
+        f.write_text(f"p sp 3 2\na 1 2 {2 ** 62}\na 2 3 {2 ** 62}\n")
+        code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
+        assert code == 2 and out == ""
+        assert "vertex 2 is reached" in err
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):
         path = tmp_path / "absent.gr" if where == "missing" else tmp_path

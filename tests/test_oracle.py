@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from violationheap import invariants, oracle
-from violationheap.heap_core import EmptyHeapError, ViolationHeap
+from violationheap.heap_core import EmptyHeapError, HeapError, ViolationHeap
 from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, OpScript, apply_op,
                                   gen_ops, parse_weights, replay,
                                   run_differential, sampler)
@@ -124,6 +124,18 @@ class TestNaivePQ:
     def test_empty_delete(self):
         with pytest.raises(EmptyHeapError):
             NaivePQ().delete_min()
+
+    def test_spawns_and_melds_only_itself(self):
+        # what apply_op's meld needs: the batch goes into the queue itself
+        q = NaivePQ()
+        q.insert(2)
+        assert q.spawn() is q and q.meld(q) is q
+        other = NaivePQ()
+        other.insert(1)
+        with pytest.raises(HeapError, match="itself"):
+            q.meld(other)
+        assert (len(q), q.find_min()) == (1, (2, 0))
+        assert (len(other), other.find_min()) == (1, (1, 0))
 
 
 def test_parse_weights():
@@ -319,17 +331,18 @@ class TestReplay:
 
 
 class TestApplyOp:
-    @pytest.mark.parametrize("name", HEAP_NAMES)
+    @pytest.mark.parametrize("name", HEAP_NAMES + ("naive",))
     @pytest.mark.parametrize("op", [("melt", (1,)), ("decrease", -1, 1),
                                     ("decrease", 1, 1)])
     def test_malformed_op_refused_before_the_heap_moves(self, name, op):
-        heap = make_heap(name)
+        heap = NaivePQ() if name == "naive" else make_heap(name)
         handles: list = []
         apply_op(heap, handles, ("insert", 3))
         with pytest.raises(ValueError) as err:
             apply_op(heap, handles, op)
         assert repr(op) in str(err.value)
         assert len(heap) == 1 and len(handles) == 1
+        assert heap.find_min() == (3, 0)
         assert heap.delete_min() == (3, 0)
 
     def test_replay_refuses_an_unknown_kind(self):

@@ -46,6 +46,19 @@ class TestDijkstra:
         g = Graph(3, [(0, 1, 2), (2, 0, -9)])
         assert dijkstra(g, 0) == [0, 2, INF_KEY]
 
+    @pytest.mark.parametrize("arcs,vertex", [
+        ([(0, 1, 2 ** 62), (1, 2, 2 ** 62)], 2),   # true distance 2**63
+        ([(0, 1, INF_KEY)], 1)], ids=["sum", "one-arc"])
+    def test_distance_reaching_the_sentinel_raises(self, arcs, vertex):
+        # the vertex is reached; INF_KEY would report it unreachable
+        for name in HEAP_NAMES:
+            with pytest.raises(ValueError, match=f"vertex {vertex} is reached"):
+                dijkstra(Graph(3, arcs), 0, make_heap(name))
+
+    def test_oversized_arc_into_a_vertex_reached_another_way(self):
+        g = Graph(3, [(0, 1, INF_KEY), (0, 2, 1), (2, 1, INF_KEY - 2)])
+        assert dijkstra(g, 0) == [0, INF_KEY - 1, 1]
+
     @pytest.mark.parametrize("arc", [(0, -1, 5), (-1, 1, 5), (0, 2, 5), (2, 0, 5)])
     def test_graph_refuses_vertex_out_of_range(self, arc):
         # a negative vertex would otherwise index from the end of a list
