@@ -75,7 +75,10 @@ class Telemetry:
     ``max_rank`` is the high-water mark of every rank assigned in the
     family or brought into it by ``meld``.  ``rank_update_steps`` counts
     executed rank decreases during upward propagation, which is the
-    length of the repair walk each decrease-key pays for.
+    length of the repair walk each decrease-key pays for.  ``delete_min``
+    adds its comparisons and joins, and lifts ``max_rank``, once per
+    call, when it returns or raises; a join hook sees the counters as
+    they stood before the call.
     """
 
     comparisons: int = 0
@@ -149,7 +152,8 @@ class NodePool:
         # debug hook: called with "before" / "after" and the trees in
         # flight (every tree of the heap being consolidated) around every
         # 3-way join; one that raises is handled like a key comparison
-        # that raises
+        # that raises.  The counters it reads are those from before the
+        # delete_min: the call adds its own when it returns or raises
         self.join_hook = None
 
     def new_heap(self) -> "ViolationHeap":
@@ -373,6 +377,11 @@ class ViolationHeap:
         may hold three or more roots until the next delete_min.  Joins
         already made stay, and stay counted; a comparison that raised is
         not counted.
+
+        The call's comparisons, joins and highest new rank are kept in
+        locals and added to ``Telemetry`` once, when the call returns or
+        raises, so a join hook sees the counters as they stood before the
+        call.
         """
         if self._count == 0:
             raise EmptyHeapError("empty")
@@ -392,6 +401,11 @@ class ViolationHeap:
         s2 = s1[:]
         hook = self.pool.join_hook
         v = None
+        # this call's joins, comparisons and highest rank, added to t once
+        # when the call returns or raises: a join hook may drive a sibling
+        # heap of the family meanwhile, so t is added to, never assigned
+        joins = cmps = 0
+        top = t.max_rank
         try:
             while True:
                 if i is z:
@@ -419,19 +433,17 @@ class ViolationHeap:
                     if hook is not None:
                         hook("before", _in_flight(s1, s2, v, i, rest, z))
                     assert a.rank == b.rank == r, "3-way join needs equal ranks"
-                    w = a
-                    if b.key < w.key:
-                        w = b
-                    if v.key < w.key:
-                        w = v
-                    t.comparisons += 2
-                    s1[r] = s2[r] = None
-                    if w is a:
-                        l1, l2 = b, v
-                    elif w is b:
-                        l1, l2 = a, v
+                    if b.key < a.key:
+                        if v.key < b.key:
+                            w, l1, l2 = v, a, b
+                        else:
+                            w, l1, l2 = b, a, v
+                    elif v.key < a.key:
+                        w, l1, l2 = v, a, b
                     else:
-                        l1, l2 = a, b
+                        w, l1, l2 = a, b, v
+                    cmps += 2
+                    s1[r] = s2[r] = None
                     # the winner's two active children are reordered if the
                     # older outranks the newer, so the higher-ranked one
                     # stays closer to the end of the child list
@@ -454,9 +466,9 @@ class ViolationHeap:
                     w.down = l2
                     r += 1
                     w.rank = r
-                    t.joins += 1
-                    if r > t.max_rank:
-                        t.max_rank = r
+                    joins += 1
+                    if r > top:
+                        top = r
                         if r == len(s1):
                             s1.append(None)
                             s2.append(None)
@@ -479,7 +491,7 @@ class ViolationHeap:
                     if k < bk:
                         best = u
                         bk = k
-                    t.comparisons += 1
+                    cmps += 1
                 last = u
             if last is not None:
                 last.nxt = first
@@ -494,6 +506,11 @@ class ViolationHeap:
                 u.nxt = w
             self._first = z
             raise
+        finally:
+            t.joins += joins
+            t.comparisons += cmps
+            if top > t.max_rank:
+                t.max_rank = top
         self._first = best
         # a removed node keeps no link: its None nxt marks it removed, and
         # a handle held on to pins its own element, not the trees it left

@@ -55,14 +55,17 @@ class Graph:
     weight, tail, head, weight, ...]`` in arc order, 24 bytes per arc.
     ``Graph(n, arcs)`` takes any iterable of ``(tail, head, weight)``
     triples, refusing a vertex outside 0..n-1 with ValueError, and
-    ``arcs`` yields them back in arc order.
+    ``arcs`` yields them back in arc order.  ``base`` is the number the
+    graph's source gives vertex 0, for messages only: 0, or 1 for a graph
+    read from DIMACS.
     """
 
-    __slots__ = ("n", "flat")
+    __slots__ = ("n", "flat", "base")
 
     def __init__(self, n: int, arcs=()) -> None:
         self.n = n
         self.flat = array("q")
+        self.base = 0
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc {u}->{v} has a vertex outside 0..{n - 1}")
@@ -160,6 +163,7 @@ def read_dimacs(source) -> Graph:
             if not 0 < n <= _INT64 or declared_m < 0:
                 raise ValueError(f"line {lineno}: bad sizes n={n} m={declared_m}")
             graph = Graph(n)
+            graph.base = 1
         elif fields[0] == "a":
             if graph is None:
                 raise ValueError(f"line {lineno}: arc before problem line")
@@ -189,9 +193,10 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
 
     Negative arc weights raise ValueError when the search reaches them,
     and so does a vertex that is reached but whose distance is INF_KEY
-    or more, which INF_KEY could not tell from unreachable.  An arc that
-    would offer such a distance is legal while its head is reached
-    another way.  The relax loop reads vertex u's out-arcs from
+    or more, which INF_KEY could not tell from unreachable.  Both errors
+    number vertices from ``graph.base``, as the graph's source does.  An
+    arc that would offer such a distance is legal while its head is
+    reached another way.  The relax loop reads vertex u's out-arcs from
     ``Graph.adjacency()``'s CSR form as ``pairs[first[u]:first[u + 1]]``,
     sliced through a ``memoryview`` so that nothing is copied, and walks
     the slice with ``zip(it, it)``, which reuses its result tuple.
@@ -215,7 +220,8 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
         for v, w in zip(it, it):
             if not 0 <= w < room:
                 if w < 0:
-                    raise ValueError(f"negative weight {w} on arc {u}->{v}")
+                    raise ValueError(f"negative weight {w} on arc "
+                                     f"{u + graph.base}->{v + graph.base}")
                 too_far.append(v)
                 continue
             nd = du + w
@@ -224,8 +230,9 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
                 heap.decrease_key(handles[v], nd)
     for v in too_far:
         if dist[v] == INF_KEY:
-            raise ValueError(f"vertex {v} is reached, but its distance is "
-                             f"at least {INF_KEY}, the unreachable sentinel")
+            raise ValueError(f"vertex {v + graph.base} is reached, but its "
+                             f"distance is at least {INF_KEY}, the "
+                             f"unreachable sentinel")
     return dist
 
 

@@ -12,7 +12,7 @@ from raising_keys import Tripwire
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError,
                                      StaleHandleError, Telemetry)
-from violationheap.invariants import full_audit
+from violationheap.invariants import JoinNeutralityMonitor, full_audit
 from violationheap.oracle import DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
@@ -264,18 +264,23 @@ def _snapshot(heaps, handles):
             [[getattr(e, s) for s in e.__slots__] for e in handles])
 
 
-def _check(name, op, k, heaps, handles, model, before):
+def _check(name, op, k, heaps, handles, model, before, monitor):
     # the promise table of README (Baselines), after op raised at its
-    # k-th comparison; the model holds the elements from before op
+    # k-th comparison; the model holds the elements from before op, and
+    # monitor, on a violation heap's delete_min, saw the joins it made
     where = name, op, k
     h = heaps[0]
     split = op[0] == "meld" and name == "binary"
     if op[0] == "deletemin" and name != "binary":
-        # rolled back: the joins made stay, but no comparison that raised
-        # is counted, and nothing was cut
+        # rolled back: the joins made stay, and so do the k comparisons
+        # made, less the first of a violation join whose second raised;
+        # the one that raised is not counted, and nothing was cut
         t0, t1 = before[0], asdict(h.telemetry)
-        assert 0 <= t1["comparisons"] - t0["comparisons"] <= k, where
+        assert k - 1 <= t1["comparisons"] - t0["comparisons"] <= k, where
         assert [t1[c] - t0[c] for c in ("cuts", "rank_update_steps")] == [0, 0]
+        if monitor is not None:
+            assert t1["joins"] - t0["joins"] == monitor.joins, where
+            assert not monitor.mismatches, where
     elif not split:
         assert _snapshot(heaps, handles) == before, where
     if name == "violation":
@@ -311,9 +316,12 @@ def _sweep(name, ops, first):
             h, model, handles = _build(name, ops[:i])
             call, heaps = _stage(h, handles, op)
             before = _snapshot(heaps, handles)
+            monitor = None
+            if name == "violation" and op[0] == "deletemin":
+                monitor = JoinNeutralityMonitor(h).install()
             with pytest.raises(RuntimeError, match="tripwire"):
                 _armed(k, call)
-            _check(name, op, k, heaps, handles, model, before)
+            _check(name, op, k, heaps, handles, model, before, monitor)
         points[op[0]] += total
     return points
 

@@ -218,7 +218,14 @@ class TestBench:
         f.write_text(f"p sp 3 2\na 1 2 {2 ** 62}\na 2 3 {2 ** 62}\n")
         code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
         assert code == 2 and out == ""
-        assert "vertex 2 is reached" in err
+        assert "vertex 3 is reached" in err
+
+    def test_dimacs_negative_weight_names_the_file_vertices(self, capsys, tmp_path):
+        f = tmp_path / "neg.gr"
+        f.write_text("p sp 2 1\na 1 2 -3\n")
+        code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
+        assert code == 2 and out == ""
+        assert "negative weight -3 on arc 1->2" in err
 
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):

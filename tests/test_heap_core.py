@@ -451,6 +451,62 @@ def test_golden_counters():
                                               max_rank=7)
 
 
+def _hooked_family():
+    # 40 keys in h, one in its sibling side; the hook runs after each join
+    h = ViolationHeap()
+    side = h.spawn()
+    for k in random.Random(4).sample(range(1000), 40):
+        h.insert(k)
+    side.insert(-1)
+    return h, side
+
+
+def test_delete_min_adds_to_counters_a_join_hook_moved():
+    # each join's hook inserts a new minimum into a sibling, one
+    # comparison each: delete_min's write adds to those, never overwrites
+    # them (values taken from the code that wrote Telemetry at every join)
+    h, side = _hooked_family()
+    assert h.telemetry == Telemetry(comparisons=39)
+
+    def hook(phase, trees):
+        if phase == "after":
+            side.insert(-2 - len(side))
+
+    h.pool.join_hook = hook
+    assert h.delete_min() == (20, None)
+    assert len(side) == 19 and full_audit(h).ok and full_audit(side).ok
+    assert h.telemetry == Telemetry(comparisons=95, joins=18, cuts=0,
+                                    rank_update_steps=0, max_rank=3)
+
+
+def test_join_hook_lifting_max_rank_mid_call():
+    # a hook that melds a heap of higher ranks into the sibling lifts the
+    # family's max_rank while delete_min runs: the call still sizes its
+    # slots from its own ranks and keeps the higher max_rank.  The hook
+    # sees the counters as they stood before the call.
+    h, side = _hooked_family()
+    far = ViolationHeap()
+    for k in range(2000):
+        far.insert(k)
+    far.delete_min()
+    assert far.telemetry.max_rank == 6
+    seen = []
+
+    def hook(phase, trees):
+        if phase == "after":
+            seen.append(h.telemetry.joins)
+            side.insert(len(side))
+            if len(side) == 3:
+                side.meld(far)
+
+    h.pool.join_hook = hook
+    assert h.delete_min() == (20, None)
+    assert seen == [0] * 18 and len(side) == 2018
+    assert full_audit(h).ok and full_audit(side).ok
+    assert h.telemetry == Telemetry(comparisons=96, joins=18, cuts=0,
+                                    rank_update_steps=0, max_rank=6)
+
+
 def test_key_increase_rejected():
     h = ViolationHeap()
     a = h.insert(10)

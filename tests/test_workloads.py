@@ -38,7 +38,7 @@ class TestDijkstra:
 
     def test_negative_weight_raises(self):
         g = Graph(2, [(0, 1, -3)])
-        with pytest.raises(ValueError, match="negative weight"):
+        with pytest.raises(ValueError, match="negative weight -3 on arc 0->1"):
             dijkstra(g, 0)
 
     def test_unreached_negative_arc_ignored(self):
@@ -192,6 +192,19 @@ class TestDimacs:
         f.write_text("p sp 3 2\na 1 2 4\na 2 3 6\n")
         g = read_dimacs(str(f))
         assert dijkstra(g, 0) == [0, 4, 10]
+
+    @pytest.mark.parametrize("text,message", [
+        ("p sp 2 1\na 1 2 -3\n", "negative weight -3 on arc 1->2"),
+        (f"p sp 3 2\na 1 2 {2 ** 62}\na 2 3 {2 ** 62}\n", "vertex 3 is reached")])
+    def test_dijkstra_errors_number_vertices_as_the_file_does(self, text, message):
+        # the graph stores vertices from 0 but names them from 1, as read
+        g = read_dimacs(io.StringIO(text))
+        assert g.base == 1
+        with pytest.raises(ValueError, match=message):
+            dijkstra(g, 0)
+
+    def test_built_graphs_number_vertices_from_zero(self):
+        assert Graph(2, [(0, 1, 5)]).base == gen_graph(3, 4, 0).base == 0
 
 
 class TestBenches:
