@@ -201,6 +201,15 @@ def sampler(rng: random.Random):
     in the package is defined by it: the graphs, the op scripts and the
     heapsort keys reproduce on any Python whose ``getrandbits`` keeps the
     Mersenne Twister's output.
+
+    ``below.rounds(pattern, times)`` is the batched draw for a stream
+    whose bounds repeat a fixed pattern: ``times`` rounds of one draw per
+    bound in ``pattern``, in a list of exactly the values that calling
+    ``below`` on each bound in turn returns.  It takes each bound's bit
+    count once and each first try straight from ``getrandbits``; a
+    rejected try redraws through ``below``.  A bound that is not positive
+    raises ValueError before anything is drawn.  ``gen_graph`` fills its
+    arc chunks with it and ``heapsort_bench`` draws its keys with it.
     """
     getrandbits = rng.getrandbits
 
@@ -213,6 +222,14 @@ def sampler(rng: random.Random):
             r = getrandbits(k)
         return r
 
+    def rounds(pattern, times: int) -> list:
+        for n in pattern:
+            if n <= 0:
+                raise ValueError(f"rounds needs every bound > 0, got {n}")
+        draws = [(n, n.bit_length()) for n in pattern] * times
+        return [r if (r := getrandbits(k)) < n else below(n) for n, k in draws]
+
+    below.rounds = rounds
     return below
 
 

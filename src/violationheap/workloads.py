@@ -53,22 +53,27 @@ class Graph:
 
     ``flat`` holds the arcs as one ``array('q')`` laid out ``[tail, head,
     weight, tail, head, weight, ...]`` in arc order, 24 bytes per arc.
-    ``Graph(n, arcs)`` takes any iterable of ``(tail, head, weight)``
-    triples, refusing a vertex outside 0..n-1 with ValueError, and
-    ``arcs`` yields them back in arc order.  ``base`` is the number the
-    graph's source gives vertex 0, for messages only: 0, or 1 for a graph
-    read from DIMACS.
+    ``Graph(n, arcs)`` refuses n outside 1..2**63, since vertex n - 1 must
+    fit in int64.  It takes any iterable of ``(tail, head, weight)``
+    triples, refusing a vertex outside 0..n-1 or a weight outside the
+    int64 range with ValueError naming the arc, and ``arcs`` yields them
+    back in arc order.  ``base`` is the number the graph's source gives
+    vertex 0, for messages only: 0, or 1 for a graph read from DIMACS.
     """
 
     __slots__ = ("n", "flat", "base")
 
     def __init__(self, n: int, arcs=()) -> None:
+        if not 0 < n <= _INT64:
+            raise ValueError(f"vertex count must be in 1..2**63, got {n}")
         self.n = n
         self.flat = array("q")
         self.base = 0
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc {u}->{v} has a vertex outside 0..{n - 1}")
+            if not -_INT64 <= w < _INT64:
+                raise ValueError(f"arc {u}->{v} has weight {w} outside the int64 range")
             self.flat.extend((u, v, w))
 
     @property
@@ -109,24 +114,23 @@ def gen_graph(n: int, m: int, seed: int) -> Graph:
     """Random directed multigraph: m uniform ordered pairs, self-loops
     allowed, weights uniform on [0, MAX_WEIGHT].  The stream is
     ``random.Random(seed)``, drawn through ``oracle.sampler``: tail,
-    head, then weight, arc by arc.
+    head, then weight, arc by arc.  ``Graph(n)`` is made first, so n
+    outside 1..2**63 raises ValueError before anything is drawn.
 
     The arc array is allocated at its final size, 24 bytes per arc, and
-    filled _GEN_CHUNK arcs at a time, so no list of all 3m draws is ever
-    made.
+    filled _GEN_CHUNK arcs at a time, each chunk by one batched draw,
+    ``below.rounds((n, n, MAX_WEIGHT + 1), arcs)``, so no list of all 3m
+    draws is ever made.
     """
-    if n <= 0:
-        raise ValueError("graph needs at least one vertex")
+    graph = Graph(n)
     if m < 0:
         raise ValueError(f"arc count must be non-negative, got {m}")
-    below = sampler(random.Random(seed))
-    size = 3 * m
-    flat = array("q", [0]) * size
-    bounds = (n, n, MAX_WEIGHT + 1) * _GEN_CHUNK
-    for start in range(0, size, len(bounds)):
-        stop = min(start + len(bounds), size)
-        flat[start:stop] = array("q", [below(b) for b in bounds[:stop - start]])
-    graph = Graph(n)
+    rounds = sampler(random.Random(seed)).rounds
+    pattern = (n, n, MAX_WEIGHT + 1)
+    flat = array("q", [0]) * (3 * m)
+    for start in range(0, m, _GEN_CHUNK):
+        arcs = min(_GEN_CHUNK, m - start)
+        flat[3 * start:3 * (start + arcs)] = array("q", rounds(pattern, arcs))
     graph.flat = flat
     return graph
 
@@ -265,8 +269,7 @@ def _record(workload: str, heap_name: str, heap, n: int, m: int, seed: int,
 
 def heapsort_bench(heap_name: str, n: int, seed: int) -> BenchRecord:
     """Insert n random keys, pop them all; output must come out sorted."""
-    below = sampler(random.Random(seed))
-    keys = [below(1 << 60) for _ in range(n)]
+    keys = sampler(random.Random(seed)).rounds((1 << 60,), n)
     heap = make_heap(heap_name)
     t0 = time.perf_counter_ns()
     for k in keys:

@@ -227,6 +227,12 @@ class TestBench:
         assert code == 2 and out == ""
         assert "negative weight -3 on arc 1->2" in err
 
+    def test_vertex_count_past_int64_exit_two(self, capsys):
+        code, out, err = run(capsys, "bench", "dijkstra", "--n", str(1 << 64),
+                             "--m", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "vertex count" in err
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):
         path = tmp_path / "absent.gr" if where == "missing" else tmp_path

@@ -195,6 +195,48 @@ class TestSampler:
         assert rng.getstate() == state
 
 
+class TestSamplerRounds:
+    """``below.rounds`` returns what ``below``, and so ``randrange``,
+    would draw bound by bound from the same state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_bounds_match_below_and_randrange(self, seed):
+        rounds = sampler(random.Random(seed)).rounds
+        below = sampler(random.Random(seed))
+        ref = random.Random(seed)
+        for n in SAMPLER_BOUNDS:
+            got = rounds((n,), 20)
+            assert got == [below(n) for _ in range(20)], n
+            assert got == [ref.randrange(n) for _ in range(20)], n
+
+    def test_multi_bound_pattern_with_random_interleaved(self):
+        rng = random.Random(11)
+        rounds = sampler(rng).rounds
+        ref = random.Random(11)
+        below = sampler(ref)
+        pattern = (15_000, 15_000, 10 ** 6 + 1, 1, 1 << 60, 2 ** 33 + 1, 3)
+        for times in (0, 1, 7, 300):
+            expect = [below(n) for _ in range(times) for n in pattern]
+            assert rounds(pattern, times) == expect, times
+            assert rng.random() == ref.random()
+
+    def test_no_rounds_draw_nothing(self):
+        rng = random.Random(4)
+        rounds = sampler(rng).rounds
+        state = rng.getstate()
+        assert rounds((5, 1 << 60), 0) == [] and rounds((), 3) == []
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("pattern", [(0,), (5, -1), (1 << 60, 3, 0)])
+    def test_refuses_a_non_positive_bound_without_drawing(self, pattern):
+        rng = random.Random(9)
+        rounds = sampler(rng).rounds
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="bound > 0"):
+            rounds(pattern, 4)
+        assert rng.getstate() == state
+
+
 class TestGenOps:
     def test_deterministic(self):
         assert gen_ops(7, 500).ops == gen_ops(7, 500).ops

@@ -65,6 +65,18 @@ class TestDijkstra:
         with pytest.raises(ValueError, match="outside 0..1"):
             Graph(2, [arc])
 
+    @pytest.mark.parametrize("n", [0, (1 << 63) + 1])
+    def test_graph_refuses_vertex_count_outside_int64(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n)
+
+    @pytest.mark.parametrize("w", [1 << 63, -(1 << 63) - 1])
+    def test_graph_refuses_weight_outside_int64(self, w):
+        with pytest.raises(ValueError, match=f"arc 0->1 has weight {w} outside the int64"):
+            Graph(2, [(0, 0, 7), (0, 1, w)])
+        edge = w - 1 if w > 0 else w + 1
+        assert list(Graph(2, [(0, 1, edge)]).arcs) == [(0, 1, edge)]
+
     def test_bad_source(self):
         with pytest.raises(ValueError, match="source"):
             dijkstra(Graph(2, []), 5)
@@ -96,6 +108,13 @@ class TestGenGraph:
             gen_graph(0, 5, 1)
         with pytest.raises(ValueError, match="arc count"):
             gen_graph(5, -1, 1)
+
+    def test_vertex_count_must_fit_int64(self):
+        # vertex n - 1 is stored in int64, as read_dimacs requires
+        with pytest.raises(ValueError, match="vertex count"):
+            gen_graph((1 << 63) + 1, 1, 0)
+        g = gen_graph(1 << 63, 2, 0)
+        assert g.m == 2 and all(0 <= x < 1 << 63 for arc in g.arcs for x in arc[:2])
 
     def test_memory_per_arc(self):
         # the arc array keeps 24 bytes per arc, and the chunked fill adds
@@ -214,6 +233,12 @@ class TestBenches:
         assert r.n == 1500 and r.wall_ns > 0
         assert r.joins > 0 and r.max_rank > 0
         assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
+
+    def test_heapsort_counters_pinned(self):
+        # pins the seeded key stream: other keys would give other counters
+        r = heapsort_bench("violation", 1500, seed=2)
+        assert (r.comparisons, r.joins, r.cuts, r.rank_update_steps,
+                r.max_rank) == (24238, 7274, 0, 0, 6)
 
     def test_mixed_all_heaps(self):
         script = gen_ops(4, 3000)
