@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .heap_core import EmptyHeapError, HeapError, StaleHandleError, Telemetry, check_meld
+from .heap_core import (EmptyHeapError, HeapError, StaleHandleError, Telemetry, check_meld,
+                        spawn)
 
 
 class _BEntry:
@@ -53,10 +54,7 @@ class BinaryHeap:
         arr = self._arr
         return e.pos < len(arr) and arr[e.pos] is e
 
-    def spawn(self) -> "BinaryHeap":
-        h = BinaryHeap()
-        h.telemetry = self.telemetry
-        return h
+    spawn = spawn
 
     def insert(self, key, item=None) -> _BEntry:
         if key != key:
@@ -199,10 +197,7 @@ class PairingHeap:
     def is_live(self, node: _PNode) -> bool:
         return node.alive
 
-    def spawn(self) -> "PairingHeap":
-        h = PairingHeap()
-        h.telemetry = self.telemetry
-        return h
+    spawn = spawn
 
     def insert(self, key, item=None) -> _PNode:
         if key != key:

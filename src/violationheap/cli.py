@@ -225,18 +225,24 @@ def _cmd_bench(args) -> int:
     # seed by seed, so that each seed's graph or script is built once and
     # dropped before the next one is built
     runs = {}
-    for seed in seeds:
-        if args.workload == "dijkstra":
-            graph = dimacs if dimacs is not None else gen_graph(args.n, args.m, seed)
-        elif args.workload == "mixed":
-            script = gen_ops(seed, args.n)
-        for name in names:
-            if args.workload == "heapsort":
-                runs[name, seed] = heapsort_bench(name, args.n, seed)
+    try:
+        for seed in seeds:
+            if args.workload == "dijkstra":
+                graph = dimacs if dimacs is not None else gen_graph(args.n, args.m, seed)
             elif args.workload == "mixed":
-                runs[name, seed] = mixed_bench(name, script)
-            else:
-                runs[name, seed] = dijkstra_bench(name, graph, seed)
+                script = gen_ops(seed, args.n)
+            for name in names:
+                if args.workload == "heapsort":
+                    runs[name, seed] = heapsort_bench(name, args.n, seed)
+                elif args.workload == "mixed":
+                    runs[name, seed] = mixed_bench(name, script)
+                else:
+                    runs[name, seed] = dijkstra_bench(name, graph, seed)
+    except (OverflowError, MemoryError) as exc:
+        # a size no list can index, or too large for memory to hold
+        cause = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: the workload is too large to run ({cause})", file=sys.stderr)
+        return 2
     records = [runs[name, seed] for name in names for seed in seeds]
 
     if args.format == "json":

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import Callable, ClassVar, Optional
 
 
 class HeapError(Exception):
@@ -78,14 +78,31 @@ class Telemetry:
     length of the repair walk each decrease-key pays for.  ``delete_min``
     adds its comparisons and joins, and lifts ``max_rank``, once per
     call, when it returns or raises; a join hook sees the counters as
-    they stood before the call.
+    they stood before the call.  This object is the family's only
+    record: every sibling ``spawn`` makes shares it, join hook included.
     """
+
+    # debug hook, a class attribute and not a counter field: called with
+    # "before" / "after" and the trees in flight (every tree of the heap
+    # being consolidated) around every 3-way join; one that raises is
+    # handled like a key comparison that raises.  The counters it reads
+    # are those from before the delete_min: the call adds its own when it
+    # returns or raises
+    join_hook: ClassVar[Optional[Callable]] = None
 
     comparisons: int = 0
     joins: int = 0
     cuts: int = 0
     rank_update_steps: int = 0
     max_rank: int = 0
+
+
+def spawn(heap):
+    """An empty heap of heap's class in heap's family: it shares the
+    ``Telemetry``, so the counters and the join hook alike."""
+    h = type(heap)()
+    h.telemetry = heap.telemetry
+    return h
 
 
 def check_meld(heap, other) -> None:
@@ -142,41 +159,18 @@ def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
     return [u for u in dict.fromkeys(trees) if u is not None]
 
 
-# public only because perfbench names NodePool().new_heap() and heap.pool
-class NodePool:
-    """The family a ``ViolationHeap()`` starts and its ``spawn()`` joins:
-    shared counters and join hook."""
-
-    def __init__(self) -> None:
-        self.telemetry = Telemetry()
-        # debug hook: called with "before" / "after" and the trees in
-        # flight (every tree of the heap being consolidated) around every
-        # 3-way join; one that raises is handled like a key comparison
-        # that raises.  The counters it reads are those from before the
-        # delete_min: the call adds its own when it returns or raises
-        self.join_hook = None
-
-    def new_heap(self) -> "ViolationHeap":
-        """Create a fresh empty heap in this family."""
-        h = ViolationHeap()
-        h.pool = self
-        h.telemetry = self.telemetry
-        return h
-
-
 class ViolationHeap:
     """One meldable min-heap.
 
     find_min and insert are O(1), meld is O(1), decrease_key is amortized
     O(1), delete_min is amortized O(log n).  ``ViolationHeap()`` starts
-    a family of its own: fresh ``Telemetry`` and no join hook.  ``spawn``
-    makes an empty sibling that shares both.  meld empties any other
-    violation heap into this one.
+    a family of its own: a fresh ``Telemetry``, with no join hook.
+    ``spawn`` makes an empty sibling that shares it.  meld empties any
+    other violation heap into this one.
     """
 
     def __init__(self) -> None:
-        self.pool = NodePool()
-        self.telemetry = self.pool.telemetry
+        self.telemetry = Telemetry()
         self._first: Optional[NodeHandle] = None
         self._count = 0
 
@@ -199,9 +193,7 @@ class ViolationHeap:
             return None
         return f.key, f.item
 
-    def spawn(self) -> "ViolationHeap":
-        """An empty heap in the same family: it shares the counters."""
-        return self.pool.new_heap()
+    spawn = spawn
 
     # -- updates --------------------------------------------------------
 
@@ -399,7 +391,7 @@ class ViolationHeap:
         # every rank is at most max_rank; a join may make max_rank + 1
         s1 = [None] * (t.max_rank + 2)
         s2 = s1[:]
-        hook = self.pool.join_hook
+        hook = t.join_hook
         v = None
         # this call's joins, comparisons and highest rank, added to t once
         # when the call returns or raises: a join hook may drive a sibling
@@ -517,3 +509,9 @@ class ViolationHeap:
         z.down = z.nxt = None
         self._count -= 1
         return z.key, z.item
+
+
+# perfbench's names for ViolationHeap(), spawn() and the family record
+NodePool = ViolationHeap
+ViolationHeap.new_heap = spawn
+ViolationHeap.pool = property(lambda self: self)

@@ -302,9 +302,11 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
 class JoinNeutralityMonitor:
     """Brackets every 3-way join with degree-excess measurements.
 
-    Install on a heap before driving operations.  The monitor hooks the
-    heap's family, so it sees the joins of every heap in it: the heap
-    and each sibling ``spawn()`` made or makes.  Afterwards ``joins`` counts observed joins and
+    Install on a heap before driving operations.  The monitor sets the
+    join hook on the heap's ``Telemetry``, which its family shares, so it
+    sees the joins of every heap in it: the heap and each sibling
+    ``spawn()`` made or makes.  ``remove()`` puts back the class's hook,
+    None.  Afterwards ``joins`` counts observed joins and
     ``mismatches`` holds any join that changed the degree excess of the
     trees in flight (there must never be one).  Those trees are every
     tree of the heap being consolidated, and a join touches no node
@@ -313,7 +315,7 @@ class JoinNeutralityMonitor:
     """
 
     def __init__(self, heap: ViolationHeap) -> None:
-        self._family = heap.pool
+        self._family = heap.telemetry
         self.joins = 0
         self.mismatches: list[tuple[int, int, int]] = []
         self._before = 0
@@ -324,7 +326,7 @@ class JoinNeutralityMonitor:
 
     def remove(self) -> None:
         if self._family.join_hook == self._observe:
-            self._family.join_hook = None
+            del self._family.join_hook
 
     def _observe(self, phase: str, trees: list[NodeHandle]) -> None:
         if phase == "before":

@@ -11,6 +11,7 @@ smaller key than it was removed with.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 import zlib
@@ -143,7 +144,7 @@ def read_dimacs(source) -> Graph:
     a weight outside the int64 range, raises ValueError naming the
     offending line number.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             return read_dimacs(fh)
     graph = None

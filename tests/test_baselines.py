@@ -114,6 +114,18 @@ def test_meld_empty_sides(name):
 
 
 @pytest.mark.parametrize("name", HEAPS)
+def test_meld_ties_go_to_the_absorbing_heap(name):
+    # two siblings each hold key 1: whichever absorbs the other keeps its
+    # own element as the minimum
+    for absorber in (0, 1):
+        pair = [make_heap(name)]
+        pair.append(pair[0].spawn())
+        for i, h in enumerate(pair):
+            h.insert(1, i)
+        assert pair[absorber].meld(pair[1 - absorber]).find_min() == (1, absorber)
+
+
+@pytest.mark.parametrize("name", HEAPS)
 def test_meld_takes_its_own_kind_only(name):
     # a heap of another kind is refused with HeapError and both heaps are
     # left as they were; two heaps of one kind built apart meld

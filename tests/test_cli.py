@@ -233,6 +233,24 @@ class TestBench:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "vertex count" in err
 
+    # sizes no list can index (2**63) or no memory can hold (2**63 - 1):
+    # refused before anything is allocated
+    @pytest.mark.parametrize("argv,cause", [
+        ("heapsort --n 9223372036854775808", "OverflowError"),
+        ("dijkstra --n 9223372036854775808 --m 1", "OverflowError"),
+        ("heapsort --n 9223372036854775807", "MemoryError")])
+    def test_size_too_large_exit_two(self, capsys, argv, cause):
+        code, out, err = run(capsys, "bench", *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "too large" in err and cause in err
+
+    def test_dimacs_size_too_large_exit_two(self, capsys, tmp_path):
+        f = tmp_path / "huge.gr"
+        f.write_text("p sp 9223372036854775808 0\n")
+        code, out, err = run(capsys, "bench", "dijkstra", "--dimacs", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "OverflowError" in err
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unreadable_dimacs_exit_two(self, capsys, tmp_path, where):
         path = tmp_path / "absent.gr" if where == "missing" else tmp_path

@@ -400,6 +400,21 @@ def test_join_neutrality_monitor_beside_a_heap_with_excess():
     assert not mon.mismatches
 
 
+def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
+    # the hook lives on the family's shared Telemetry, so a sibling that
+    # spawn() makes after install() is watched as well
+    h, _ = build(10)
+    mon = JoinNeutralityMonitor(h).install()
+    side = h.spawn()
+    for k in range(100):
+        side.insert(k * 37 % 100)
+    while len(side):
+        side.delete_min()
+    mon.remove()
+    assert mon.joins == side.telemetry.joins > 10
+    assert not mon.mismatches
+
+
 def test_join_neutrality_snapshot_pair():
     h, _ = build(20)
     before = potential_snapshot(h)

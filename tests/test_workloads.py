@@ -209,8 +209,8 @@ class TestDimacs:
     def test_reads_from_path(self, tmp_path):
         f = tmp_path / "g.dimacs"
         f.write_text("p sp 3 2\na 1 2 4\na 2 3 6\n")
-        g = read_dimacs(str(f))
-        assert dijkstra(g, 0) == [0, 4, 10]
+        for path in (str(f), f):
+            assert dijkstra(read_dimacs(path), 0) == [0, 4, 10]
 
     @pytest.mark.parametrize("text,message", [
         ("p sp 2 1\na 1 2 -3\n", "negative weight -3 on arc 1->2"),
