@@ -22,10 +22,11 @@ and the only nodes that can reach their parent in O(1), via at most two
 over the ranks of its two active children, a missing child counting as
 rank -1 (so a childless node has rank 0).  ``delete_min`` walks the
 roots and the old minimum's children where they lie, keeps two trees
-per rank in slots, and joins a third with both into one tree of rank
-one higher; ``decrease_key`` cuts at most one node, glues one of its
-children into the gap, and walks ranks upward, each executed update
-decreasing a stored rank by exactly one.
+per rank in one interleaved slot list (rank r's two slots at 2r and
+2r + 1), and joins a third with both into one tree of rank one higher;
+``decrease_key`` cuts at most one node, glues one of its children into
+the gap, and walks ranks upward, each executed update decreasing a
+stored rank by exactly one.
 
 Each element is one node object, and the node is the handle ``insert``
 returns.  A live node has a successor (next root, parent or newer
@@ -35,7 +36,6 @@ sibling); removal clears the links, so using a stale handle raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, ClassVar, Optional
 
 
@@ -145,13 +145,12 @@ def _active_parent(c: NodeHandle) -> Optional[NodeHandle]:
     return None
 
 
-def _in_flight(s1: list, s2: list, v, i: NodeHandle, rest: NodeHandle,
+def _in_flight(s: list, v, i: NodeHandle, rest: NodeHandle,
                z: NodeHandle) -> list:
     # the trees of a consolidation under way: each is in a slot, or is the
     # incoming tree v, or is still unwalked along nxt from i and from rest
     # up to z (v may also sit in a slot or head i, hence the dedupe)
-    trees = [u for pair in zip(s1, s2) for u in pair]
-    trees.append(v)
+    trees = s + [v]
     for j in (i, rest):
         while j is not z:
             trees.append(j)
@@ -356,9 +355,10 @@ class ViolationHeap:
 
         The first root is removed and its children become trees.  The
         other roots, then the children (oldest first), are walked where
-        they lie into two slots per rank; a third tree that meets a full
-        rank is joined with both into one tree of the next rank, which
-        moves on up.  The survivors are relinked from the slots in
+        they lie into one slot list that holds rank r's two slots at 2r
+        and 2r + 1; a third tree that meets a full rank is joined with
+        both into one tree of the next rank, which moves on up two slots.
+        The survivors are relinked by one walk of the list, so in
         ascending rank order, with a minimum as the first root.  While
         the trees are in flight the heap has no root list.
 
@@ -382,15 +382,20 @@ class ViolationHeap:
         self._first = None
 
         # the other roots run from z.nxt and z's children from the oldest
-        # (rest), both along nxt and both ending at z
+        # (rest), both along nxt and both ending at z.  A root's prv is
+        # None already; the walk to the oldest child clears each child's
+        # as it passes, so every tree in flight has prv None
         i = z.nxt
         rest = z.down if z.down is not None else z
-        while rest.prv is not None:
-            rest = rest.prv
+        p = rest.prv
+        while p is not None:
+            rest.prv = None
+            rest = p
+            p = rest.prv
 
-        # every rank is at most max_rank; a join may make max_rank + 1
-        s1 = [None] * (t.max_rank + 2)
-        s2 = s1[:]
+        # rank r's two slots are s[2r] and s[2r + 1]; every rank is at
+        # most max_rank, and a join may make max_rank + 1
+        s = [None] * (2 * t.max_rank + 4)
         hook = t.join_hook
         v = None
         # this call's joins, comparisons and highest rank, added to t once
@@ -406,16 +411,17 @@ class ViolationHeap:
                     i, rest = rest, z
                 v = i
                 i = v.nxt
-                v.prv = None
+                # the join chain carries v's rank r and its slot index j
+                r = v.rank
+                j = r + r
                 while True:
-                    r = v.rank
-                    a = s1[r]
+                    a = s[j]
                     if a is None:
-                        s1[r] = v
+                        s[j] = v
                         break
-                    b = s2[r]
+                    b = s[j + 1]
                     if b is None:
-                        s2[r] = v
+                        s[j + 1] = v
                         break
                     # 3-way join: the smallest key (ties: a, b, v) wins and
                     # links the other two as its newest children, in that
@@ -423,7 +429,7 @@ class ViolationHeap:
                     # the slots, so a key that raises loses no tree, and
                     # count the two comparisons only once both are made.
                     if hook is not None:
-                        hook("before", _in_flight(s1, s2, v, i, rest, z))
+                        hook("before", _in_flight(s, v, i, rest, z))
                     assert a.rank == b.rank == r, "3-way join needs equal ranks"
                     if b.key < a.key:
                         if v.key < b.key:
@@ -435,21 +441,21 @@ class ViolationHeap:
                     else:
                         w, l1, l2 = a, b, v
                     cmps += 2
-                    s1[r] = s2[r] = None
+                    s[j] = s[j + 1] = None
                     # the winner's two active children are reordered if the
                     # older outranks the newer, so the higher-ranked one
                     # stays closer to the end of the child list
                     last = w.down
                     if last is not None:
-                        s = last.prv
-                        if s is not None and s.rank > last.rank:
-                            p = s.prv
+                        q = last.prv
+                        if q is not None and q.rank > last.rank:
+                            p = q.prv
                             last.prv = p
                             if p is not None:
                                 p.nxt = last
-                            last.nxt = s
-                            s.prv = last
-                            last = s
+                            last.nxt = q
+                            q.prv = last
+                            last = q
                         last.nxt = l1
                     l1.prv = last
                     l1.nxt = l2
@@ -457,21 +463,22 @@ class ViolationHeap:
                     l2.nxt = w
                     w.down = l2
                     r += 1
+                    j += 2
                     w.rank = r
                     joins += 1
                     if r > top:
                         top = r
-                        if r == len(s1):
-                            s1.append(None)
-                            s2.append(None)
+                        if j == len(s):
+                            s += (None, None)
                     v = w
                     if hook is not None:
-                        hook("after", _in_flight(s1, s2, v, i, rest, z))
+                        hook("after", _in_flight(s, v, i, rest, z))
 
-            # relink the survivors in ascending rank, s1 before s2, and
-            # make the first minimum met the first root
+            # relink the survivors in slot order, so in ascending rank and
+            # each rank's first-filled slot first, and make the first
+            # minimum met the first root
             first = last = best = None
-            for u in chain.from_iterable(zip(s1, s2)):
+            for u in s:
                 if u is None:
                     continue
                 if last is None:
@@ -490,7 +497,7 @@ class ViolationHeap:
         except BaseException:
             # z's key is at most every other key: it goes back in front
             # of all the trees, childless, and nothing is lost
-            trees = _in_flight(s1, s2, v, i, rest, z)
+            trees = _in_flight(s, v, i, rest, z)
             z.down = None
             z.rank = 0
             for u, w in zip([z] + trees, trees + [z]):

@@ -196,12 +196,15 @@ def read_dimacs(source) -> Graph:
 def dijkstra(graph: Graph, source: int, heap=None) -> list:
     """Single-source shortest distances; unreachable stays INF_KEY.
 
-    Negative arc weights raise ValueError when the search reaches them,
-    and so does a vertex that is reached but whose distance is INF_KEY
-    or more, which INF_KEY could not tell from unreachable.  Both errors
-    number vertices from ``graph.base``, as the graph's source does.  An
-    arc that would offer such a distance is legal while its head is
-    reached another way.  The relax loop reads vertex u's out-arcs from
+    ``heap``, when given, must be empty: an element already in it would
+    be popped as if it were a vertex, so a heap that holds one raises
+    ValueError before anything is inserted.  Negative arc weights raise
+    ValueError when the search reaches them, and so does a vertex that
+    is reached but whose distance is INF_KEY or more, which INF_KEY
+    could not tell from unreachable.  Both errors number vertices from
+    ``graph.base``, as the graph's source does.  An arc that would offer
+    such a distance is legal while its head is reached another way.  The
+    relax loop reads vertex u's out-arcs from
     ``Graph.adjacency()``'s CSR form as ``pairs[first[u]:first[u + 1]]``,
     sliced through a ``memoryview`` so that nothing is copied, and walks
     the slice with ``zip(it, it)``, which reuses its result tuple.
@@ -210,6 +213,9 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
         raise ValueError(f"source {source} out of range")
     if heap is None:
         heap = make_heap("violation")
+    elif len(heap):
+        raise ValueError(f"dijkstra needs an empty heap; "
+                         f"this one holds {len(heap)}")
     first, pairs = graph.adjacency()
     out = memoryview(pairs)
     dist = [INF_KEY] * graph.n

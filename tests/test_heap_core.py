@@ -451,6 +451,20 @@ def test_golden_counters():
                                               max_rank=7)
 
 
+def test_decrease_heavy_golden_counters():
+    # exact counters on traffic of 32 decrease-keys per delete-min, where
+    # most trees a delete-min consolidates come from cuts: a small heap
+    # (inserts and delete-mins balanced), and one that grows to about
+    # 1,600 elements
+    for seed, n_ops, weights, golden in (
+            (0, 10_000, (1, 1, 32, 0), (11962, 651, 682, 75, 3)),
+            (0, 20_000, (4, 1, 32, 0), (34949, 5305, 5580, 591, 7))):
+        v = run_differential(seed, n_ops, weights=weights)
+        assert v.passed
+        assert Telemetry(v.comparisons, v.joins, v.cuts, v.rank_update_steps,
+                         v.max_rank) == Telemetry(*golden)
+
+
 def _hooked_family():
     # 40 keys in h, one in its sibling side; the hook runs after each join
     h = ViolationHeap()
@@ -505,6 +519,44 @@ def test_join_hook_lifting_max_rank_mid_call():
     assert full_audit(h).ok and full_audit(side).ok
     assert h.telemetry == Telemetry(comparisons=96, joins=18, cuts=0,
                                     rank_update_steps=0, max_rank=6)
+
+
+def _tree_size(u):
+    n, stack = 0, [u]
+    while stack:
+        c = stack.pop()
+        n += 1
+        c = c.down
+        while c is not None:
+            stack.append(c)
+            c = c.prv
+    return n
+
+
+def test_join_hook_sees_whole_trees():
+    # every tree a join hook is handed is a real tree: its root has no
+    # older sibling, and together the trees hold every element but the
+    # minimum being removed (len still counts it while the call runs).
+    # Late inserts make joins while the old minimum's children are
+    # still unwalked.
+    h = ViolationHeap()
+    for k in random.Random(9).sample(range(100_000), 3000):
+        h.insert(k)
+    h.delete_min()
+    for k in range(-5, 0):
+        h.insert(k)
+    calls = []
+
+    def hook(phase, trees):
+        calls.append((all(u.prv is None for u in trees),
+                      sum(map(_tree_size, trees)) == len(h) - 1))
+
+    h.telemetry.join_hook = hook
+    for _ in range(50):
+        h.delete_min()
+    assert len(calls) > 500
+    assert [c for c in calls if c != (True, True)] == []
+    assert full_audit(h).ok
 
 
 def test_key_increase_rejected():

@@ -77,6 +77,19 @@ class TestDijkstra:
         edge = w - 1 if w > 0 else w + 1
         assert list(Graph(2, [(0, 1, edge)]).arcs) == [(0, 1, edge)]
 
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_refuses_a_heap_that_is_not_empty(self, name):
+        # a stale element would be popped as a vertex: (-100, 2) made the
+        # distances from 0 read [-99, -94, -89] instead of [0, 5, 10]
+        g = Graph(3, [(0, 1, 5), (1, 2, 5), (2, 0, 1)])
+        heap = make_heap(name)
+        heap.insert(-100, 2)
+        with pytest.raises(ValueError, match="needs an empty heap; this one holds 1"):
+            dijkstra(g, 0, heap)
+        assert len(heap) == 1 and heap.find_min() == (-100, 2)
+        heap.delete_min()
+        assert dijkstra(g, 0, heap) == [0, 5, 10]
+
     def test_bad_source(self):
         with pytest.raises(ValueError, match="source"):
             dijkstra(Graph(2, []), 5)
