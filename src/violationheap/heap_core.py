@@ -23,7 +23,10 @@ over the ranks of its two active children, a missing child counting as
 rank -1 (so a childless node has rank 0).  ``delete_min`` walks the
 roots and the old minimum's children where they lie, keeps two trees
 per rank in one interleaved slot list (rank r's two slots at 2r and
-2r + 1), and joins a third with both into one tree of rank one higher;
+2r + 1), and joins a third with both into one tree of rank one higher.
+The heap keeps that list while its root list is still exactly the
+survivors it was relinked from, and the next ``delete_min`` then walks
+only the old minimum's children; ``insert``, ``meld`` and a cut drop it.
 ``decrease_key`` cuts at most one node, glues one of its children into
 the gap, and walks ranks upward, each executed update decreasing a
 stored rank by exactly one.
@@ -172,6 +175,9 @@ class ViolationHeap:
         self.telemetry = Telemetry()
         self._first: Optional[NodeHandle] = None
         self._count = 0
+        # the slot list the last delete_min relinked the roots from, kept
+        # while the root list is exactly those roots with those ranks
+        self._slots: Optional[list] = None
 
     # -- queries --------------------------------------------------------
 
@@ -218,6 +224,7 @@ class ViolationHeap:
             f.nxt = x
             if new_min:
                 self._first = x
+        self._slots = None
         self._count += 1
         return x
 
@@ -241,6 +248,7 @@ class ViolationHeap:
             t.comparisons += 1
             # exchanging the two successors merges the two cycles
             f1.nxt, f2.nxt = f2.nxt, f1.nxt
+        self._slots = other._slots = None
         t.max_rank = max(t.max_rank, other.telemetry.max_rank)
         self._count += other._count
         other._first = None
@@ -297,6 +305,7 @@ class ViolationHeap:
         # cut x; glue its higher-ranked active child g (ties: the last one)
         # into x's old position so the parent's child count is preserved
         t.cuts += 1
+        self._slots = None
         xp = x.prv
         d = x.down
         if d is None:
@@ -362,6 +371,15 @@ class ViolationHeap:
         ascending rank order, with a minimum as the first root.  While
         the trees are in flight the heap has no root list.
 
+        The heap keeps that list as ``_slots`` until ``insert``, ``meld``
+        or a cut changes the root list.  A call that finds it kept walks
+        no other root: the roots hold at most two trees per rank, so the
+        walk would make no join and put each back in its slot, except
+        the minimum's partner, which moves down to its rank's first
+        slot.  The call takes the minimum out of the list, moves the
+        partner and walks the children, with the same joins, counters
+        and root order as a call that walks every root.
+
         When a key comparison raises, the minimum stays in the heap as
         the childless first root, with every other tree on the root cycle
         behind it, and the exception propagates: the heap holds the same
@@ -381,11 +399,32 @@ class ViolationHeap:
         z = self._first
         self._first = None
 
-        # the other roots run from z.nxt and z's children from the oldest
-        # (rest), both along nxt and both ending at z.  A root's prv is
-        # None already; the walk to the oldest child clears each child's
-        # as it passes, so every tree in flight has prv None
-        i = z.nxt
+        # rank r's two slots are s[2r] and s[2r + 1]; every rank is at
+        # most max_rank, and a join may make max_rank + 1.  A kept list
+        # is stored again only when the call returns
+        size = 2 * t.max_rank + 4
+        s = self._slots
+        self._slots = None
+        if s is None:
+            s = [None] * size
+            i = z.nxt
+        else:
+            # the other roots are in place already: z leaves its rank's
+            # pair and its partner moves down to the first slot.  A
+            # sibling may have lifted max_rank since the list was made
+            j = z.rank * 2
+            if s[j] is z:
+                s[j] = s[j + 1]
+            s[j + 1] = None
+            if len(s) < size:
+                s += [None] * (size - len(s))
+            i = z
+
+        # the roots still to walk run from i (none when i is z) and z's
+        # children from the oldest (rest), both along nxt and both ending
+        # at z.  A root's prv is None already; the walk to the oldest
+        # child clears each child's as it passes, so every tree in flight
+        # has prv None
         rest = z.down if z.down is not None else z
         p = rest.prv
         while p is not None:
@@ -393,9 +432,6 @@ class ViolationHeap:
             rest = p
             p = rest.prv
 
-        # rank r's two slots are s[2r] and s[2r + 1]; every rank is at
-        # most max_rank, and a join may make max_rank + 1
-        s = [None] * (2 * t.max_rank + 4)
         hook = t.join_hook
         v = None
         # this call's joins, comparisons and highest rank, added to t once
@@ -511,6 +547,7 @@ class ViolationHeap:
             if top > t.max_rank:
                 t.max_rank = top
         self._first = best
+        self._slots = s
         # a removed node keeps no link: its None nxt marks it removed, and
         # a handle held on to pins its own element, not the trees it left
         z.down = z.nxt = None

@@ -19,6 +19,11 @@ string ids:
                         floor its rank promises (fib(0) = fib(1) = 1)
     count               the heap's size counter disagrees with the number
                         of reachable nodes
+    slot-cache          the slot list delete_min kept disagrees with the
+                        root list: its trees, in slot order, are not the
+                        roots in cycle order, a tree is not in one of its
+                        rank's two slots (2r, 2r + 1), or a rank's second
+                        slot is used while its first is empty
     root-multiplicity   some rank owns three or more roots; only checked
                         on request, it is guaranteed just after
                         delete_min, not between arbitrary operations
@@ -26,11 +31,11 @@ string ids:
 The walk is breadth first: the roots in root-list order, then each
 node's children, newest first, as the walk reaches their parent.
 Findings come in walk order, except ``size-bound``, which needs whole
-subtree sizes and so comes after the walk, followed by ``count`` and
-``root-multiplicity``.  Measured cost: about 0.57 µs per node on the
-heaps of perfbench's ``fuzz`` workload, about 1,800 nodes on average
-(``invariants.full_audit.us_per_node`` under ``--trace 1``, 2 vCPUs,
-CPython 3.11.7, ``BENCH_audit.json``).
+subtree sizes and so comes after the walk, followed by ``count``,
+``slot-cache`` and ``root-multiplicity``.  Measured cost: about 0.57 µs
+per node on the heaps of perfbench's ``fuzz`` workload, about 1,800
+nodes on average (``invariants.full_audit.us_per_node`` under
+``--trace 1``, 2 vCPUs, CPython 3.11.7, ``BENCH_audit.json``).
 
 ``potential_snapshot`` reports the quantities the amortized analysis
 charges against: the number of critical nodes, the total degree excess
@@ -119,6 +124,41 @@ def _root_list(first: NodeHandle) -> tuple[list[NodeHandle], Optional[NodeHandle
     return list(roots), i
 
 
+def _audit_slots(slots, roots: list[NodeHandle], bad) -> None:
+    # the kept slot list, if any, against the root list, as full_audit's
+    # bad() findings.  Only identities and ranks are read, never keys,
+    # and a list that is not one of nodes is itself the finding
+    if slots is None:
+        return
+    if not isinstance(slots, list):
+        bad("slot-cache", None, f"kept slot list is of type {type(slots).__name__}")
+        return
+    kept = []
+    for j, u in enumerate(slots):
+        if u is None:
+            continue
+        if not isinstance(u, NodeHandle):
+            bad("slot-cache", None, f"slot {j} holds no node but a {type(u).__name__} value")
+            continue
+        kept.append(u)
+        if u.rank != j // 2:
+            bad("slot-cache", u, f"rank {u.rank} tree in slot {j}, of rank {j // 2}")
+        elif j & 1 and slots[j - 1] is None:
+            bad("slot-cache", u, f"slot {j} is used and slot {j - 1} is empty")
+    # the relink made the cycle in slot order; find_min's root may be
+    # any of them, so the cycle is compared from the first slot's tree
+    at = {u: k for k, u in enumerate(roots)}
+    k = at.get(kept[0], 0) if kept else 0
+    cycle = roots[k:] + roots[:k]
+    for n, (u, w) in enumerate(zip(kept, cycle)):
+        if u is not w:
+            bad("slot-cache", w, f"slot order and cycle order part at tree {n}")
+            return
+    if len(kept) != len(cycle):
+        bad("slot-cache", None, f"the slots hold {len(kept)} trees "
+                                f"and the root list {len(cycle)}")
+
+
 def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> AuditReport:
     """Walk one heap and report every rule violation found.
 
@@ -135,6 +175,7 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     if first is None:
         if heap._count != 0:
             bad("count", None, f"empty root list but count is {heap._count}")
+        _audit_slots(heap._slots, [], bad)
         return AuditReport(violations, 0, 0)
 
     roots, stop = _root_list(first)
@@ -219,6 +260,8 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
 
     if len(order) != heap._count:
         bad("count", None, f"count is {heap._count} but {len(order)} nodes are reachable")
+
+    _audit_slots(heap._slots, roots, bad)
 
     if check_root_multiplicity:
         per_rank: dict[int, int] = {}

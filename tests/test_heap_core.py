@@ -5,8 +5,11 @@ linking rules before the implementation existed; a failure means the
 code drifted from the rules, not that the numbers need refreshing.
 """
 
+import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
                            Telemetry, ViolationHeap, rank_from_pair)
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
-from violationheap.oracle import run_differential
+from violationheap.oracle import DEFAULT_WEIGHTS, apply_op, gen_ops, run_differential
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra,
                                      gen_graph)
 
@@ -557,6 +560,88 @@ def test_join_hook_sees_whole_trees():
     assert len(calls) > 500
     assert [c for c in calls if c != (True, True)] == []
     assert full_audit(h).ok
+
+
+def _shape(h, handles):
+    # every node's key, rank and links as indexes into handles, the root
+    # order from the first root, and the counters
+    at = {x: i for i, x in enumerate(handles)}
+    at[None] = None
+    nodes = [(x.key, x.rank, at[x.down], at[x.nxt], at[x.prv]) for x in handles]
+    roots = [at[r] for r in root_cycle(h)] if h._first is not None else []
+    return nodes, roots, h.telemetry
+
+
+@pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, (0.3, 0.5, 0.15, 0.05)])
+def test_kept_slots_change_nothing(weights):
+    # one heap keeps its slot list between delete-mins, its twin never
+    # does.  An op that leaves a kept list that no longer matches the
+    # root list shows as the first op after which the twins differ.
+    # uses counts the ops that had a kept list to act on, per kind
+    uses = Counter()
+    for seed in (0, 1):
+        kept, fresh, hk, hf = ViolationHeap(), ViolationHeap(), [], []
+        for n, op in enumerate(gen_ops(seed, 1000, weights).ops):
+            fresh._slots = None
+            had, cuts = kept._slots is not None, kept.telemetry.cuts
+            assert apply_op(kept, hk, op) == apply_op(fresh, hf, op)
+            assert _shape(kept, hk) == _shape(fresh, hf), (seed, n, op)
+            kind = "cut" if kept.telemetry.cuts > cuts else op[0]
+            uses[kind] += had
+    assert all(uses[kind] for kind in ("deletemin", "insert", "meld", "cut")), uses
+
+
+def _heavy_root(rounds):
+    # w (key 0) wins a rank-1 join each round, and drops back to rank 1
+    # when its two newest children lose theirs to cuts below them, so it
+    # gains two childless children a round while no rank passes 2
+    h = ViolationHeap()
+    keys = itertools.count(10 ** 6, 1000)
+    w = h.insert(0)
+    for k in (next(keys), next(keys), -1):
+        h.insert(k)
+    h.delete_min()
+    for i in range(rounds):
+        h.insert(-2 - i)
+        for _ in range(6 if i == 0 else 2):
+            h.insert(next(keys))
+        h.delete_min()
+        assert w.rank == 2 and w.nxt is w
+        for a in (w.down, w.down.prv):
+            while a.down is not None:
+                h.decrease_key(a.down, a.key - 1)
+        assert w.rank == 1
+    return h, w
+
+
+def test_kept_slots_after_a_sibling_lifts_max_rank():
+    # the last delete-min keeps an 8-slot list (ranks 0..3: max_rank was
+    # 2), then a sibling lifts the family's max_rank to 6.  The next
+    # delete-min takes out w, the only root: its 76 childless children
+    # and its two of rank 1 carry up to rank 4 (3 ** 4 <= 76 + 2 * 3; one
+    # round fewer stops at rank 3), a rank below max_rank and past the
+    # list's end, so the call must widen the list before it places a
+    # tree.  Its twin builds a fresh list.
+    twins = []
+    for drop in (False, True):
+        h, w = _heavy_root(37)
+        for k in (-10 ** 6, 10 ** 9, 10 ** 9 + 1):
+            h.insert(k)
+        h.delete_min()
+        assert w.nxt is w and len(h._slots) == 8 and h.telemetry.max_rank == 2
+        high = ViolationHeap()
+        for k in range(2000):
+            high.insert(k)
+        high.delete_min()
+        h.spawn().meld(high.spawn())
+        assert h.telemetry.max_rank == 6
+        if drop:
+            h._slots = None
+        assert h.delete_min() == (0, None)
+        assert full_audit(h).ok and max(u.rank for u in root_cycle(h)) == 4
+        twins.append((asdict(h.telemetry), [(u.key, u.rank) for u in root_cycle(h)],
+                      [h.delete_min() for _ in range(len(h))], asdict(h.telemetry)))
+    assert twins[0] == twins[1]
 
 
 def test_key_increase_rejected():

@@ -327,6 +327,38 @@ def test_root_multiplicity_only_on_request():
     assert any(v.rule == "root-multiplicity" for v in rep.violations)
 
 
+def test_slot_cache_rule():
+    # a slot list kept across an insert misses the new root: one finding
+    h, _ = build(40)
+    h.delete_min()
+    s = h._slots
+    assert s is not None and full_audit(h).ok
+    h.insert(-1)
+    assert h._slots is None
+    h._slots = s
+    assert [v.rule for v in full_audit(h).violations] == ["slot-cache"]
+    # a tree out of its rank's slots, a rank's second slot used alone,
+    # the slots out of cycle order, and lists that are not of nodes are
+    # findings too; none of them raises
+    h.delete_min()
+    s = h._slots
+    j = next(j for j, u in enumerate(s) if u is not None and j % 2 == 0)
+    for bad in (s[:j] + [None, s[j]] + s[j + 2:], s[:j] + [None] + s[j + 1:],
+                s[::-1], s + [s[j]], [3], "slots"):
+        h._slots = bad
+        found = [v for v in full_audit(h).violations if v.rule == "slot-cache"]
+        assert found and len(found) == len(full_audit(h).violations), bad
+    h._slots = s
+    assert full_audit(h).ok
+    # a heap that delete-min emptied keeps a list of empty slots; a
+    # list that holds nodes is then a finding
+    h2, _ = build(1)
+    h2.delete_min()
+    assert h2._slots == [None] * 4 and full_audit(h2).ok
+    h2._slots = s
+    assert [v.rule for v in full_audit(h2).violations] == ["slot-cache"]
+
+
 def test_snapshot_chain_counts():
     h, hs = build(10)
     h.delete_min()
