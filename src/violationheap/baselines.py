@@ -199,6 +199,21 @@ class PairingHeap:
 
     spawn = spawn
 
+    def __del__(self) -> None:
+        # tear the dropped heap down, as ViolationHeap does: every cycle
+        # closes through a prev link, so with each prev cleared, child
+        # and sibling form a forest that reference counting frees now.
+        # Each node is marked removed, and a node already not alive ends
+        # a walk, so the walk ends on a corrupt heap too
+        stack = [self._root]
+        while stack:
+            x = stack.pop()
+            while x is not None and x.alive:
+                x.alive = False
+                x.prev = None
+                stack.append(x.child)
+                x = x.sibling
+
     def insert(self, key, item=None) -> _PNode:
         if key != key:
             raise HeapError("NaN key")

@@ -34,6 +34,9 @@ stored rank by exactly one.
 Each element is one node object, and the node is the handle ``insert``
 returns.  A live node has a successor (next root, parent or newer
 sibling); removal clears the links, so using a stale handle raises.
+Every reference cycle among the nodes closes through a successor link,
+so a dropped heap clears each node's: its nodes are then a forest that
+reference counting frees at once, and its handles read as removed.
 """
 
 from __future__ import annotations
@@ -199,6 +202,27 @@ class ViolationHeap:
         return f.key, f.item
 
     spawn = spawn
+
+    def __del__(self) -> None:
+        # tear the dropped heap down, so that reference counting frees
+        # its nodes now instead of the cyclic collector later: every
+        # cycle closes through a nxt link, and with each nxt cleared,
+        # down and prv form a forest.  A nxt already None ends a walk,
+        # so the walks end on a corrupt heap too.  No key is compared
+        # and nothing raises; every handle then reads as removed
+        stack = []
+        x = self._first
+        while x is not None and x.nxt is not None:
+            stack.append(x)
+            y = x.nxt
+            x.nxt = None
+            x = y
+        while stack:
+            c = stack.pop().down
+            while c is not None and c.nxt is not None:
+                c.nxt = None
+                stack.append(c)
+                c = c.prv
 
     # -- updates --------------------------------------------------------
 

@@ -10,10 +10,11 @@ import pytest
 
 from raising_keys import Tripwire
 from violationheap.baselines import BinaryHeap, PairingHeap
-from violationheap.heap_core import (EmptyHeapError, HeapError,
+from violationheap.heap_core import (EmptyHeapError, HeapError, NodeHandle,
                                      StaleHandleError, Telemetry)
 from violationheap.invariants import JoinNeutralityMonitor, full_audit
-from violationheap.oracle import DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops
+from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops,
+                                  run_differential)
 from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
                                      make_heap, mixed_bench)
 
@@ -187,21 +188,96 @@ def test_spawn_shares_telemetry(name):
     assert h.telemetry.comparisons > before
 
 
+class _Item:
+    pass
+
+
 @pytest.mark.parametrize("name", HEAPS)
 def test_a_removed_element_releases_the_heap(name):
     # a handle held after its delete_min pins its own element only: the
     # removed node keeps no link into the trees it used to reach
-    class Item:
-        pass
-
     h = make_heap(name)
-    handles = [h.insert(k, Item()) for k in range(1000)]
+    handles = [h.insert(k, _Item()) for k in range(1000)]
     refs = [weakref.ref(x.item) for x in handles]
     kept = handles[0]
     assert h.delete_min()[0] == 0
     del h, handles
     gc.collect()
     assert [r() for r in refs if r() is not None] == [kept.item]
+
+
+def _worn_heap(name):
+    # a heap after a meld, delete-mins and cuts, holding 590 elements,
+    # each item an _Item; returns it, its live handles and the weakrefs
+    # of every item
+    rng = random.Random(3)
+    h = make_heap(name)
+    handles = [h.insert(rng.randrange(10 ** 6), _Item()) for _ in range(300)]
+    side = h.spawn()
+    handles += [side.insert(rng.randrange(10 ** 6), _Item()) for _ in range(300)]
+    h.meld(side)
+    refs = [weakref.ref(x.item) for x in handles]
+    for _ in range(10):
+        h.delete_min()
+    live = [x for x in handles if h.is_live(x)]
+    for x in rng.sample(live, 200):
+        h.decrease_key(x, x.key - rng.randrange(10 ** 6))
+    if name != "binary":
+        assert h.telemetry.cuts > 0
+    return h, live, refs
+
+
+@pytest.mark.parametrize("name", HEAPS)
+def test_a_dropped_heap_is_freed_without_the_collector(name):
+    # dropping the heap frees every element at once: reference counting
+    # alone does it, with the cyclic collector off
+    gc.disable()
+    try:
+        h, handles, refs = _worn_heap(name)
+        assert len(h) == 590
+        del h, handles
+        assert [r() for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_a_differential_run_leaves_no_node_behind():
+    def nodes():
+        return sum(type(o) is NodeHandle for o in gc.get_objects())
+
+    gc.disable()
+    try:
+        before = nodes()
+        assert run_differential(0, 2000).passed
+        assert nodes() == before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", HEAPS)
+def test_a_handle_of_a_dropped_heap_reads_as_removed(name):
+    # used on another heap, it is refused like a deleted element's, and
+    # that heap is left as it was
+    h, handles, _ = _worn_heap(name)
+    other = h.spawn()
+    for k in (50, 10, 30, 20):
+        other.insert(k)
+    other.delete_min()
+
+    def state():
+        audit = full_audit(other).to_json() if name == "violation" else None
+        return len(other), other.find_min(), asdict(other.telemetry), audit
+
+    before = state()
+    del h
+    for x in handles[:50]:
+        assert not other.is_live(x)
+        with pytest.raises(StaleHandleError):
+            other.decrease_key(x, -1)
+    assert state() == before
+    if name == "violation":
+        assert full_audit(other).ok
+    assert [other.delete_min()[0] for _ in range(3)] == [20, 30, 50]
 
 
 @pytest.mark.parametrize("name", HEAPS)

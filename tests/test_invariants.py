@@ -3,6 +3,7 @@ clean, and injected corruption must surface as the right rule id."""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -292,6 +293,61 @@ def test_lists_that_run_into_another_heap_and_loop_there():
         potential_snapshot(h)
     oldest.prv = x.prv = y.prv = None
     assert full_audit(h).ok and full_audit(g).ok
+
+
+def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
+    # the drop's teardown ends on the lists of the two tests above and
+    # reports nothing; a list run into another heap tears that heap's
+    # nodes down too, and its audit then says so
+    raised = []
+    monkeypatch.setattr(sys, "unraisablehook", raised.append)
+
+    def dropped(corrupt):
+        # drop a heap of 11 keys, its roots root -> b -> a -> root,
+        # after corrupt(root, other heap), and check that its
+        # teardown ran: root reads as removed
+        h, _ = build(10)
+        h.delete_min()
+        h.insert(100)
+        h.insert(101)
+        root, g = h._first, h.spawn()
+        g.insert(500)
+        g.insert(501)
+        corrupt(root, g)
+        assert "structure" in {v.rule for v in full_audit(h).violations}
+        del h
+        assert not g.is_live(root) and raised == []
+        return g
+
+    def kids(root):
+        c, out = root.down, []
+        while c is not None:
+            out.append(c)
+            c = c.prv
+        return out
+
+    def child_cycle(root, g):
+        ks = kids(root)
+        ks[-1].prv = ks[0]
+
+    def root_loop(root, g):
+        # root -> b -> a -> b -> ...
+        b = root.nxt
+        b.nxt.nxt = b
+
+    def into_roots(root, g):
+        # root -> b -> a -> x -> y -> x -> ...
+        root.nxt.nxt.nxt = g._first
+
+    def into_kids(root, g):
+        x = g._first
+        y = x.nxt
+        kids(root)[-1].prv, x.prv, y.prv = x, y, x
+
+    for corrupt in (child_cycle, root_loop):
+        assert full_audit(dropped(corrupt)).ok, corrupt.__name__
+    for corrupt in (into_roots, into_kids):
+        assert not full_audit(dropped(corrupt)).ok, corrupt.__name__
 
 
 def test_links_into_a_removed_node():
