@@ -37,6 +37,20 @@ sibling); removal clears the links, so using a stale handle raises.
 Every reference cycle among the nodes closes through a successor link,
 so a dropped heap clears each node's: its nodes are then a forest that
 reference counting frees at once, and its handles read as removed.
+
+Every walk ends, on a corrupt heap too:
+
+    teardown        stops at a cleared successor
+    repair walk     each step lowers a rank by one; no rank is below 0
+    delete_min      the walk to the oldest child clears each prv it
+                    passes; the walk of the roots and children stops at
+                    the old minimum, and raises HeapError at a removed
+                    node or at a rank no tree of the heap's size can
+                    carry (on a list that never returns, the joins lift
+                    ranks without end); the relink walks the slot list
+                    once; the rollback stops each chain at the old
+                    minimum, at a removed node, or after as many nodes
+                    as the heap holds
 """
 
 from __future__ import annotations
@@ -152,13 +166,17 @@ def _active_parent(c: NodeHandle) -> Optional[NodeHandle]:
 
 
 def _in_flight(s: list, v, i: NodeHandle, rest: NodeHandle,
-               z: NodeHandle) -> list:
+               z: NodeHandle, n: int) -> list:
     # the trees of a consolidation under way: each is in a slot, or is the
     # incoming tree v, or is still unwalked along nxt from i and from rest
-    # up to z (v may also sit in a slot or head i, hence the dedupe)
+    # up to z (v may also sit in a slot or head i, hence the dedupe).  On
+    # a corrupt list a chain also stops at a None, past a removed node,
+    # or after n nodes, the heap's size
     trees = s + [v]
     for j in (i, rest):
-        while j is not z:
+        for _ in range(n):
+            if j is z or j is None:
+                break
             trees.append(j)
             j = j.nxt
     return [u for u in dict.fromkeys(trees) if u is not None]
@@ -259,7 +277,8 @@ class ViolationHeap:
         The circular root lists are spliced in O(1); the smaller of the
         two minimums becomes the first root, this heap winning ties.
         Other's ranks come along, so this family's ``max_rank`` rises to
-        at least other's: ``delete_min`` sizes its rank slots from it.
+        at least other's and stays at or above every rank it holds: a
+        fresh ``delete_min`` slot list takes its length from it.
         """
         check_meld(self, other)
         t = self.telemetry
@@ -356,10 +375,9 @@ class ViolationHeap:
         else:
             y.prv = before_y
 
-        r = _recalc(x)
-        x.rank = r
-        if r > t.max_rank:
-            t.max_rank = r
+        # a child ranks below the join winner it was linked under, and a
+        # child's rank only falls: a rank from x's children <= max_rank
+        x.rank = _recalc(x)
 
         x.prv = None
         x.nxt = f.nxt
@@ -396,13 +414,19 @@ class ViolationHeap:
         the trees are in flight the heap has no root list.
 
         The heap keeps that list as ``_slots`` until ``insert``, ``meld``
-        or a cut changes the root list.  A call that finds it kept walks
-        no other root: the roots hold at most two trees per rank, so the
-        walk would make no join and put each back in its slot, except
-        the minimum's partner, which moves down to its rank's first
-        slot.  The call takes the minimum out of the list, moves the
-        partner and walks the children, with the same joins, counters
-        and root order as a call that walks every root.
+        or a cut changes the root list.  A fresh list has room up to
+        rank ``max_rank`` + 1, the one use of the family's ``max_rank``
+        here; a kept one has room for every rank its heap holds,
+        whatever a sibling did to ``max_rank`` since.  Either grows only
+        when a join makes a rank past its end.
+
+        A call that finds the list kept walks no other root: the roots
+        hold at most two trees per rank, so the walk would make no join
+        and put each back in its slot, except the minimum's partner, which
+        moves down to its rank's first slot.  The call takes the minimum
+        out of the list, moves the partner and walks the children, with
+        the same joins, counters and root order as a call that walks every
+        root.
 
         When a key comparison raises, the minimum stays in the heap as
         the childless first root, with every other tree on the root cycle
@@ -411,6 +435,12 @@ class ViolationHeap:
         may hold three or more roots until the next delete_min.  Joins
         already made stay, and stay counted; a comparison that raised is
         not counted.
+
+        On a corrupt root list the call raises ``HeapError`` after the
+        same rollback: when the walk meets a removed node, or when a join
+        makes a rank past 3 * n.bit_length() // 2 + 1 for the heap's
+        size n, at least log_phi(n) + 1, above which no tree of n nodes
+        reaches, so the list does not return to the minimum.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -423,25 +453,20 @@ class ViolationHeap:
         z = self._first
         self._first = None
 
-        # rank r's two slots are s[2r] and s[2r + 1]; every rank is at
-        # most max_rank, and a join may make max_rank + 1.  A kept list
-        # is stored again only when the call returns
-        size = 2 * t.max_rank + 4
+        # rank r's two slots are s[2r] and s[2r + 1].  A kept list is
+        # stored again only when the call returns
         s = self._slots
         self._slots = None
         if s is None:
-            s = [None] * size
+            s = [None] * (2 * t.max_rank + 4)
             i = z.nxt
         else:
             # the other roots are in place already: z leaves its rank's
-            # pair and its partner moves down to the first slot.  A
-            # sibling may have lifted max_rank since the list was made
+            # pair and its partner moves down to the first slot
             j = z.rank * 2
             if s[j] is z:
                 s[j] = s[j + 1]
             s[j + 1] = None
-            if len(s) < size:
-                s += [None] * (size - len(s))
             i = z
 
         # the roots still to walk run from i (none when i is z) and z's
@@ -462,7 +487,7 @@ class ViolationHeap:
         # when the call returns or raises: a join hook may drive a sibling
         # heap of the family meanwhile, so t is added to, never assigned
         joins = cmps = 0
-        top = t.max_rank
+        top = len(s) // 2 - 2       # the list has room up to rank top + 1
         try:
             while True:
                 if i is z:
@@ -489,7 +514,7 @@ class ViolationHeap:
                     # the slots, so a key that raises loses no tree, and
                     # count the two comparisons only once both are made.
                     if hook is not None:
-                        hook("before", _in_flight(s, v, i, rest, z))
+                        hook("before", _in_flight(s, v, i, rest, z, self._count))
                     assert a.rank == b.rank == r, "3-way join needs equal ranks"
                     if b.key < a.key:
                         if v.key < b.key:
@@ -529,10 +554,16 @@ class ViolationHeap:
                     if r > top:
                         top = r
                         if j == len(s):
+                            # a tree of rank r holds fib(r) >= phi^(r-1)
+                            # nodes: only a root list that never returns
+                            # to z makes a rank past this
+                            if r > 3 * self._count.bit_length() // 2 + 1:
+                                raise HeapError(f"rank {r} in a heap of {self._count}: "
+                                                f"the root list does not return to {z!r}")
                             s += (None, None)
                     v = w
                     if hook is not None:
-                        hook("after", _in_flight(s, v, i, rest, z))
+                        hook("after", _in_flight(s, v, i, rest, z, self._count))
 
             # relink the survivors in slot order, so in ascending rank and
             # each rank's first-filled slot first, and make the first
@@ -554,16 +585,20 @@ class ViolationHeap:
                 last = u
             if last is not None:
                 last.nxt = first
-        except BaseException:
+        except BaseException as exc:
             # z's key is at most every other key: it goes back in front
             # of all the trees, childless, and nothing is lost
-            trees = _in_flight(s, v, i, rest, z)
+            trees = _in_flight(s, v, i, rest, z, self._count)
             z.down = None
             z.rank = 0
             for u, w in zip([z] + trees, trees + [z]):
                 u.prv = None
                 u.nxt = w
             self._first = z
+            if v is None and isinstance(exc, AttributeError):
+                # the walk took a removed node's None nxt for a tree
+                raise HeapError(f"the roots or children of {z!r} "
+                                f"reach a removed node") from exc
             raise
         finally:
             t.joins += joins

@@ -17,6 +17,9 @@ string ids:
                         the active-children formula allows
     size-bound          a subtree is smaller than the Fibonacci-style
                         floor its rank promises (fib(0) = fib(1) = 1)
+    max-rank            a node's rank is above its family's
+                        ``Telemetry.max_rank``, from which delete_min
+                        sizes a fresh slot list
     count               the heap's size counter disagrees with the number
                         of reachable nodes
     slot-cache          the slot list delete_min kept disagrees with the
@@ -31,10 +34,10 @@ string ids:
 The walk is breadth first: the roots in root-list order, then each
 node's children, newest first, as the walk reaches their parent.
 Findings come in walk order, except ``size-bound``, which needs whole
-subtree sizes and so comes after the walk, followed by ``count``,
-``slot-cache`` and ``root-multiplicity``.  Measured cost: about 0.57 µs
-per node on the heaps of perfbench's ``fuzz`` workload, about 1,800
-nodes on average (``invariants.full_audit.us_per_node`` under
+subtree sizes and so comes after the walk, followed by ``max-rank``,
+``count``, ``slot-cache`` and ``root-multiplicity``.  Measured cost:
+about 0.57 µs per node on the heaps of perfbench's ``fuzz`` workload,
+about 1,800 nodes on average (``invariants.full_audit.us_per_node`` under
 ``--trace 1``, 2 vCPUs, CPython 3.11.7, ``BENCH_audit.json``).
 
 ``potential_snapshot`` reports the quantities the amortized analysis
@@ -205,11 +208,11 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
     parent_of = [-1] * len(order)
     ranked: list[int] = []
     leaf_bound = rank_from_pair(-1, -1)
-    max_rank = 0
+    max_rank, highest = 0, None
     for pos, p in enumerate(order):
         rp = p.rank
         if rp > max_rank:
-            max_rank = rp
+            max_rank, highest = rp, p
         d = p.down
         if d is None:
             bound = leaf_bound
@@ -257,6 +260,10 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
         if sizes[j] < size_floor(rp):
             bad("size-bound", order[j],
                 f"subtree size {sizes[j]} below floor {size_floor(rp)} for rank {rp}")
+
+    if max_rank > heap.telemetry.max_rank:
+        bad("max-rank", highest, f"rank {max_rank} above the family's "
+                                 f"max_rank {heap.telemetry.max_rank}")
 
     if len(order) != heap._count:
         bad("count", None, f"count is {heap._count} but {len(order)} nodes are reachable")

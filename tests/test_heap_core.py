@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from limited_run import run_limited
 from test_baselines import _sweep_last
 from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
                            Telemetry, ViolationHeap, rank_from_pair)
@@ -642,6 +643,44 @@ def test_kept_slots_after_a_sibling_lifts_max_rank():
         twins.append((asdict(h.telemetry), [(u.key, u.rank) for u in root_cycle(h)],
                       [h.delete_min() for _ in range(len(h))], asdict(h.telemetry)))
     assert twins[0] == twins[1]
+
+
+# heap 1, 2, 3 has the root list 1 -> 3 -> 2 -> 1.  In a child process
+# under memory and CPU limits, so that a walk that does not end fails
+# the test instead of eating the machine: corrupt the list, then
+# delete_min must raise HeapError within a second, after a rollback that
+# leaves 1 the first root and a state full_audit reports without raising
+_CORRUPT_DELETE_MIN = """
+import sys, time
+from violationheap import HeapError, ViolationHeap
+from violationheap.invariants import full_audit
+h = ViolationHeap()
+z = h.insert(0)
+h.delete_min()
+_, two, three = (h.insert(k) for k in (1, 2, 3))
+{corrupt}
+t0 = time.perf_counter()
+try:
+    h.delete_min()
+except HeapError as exc:
+    print(exc, file=sys.stderr)
+else:
+    raise SystemExit("delete_min returned")
+assert time.perf_counter() - t0 < 1, time.perf_counter() - t0
+assert h.find_min() == (1, None) and len(h) == 3
+rules = {{v.rule for v in full_audit(h).violations}}
+print(sorted(rules), file=sys.stderr)
+assert rules
+"""
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    ("two.nxt = three", "the root list does not return to NodeHandle(1, None)"),
+    ("two.nxt = z", "reach a removed node"),
+], ids=["loop", "removed"])
+def test_corrupt_root_list_raises(corrupt, message):
+    status, err = run_limited(_CORRUPT_DELETE_MIN.format(corrupt=corrupt))
+    assert status == 0 and message in err, err
 
 
 def test_key_increase_rejected():

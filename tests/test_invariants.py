@@ -415,6 +415,18 @@ def test_slot_cache_rule():
     assert [v.rule for v in full_audit(h2).violations] == ["slot-cache"]
 
 
+def test_max_rank_rule():
+    # a rank above the family's max_rank, from which delete_min sizes a
+    # fresh slot list, is one finding, naming a node of that rank
+    h, _ = build(40)
+    h.delete_min()
+    top = full_audit(h).max_rank
+    assert top == h.telemetry.max_rank > 0
+    h.telemetry.max_rank = top - 1
+    found = full_audit(h).violations
+    assert [v.rule for v in found] == ["max-rank"] and found[0].node.rank == top
+
+
 def test_snapshot_chain_counts():
     h, hs = build(10)
     h.delete_min()

@@ -11,7 +11,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from violationheap import ViolationHeap, rank_from_pair
 from violationheap.invariants import full_audit, max_rank_bound
-from violationheap.oracle import NaivePQ
+from violationheap.oracle import NaivePQ, apply_op
 
 
 @given(st.integers(-1, 200), st.integers(-1, 200))
@@ -36,32 +36,31 @@ def test_insert_then_drain_sorts(keys):
 def test_random_interleavings_stay_sound(codes, seed):
     """Interpret small op streams; audit and drain at the end."""
     rng = random.Random(seed)
-    heap = ViolationHeap()
-    model = NaivePQ()
-    handles = []         # model id -> the heap's handle
+    heap, model = ViolationHeap(), NaivePQ()
+    hh, mh = [], []      # each side's handles, by element id
 
-    def insert(h):
+    def fresh_key(batch=()):
         k = rng.randrange(-10 ** 7, 10 ** 7)
-        while model.key_multiplicity(k):
+        while model.key_multiplicity(k) or k in batch:
             k = rng.randrange(-10 ** 7, 10 ** 7)
-        handles.append(h.insert(k, model.insert(k, len(handles))))
+        return k
 
     for code in codes:
         if code <= 2 or not model:      # insert biased 1/2
-            insert(heap)
+            op = ("insert", fresh_key())
         elif code == 3:
-            assert heap.delete_min() == model.delete_min()
+            op = ("deletemin",)
         elif code == 4:
             ident = model.ident_at(rng.randrange(len(model)))
             nk = model.key_of(ident) - rng.randrange(1, 10 ** 7)
             assume(not model.key_multiplicity(nk))
-            heap.decrease_key(handles[ident], nk)
-            model.decrease_key(ident, nk)
+            op = ("decrease", ident, nk)
         else:
-            side = heap.spawn()
+            batch = []
             for _ in range(rng.randrange(1, 3)):
-                insert(side)
-            heap.meld(side)
+                batch.append(fresh_key(batch))
+            op = ("meld", tuple(batch))
+        assert apply_op(heap, hh, op) == apply_op(model, mh, op)
         assert len(heap) == len(model)
 
     report = full_audit(heap)
@@ -110,27 +109,26 @@ def test_active_children_prop_up_their_parent(n, seed):
 
 
 class DifferentialMachine(RuleBasedStateMachine):
-    """Drives the heap and the naive queue together, auditing the heap
-    after every rule."""
+    """Steps the heap and the naive queue with the same ops through
+    ``apply_op``, auditing the heap after every rule."""
 
     def __init__(self):
         super().__init__()
-        self.heap = ViolationHeap()
-        self.naive = NaivePQ()
-        self.handles = {}
+        self.heap, self.naive = ViolationHeap(), NaivePQ()
+        self.hh, self.nh = [], []     # each side's handles, by element id
+
+    def step(self, *op):
+        assert apply_op(self.heap, self.hh, op) == apply_op(self.naive, self.nh, op)
 
     @rule(key=st.integers(-10 ** 9, 10 ** 9))
     def insert(self, key):
         assume(not self.naive.key_multiplicity(key))
-        ident = self.naive.insert(key, key)
-        self.handles[ident] = self.heap.insert(key, key)
+        self.step("insert", key)
 
     @rule()
     @precondition(lambda self: len(self.naive) > 0)
     def delete_min(self):
-        nk, _ = self.naive.delete_min()
-        hk, _ = self.heap.delete_min()
-        assert hk == nk
+        self.step("deletemin")
 
     @rule(data=st.data(), delta=st.integers(1, 10 ** 9))
     @precondition(lambda self: len(self.naive) > 0)
@@ -139,28 +137,18 @@ class DifferentialMachine(RuleBasedStateMachine):
         ident = self.naive.ident_at(pos)
         nk = self.naive.key_of(ident) - delta
         assume(not self.naive.key_multiplicity(nk))
-        self.heap.decrease_key(self.handles[ident], nk)
-        self.naive.decrease_key(ident, nk)
+        self.step("decrease", ident, nk)
 
     @rule(keys=st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1,
                         max_size=3, unique=True))
     def meld_batch(self, keys):
         assume(not any(self.naive.key_multiplicity(k) for k in keys))
-        side = self.heap.spawn()
-        for k in keys:
-            ident = self.naive.insert(k, k)
-            self.handles[ident] = side.insert(k, k)
-        self.heap.meld(side)
+        self.step("meld", tuple(keys))
 
     @invariant()
     def sizes_and_minimum_agree(self):
         assert len(self.heap) == len(self.naive)
-        nm = self.naive.find_min()
-        hm = self.heap.find_min()
-        if nm is None:
-            assert hm is None
-        else:
-            assert hm is not None and hm[0] == nm[0]
+        assert self.heap.find_min() == self.naive.find_min()
 
     @invariant()
     def structure_is_clean(self):
@@ -168,8 +156,8 @@ class DifferentialMachine(RuleBasedStateMachine):
         assert report.ok, report.to_json()
 
     def teardown(self):
-        drained = [self.heap.delete_min()[0] for _ in range(len(self.heap))]
-        assert drained == sorted(drained)
+        drained = [self.heap.delete_min() for _ in range(len(self.heap))]
+        assert drained == [self.naive.delete_min() for _ in range(len(self.naive))]
 
 
 DifferentialMachine.TestCase.settings = settings(
