@@ -183,8 +183,7 @@ def run_trace(lines, out=None) -> None:
                 a.meld(b)
                 heaps.update({name: a for name, h in heaps.items() if h is b})
             elif op == "check" and len(rest) == 1:
-                report = full_audit(heap_of(rest[0], lineno),
-                                    check_root_multiplicity=False)
+                report = full_audit(heap_of(rest[0], lineno))
                 if not report.ok:
                     raise TraceError(
                         f"line {lineno}: audit failed: {report.to_json()}")

@@ -55,6 +55,7 @@ Every walk ends, on a corrupt heap too:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
@@ -141,6 +142,17 @@ def rank_from_pair(r1: int, r2: int) -> int:
     integer s, including s in {-2, -1} which occur for missing children.
     """
     return (r1 + r2 + 1) // 2 + 1
+
+
+GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def max_rank_bound(n: int) -> int:
+    """Largest rank any node may carry in a heap of n nodes: a tree of
+    rank r holds at least fib(r) >= phi^(r-1) nodes."""
+    if n <= 1:
+        return 2
+    return math.ceil(math.log(n, GOLDEN)) + 2
 
 
 def _recalc(x: NodeHandle) -> int:
@@ -438,9 +450,9 @@ class ViolationHeap:
 
         On a corrupt root list the call raises ``HeapError`` after the
         same rollback: when the walk meets a removed node, or when a join
-        makes a rank past 3 * n.bit_length() // 2 + 1 for the heap's
-        size n, at least log_phi(n) + 1, above which no tree of n nodes
-        reaches, so the list does not return to the minimum.
+        makes a rank past ``max_rank_bound`` of the heap's size, which no
+        tree of that many nodes reaches, so the list does not return to
+        the minimum.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -554,12 +566,11 @@ class ViolationHeap:
                     if r > top:
                         top = r
                         if j == len(s):
-                            # a tree of rank r holds fib(r) >= phi^(r-1)
-                            # nodes: only a root list that never returns
-                            # to z makes a rank past this
-                            if r > 3 * self._count.bit_length() // 2 + 1:
-                                raise HeapError(f"rank {r} in a heap of {self._count}: "
-                                                f"the root list does not return to {z!r}")
+                            # only roots or children that never return
+                            # to z make a rank past the bound
+                            if r > max_rank_bound(self._count):
+                                raise HeapError(f"rank {r} in a heap of {self._count}: the "
+                                                f"roots or children of {z!r} do not return to it")
                             s += (None, None)
                     v = w
                     if hook is not None:
@@ -567,23 +578,20 @@ class ViolationHeap:
 
             # relink the survivors in slot order, so in ascending rank and
             # each rank's first-filled slot first, and make the first
-            # minimum met the first root
-            first = last = best = None
-            for u in s:
-                if u is None:
-                    continue
-                if last is None:
-                    first = best = u
-                    bk = u.key
-                else:
+            # minimum met the first root.  A node defines no __bool__, so
+            # every node is true and filter drops only the empty slots
+            trees = filter(None, s)
+            first = best = last = next(trees, None)
+            if first is not None:
+                bk = first.key
+                for u in trees:
                     last.nxt = u
                     k = u.key
                     if k < bk:
                         best = u
                         bk = k
                     cmps += 1
-                last = u
-            if last is not None:
+                    last = u
                 last.nxt = first
         except BaseException as exc:
             # z's key is at most every other key: it goes back in front

@@ -22,23 +22,22 @@ string ids:
                         sizes a fresh slot list
     count               the heap's size counter disagrees with the number
                         of reachable nodes
-    slot-cache          the slot list delete_min kept disagrees with the
-                        root list: its trees, in slot order, are not the
-                        roots in cycle order, a tree is not in one of its
-                        rank's two slots (2r, 2r + 1), or a rank's second
-                        slot is used while its first is empty
-    root-multiplicity   some rank owns three or more roots; only checked
-                        on request, it is guaranteed just after
-                        delete_min, not between arbitrary operations
+    slot-cache          the slot list delete_min kept is not the list
+                        its relink would make of the roots: going round
+                        the cycle from the first slot's tree, each root
+                        in slot 2r, or 2r + 1 when 2r is taken.  A third
+                        root of a rank finds no slot, so while a list is
+                        kept, as after every delete_min that returns,
+                        this holds the roots to at most two per rank
 
 The walk is breadth first: the roots in root-list order, then each
 node's children, newest first, as the walk reaches their parent.
 Findings come in walk order, except ``size-bound``, which needs whole
 subtree sizes and so comes after the walk, followed by ``max-rank``,
-``count``, ``slot-cache`` and ``root-multiplicity``.  Measured cost:
-about 0.57 µs per node on the heaps of perfbench's ``fuzz`` workload,
-about 1,800 nodes on average (``invariants.full_audit.us_per_node`` under
-``--trace 1``, 2 vCPUs, CPython 3.11.7, ``BENCH_audit.json``).
+``count`` and ``slot-cache``.  Measured cost: about 0.57 µs per node on
+the heaps of perfbench's ``fuzz`` workload, about 1,800 nodes on average
+(``invariants.full_audit.us_per_node`` under ``--trace 1``, 2 vCPUs,
+CPython 3.11.7, ``BENCH_audit.json``).
 
 ``potential_snapshot`` reports the quantities the amortized analysis
 charges against: the number of critical nodes, the total degree excess
@@ -53,13 +52,13 @@ by the identity of the nodes it has met, not by a node count.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .heap_core import HeapError, NodeHandle, ViolationHeap, rank_from_pair
-
-GOLDEN = (1 + math.sqrt(5)) / 2
+# max_rank_bound lives with delete_min, which raises past it; the
+# audit's callers import it from here too
+from .heap_core import (HeapError, NodeHandle, ViolationHeap, max_rank_bound,
+                        rank_from_pair)
 
 # fib(0) = fib(1) = 1; anything above this index exceeds any plausible
 # node count, so larger (corrupt) ranks fail the size bound outright
@@ -74,13 +73,6 @@ def size_floor(rank: int) -> int:
     if rank < len(_FIB):
         return _FIB[rank]
     return _FIB[-1]
-
-
-def max_rank_bound(n: int) -> int:
-    """Largest rank any node may carry in a heap of n nodes."""
-    if n <= 1:
-        return 2
-    return math.ceil(math.log(n, GOLDEN)) + 2
 
 
 @dataclass
@@ -128,41 +120,34 @@ def _root_list(first: NodeHandle) -> tuple[list[NodeHandle], Optional[NodeHandle
 
 
 def _audit_slots(slots, roots: list[NodeHandle], bad) -> None:
-    # the kept slot list, if any, against the root list, as full_audit's
-    # bad() findings.  Only identities and ranks are read, never keys,
-    # and a list that is not one of nodes is itself the finding
+    # the kept slot list, if any, against the one its relink would make
+    # of these roots, as at most one full_audit bad() finding.  The cycle
+    # is walked from the first slot's tree, or from the first root when
+    # that tree is no root.  Only identities and ranks are read, never
+    # keys, and a list that is not one of nodes is itself the finding
     if slots is None:
         return
     if not isinstance(slots, list):
         bad("slot-cache", None, f"kept slot list is of type {type(slots).__name__}")
         return
-    kept = []
-    for j, u in enumerate(slots):
-        if u is None:
-            continue
-        if not isinstance(u, NodeHandle):
-            bad("slot-cache", None, f"slot {j} holds no node but a {type(u).__name__} value")
-            continue
-        kept.append(u)
-        if u.rank != j // 2:
-            bad("slot-cache", u, f"rank {u.rank} tree in slot {j}, of rank {j // 2}")
-        elif j & 1 and slots[j - 1] is None:
-            bad("slot-cache", u, f"slot {j} is used and slot {j - 1} is empty")
-    # the relink made the cycle in slot order; find_min's root may be
-    # any of them, so the cycle is compared from the first slot's tree
-    at = {u: k for k, u in enumerate(roots)}
-    k = at.get(kept[0], 0) if kept else 0
-    cycle = roots[k:] + roots[:k]
-    for n, (u, w) in enumerate(zip(kept, cycle)):
-        if u is not w:
-            bad("slot-cache", w, f"slot order and cycle order part at tree {n}")
+    head = next((u for u in slots if u is not None), None)
+    k = next((k for k, w in enumerate(roots) if w is head), 0)
+    rebuilt = [None] * len(slots)
+    for w in roots[k:] + roots[:k]:
+        j = 2 * w.rank
+        if 0 <= j < len(rebuilt) and rebuilt[j] is not None:
+            j += 1
+        if not 0 <= j < len(rebuilt) or rebuilt[j] is not None:
+            bad("slot-cache", w, f"no free slot for a root of rank {w.rank}")
             return
-    if len(kept) != len(cycle):
-        bad("slot-cache", None, f"the slots hold {len(kept)} trees "
-                                f"and the root list {len(cycle)}")
+        rebuilt[j] = w
+    for j, (u, w) in enumerate(zip(slots, rebuilt)):
+        if u is not w:
+            bad("slot-cache", w, f"kept slot {j} differs from the roots' rebuilt list")
+            return
 
 
-def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> AuditReport:
+def full_audit(heap: ViolationHeap) -> AuditReport:
     """Walk one heap and report every rule violation found.
 
     Never raises on a corrupt structure; every walk stops at a node it
@@ -269,15 +254,6 @@ def full_audit(heap: ViolationHeap, check_root_multiplicity: bool = False) -> Au
         bad("count", None, f"count is {heap._count} but {len(order)} nodes are reachable")
 
     _audit_slots(heap._slots, roots, bad)
-
-    if check_root_multiplicity:
-        per_rank: dict[int, int] = {}
-        for r in roots:
-            per_rank[r.rank] = per_rank.get(r.rank, 0) + 1
-        for rk, cnt in sorted(per_rank.items()):
-            if cnt > 2:
-                bad("root-multiplicity", None, f"{cnt} roots of rank {rk}")
-
     return AuditReport(violations, len(order), max_rank)
 
 

@@ -24,8 +24,9 @@ MIXED_WEIGHTS = (0.45, 0.25, 0.25, 0.05)
 AUDITED_SEEDS = 50
 AUDITED_OPS = 2_000
 # heavier delete share than the mixed profile: every delete_min is
-# followed by a root-multiplicity audit, so more deletes buy more
-# coverage for the post-consolidation guarantee
+# followed by an audit whose slot-cache rule holds the roots to two per
+# rank, so more deletes buy more coverage for that post-consolidation
+# guarantee
 AUDITED_WEIGHTS = (0.35, 0.35, 0.25, 0.05)
 
 
@@ -239,7 +240,7 @@ def test_criterion_9_handle_safety():
         except StaleHandleError:
             errors += 1
 
-    rep = full_audit(heap, check_root_multiplicity=False)
+    rep = full_audit(heap)
     drained = [heap.delete_min()[0] for _ in range(len(heap))]
     ok = errors == attempts and rep.ok and drained == sorted(drained)
     detail = (f"{errors}/{attempts} operations on retired handles raised, "

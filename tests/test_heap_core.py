@@ -645,11 +645,12 @@ def test_kept_slots_after_a_sibling_lifts_max_rank():
     assert twins[0] == twins[1]
 
 
-# heap 1, 2, 3 has the root list 1 -> 3 -> 2 -> 1.  In a child process
-# under memory and CPU limits, so that a walk that does not end fails
-# the test instead of eating the machine: corrupt the list, then
-# delete_min must raise HeapError within a second, after a rollback that
-# leaves 1 the first root and a state full_audit reports without raising
+# heap 1, 2, 3 has the root list 1 -> 3 -> 2 -> 1, with no kept slot
+# list.  In a child process under memory and CPU limits, so that a walk
+# that does not end fails the test instead of eating the machine:
+# corrupt the list, then delete_min must raise HeapError within a
+# second, after a rollback that leaves the first root and the size as
+# they were and a state full_audit reports without raising
 _CORRUPT_DELETE_MIN = """
 import sys, time
 from violationheap import HeapError, ViolationHeap
@@ -659,6 +660,7 @@ z = h.insert(0)
 h.delete_min()
 _, two, three = (h.insert(k) for k in (1, 2, 3))
 {corrupt}
+before = h.find_min(), len(h)
 t0 = time.perf_counter()
 try:
     h.delete_min()
@@ -667,17 +669,32 @@ except HeapError as exc:
 else:
     raise SystemExit("delete_min returned")
 assert time.perf_counter() - t0 < 1, time.perf_counter() - t0
-assert h.find_min() == (1, None) and len(h) == 3
+assert (h.find_min(), len(h)) == before
 rules = {{v.rule for v in full_audit(h).violations}}
 print(sorted(rules), file=sys.stderr)
 assert rules
 """
 
+# 4 .. 100 join the heap, and delete_min takes 1 and keeps its slot
+# list; then the first root's last child points at its oldest child
+# instead of at its parent, so the child chain never returns
+_KEPT_CHILD_LOOP = """
+for k in range(4, 101):
+    h.insert(k)
+h.delete_min()
+assert h._slots is not None and h.find_min() == (2, None)
+oldest = last = h._first.down
+while oldest.prv is not None:
+    oldest = oldest.prv
+last.nxt = oldest
+"""
+
 
 @pytest.mark.parametrize("corrupt, message", [
-    ("two.nxt = three", "the root list does not return to NodeHandle(1, None)"),
+    ("two.nxt = three", "the roots or children of NodeHandle(1, None) do not return to it"),
     ("two.nxt = z", "reach a removed node"),
-], ids=["loop", "removed"])
+    (_KEPT_CHILD_LOOP, "the roots or children of NodeHandle(2, None) do not return to it"),
+], ids=["loop", "removed", "kept-child-loop"])
 def test_corrupt_root_list_raises(corrupt, message):
     status, err = run_limited(_CORRUPT_DELETE_MIN.format(corrupt=corrupt))
     assert status == 0 and message in err, err

@@ -26,7 +26,7 @@ def test_audit_clean_small_and_empty():
 
     h, _ = build(10)
     h.delete_min()
-    rep = full_audit(h, check_root_multiplicity=True)
+    rep = full_audit(h)
     assert rep.ok
     assert rep.node_count == 9 and rep.max_rank == 2
 
@@ -372,15 +372,19 @@ def test_links_into_a_removed_node():
         assert full_audit(h).ok
 
 
-def test_root_multiplicity_only_on_request():
+def test_slot_cache_holds_two_roots_per_rank():
     h = ViolationHeap()
-    for k in range(3):
-        h.insert(k)
-    # three rank-0 roots: legal between operations, flagged when the
-    # post-delete-min guarantee is asserted
-    assert full_audit(h).ok
-    rep = full_audit(h, check_root_multiplicity=True)
-    assert any(v.rule == "root-multiplicity" for v in rep.violations)
+    a, b, c = (h.insert(k) for k in range(3))
+    # three rank-0 roots, a -> c -> b: legal between operations, while
+    # no slot list is kept
+    assert h._slots is None and full_audit(h).ok
+    # a kept list of two of them, as a delete_min would leave it: going
+    # round from a, c takes slot 1 and b, a third rank-0 root, finds no
+    # slot, whichever root the list leaves out.  One finding, naming b
+    for kept in ([a, c, None, None], [a, b, None, None]):
+        h._slots = kept
+        found = full_audit(h).violations
+        assert [v.rule for v in found] == ["slot-cache"] and found[0].node is b
 
 
 def test_slot_cache_rule():
@@ -538,6 +542,6 @@ def test_audit_does_not_mutate():
     h, hs = build(25)
     h.delete_min()
     snap_links = [(x.nxt, x.prv, x.down, x.rank) for x in hs]
-    full_audit(h, check_root_multiplicity=True)
+    full_audit(h)
     potential_snapshot(h)
     assert snap_links == [(x.nxt, x.prv, x.down, x.rank) for x in hs]
