@@ -60,9 +60,11 @@ class Graph:
     int64 range with ValueError naming the arc, and ``arcs`` yields them
     back in arc order.  ``base`` is the number the graph's source gives
     vertex 0, for messages only: 0, or 1 for a graph read from DIMACS.
+    The graph keeps the CSR form that ``adjacency()`` builds, so that
+    every search on one graph after the first pays only for its search.
     """
 
-    __slots__ = ("n", "flat", "base")
+    __slots__ = ("n", "flat", "base", "_csr")
 
     def __init__(self, n: int, arcs=()) -> None:
         if not 0 < n <= _INT64:
@@ -70,6 +72,7 @@ class Graph:
         self.n = n
         self.flat = array("q")
         self.base = 0
+        self._csr = None   # (flat, len(flat), (first, pairs)) once built
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc {u}->{v} has a vertex outside 0..{n - 1}")
@@ -93,9 +96,18 @@ class Graph:
         order within each tail, and ``pairs[first[u]:first[u + 1]]`` is
         vertex u's out-arcs.  ``first`` is a list of n + 1 offsets.
 
-        One pass counts each tail's arcs and one scatters the arcs into
-        place; ``pairs`` takes 16 bytes per arc.
+        The first call builds the form and the graph keeps it: one pass
+        counts each tail's arcs and one scatters the arcs into place, and
+        ``pairs`` takes 16 bytes per arc.  Later calls return the same two
+        objects, which belong to the graph: callers must not change them.
+        The form is built again when ``flat`` is no longer the array it
+        was built from or has changed length, as when ``gen_graph``
+        assigns it or ``read_dimacs`` extends it; writing arcs in place
+        after the first call is not supported.
         """
+        kept = self._csr
+        if kept is not None and kept[0] is self.flat and kept[1] == len(self.flat):
+            return kept[2]
         count = [0] * (self.n + 1)
         for u in memoryview(self.flat)[::3]:
             count[u + 1] += 2
@@ -108,7 +120,8 @@ class Graph:
             nxt[u] = p + 2
             pairs[p] = v
             pairs[p + 1] = w
-        return first, pairs
+        self._csr = (self.flat, len(self.flat), (first, pairs))
+        return self._csr[2]
 
 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
@@ -207,7 +220,9 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
     relax loop reads vertex u's out-arcs from
     ``Graph.adjacency()``'s CSR form as ``pairs[first[u]:first[u + 1]]``,
     sliced through a ``memoryview`` so that nothing is copied, and walks
-    the slice with ``zip(it, it)``, which reuses its result tuple.
+    the slice with ``zip(it, it)``, which reuses its result tuple.  It
+    only reads that form, which the graph keeps: the first search on a
+    graph builds it, and every later one reuses it.
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
@@ -304,6 +319,9 @@ def mixed_bench(heap_name: str, script: OpScript) -> BenchRecord:
 
 
 def dijkstra_bench(heap_name: str, graph: Graph, seed: int) -> BenchRecord:
+    """Time one search from vertex 0.  The graph's CSR form is built
+    before the timer starts, so that no heap's time holds its build."""
+    graph.adjacency()
     heap = make_heap(heap_name)
     t0 = time.perf_counter_ns()
     dist = dijkstra(graph, 0, heap)

@@ -408,6 +408,11 @@ def test_slot_cache_rule():
         h._slots = bad
         found = [v for v in full_audit(h).violations if v.rule == "slot-cache"]
         assert found and len(found) == len(full_audit(h).violations), bad
+    # a kept value that is not a list, whether it iterates like one or
+    # not at all, is the one finding
+    for bad in (7, tuple(s)):
+        h._slots = bad
+        assert [v.rule for v in full_audit(h).violations] == ["slot-cache"], bad
     h._slots = s
     assert full_audit(h).ok
     # a heap that delete-min emptied keeps a list of empty slots; a

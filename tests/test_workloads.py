@@ -1,10 +1,13 @@
 import io
+import time
 import tracemalloc
 from array import array
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
+from violationheap import workloads
 from violationheap.heap_core import Telemetry
 from violationheap.oracle import gen_ops, replay
 from violationheap.workloads import (CSV_HEADER, HEAP_NAMES, INF_KEY, Graph,
@@ -188,6 +191,37 @@ class TestAdjacency:
             tracemalloc.stop()
         assert peak / g.m < 40
 
+    def test_built_once_and_kept(self):
+        g = gen_graph(300, 3000, 4)
+        first, pairs = g.adjacency()
+        again = g.adjacency()
+        assert again[0] is first and again[1] is pairs
+        d1, d2 = dijkstra(g, 0), dijkstra(g, 0, make_heap("binary"))
+        assert d1 == d2
+        again = g.adjacency()
+        assert again[0] is first and again[1] is pairs
+        tracemalloc.start()
+        try:
+            g.adjacency()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+
+    def test_rebuilt_when_flat_is_extended_or_reassigned(self):
+        arcs = [(0, 1, 5), (2, 0, 7), (1, 2, 1)]
+        g = Graph(3, arcs)
+        before = g.adjacency()
+        g.flat.extend((2, 1, 4))
+        extended = g.adjacency()
+        assert extended[1] is not before[1]
+        assert extended == Graph(3, arcs + [(2, 1, 4)]).adjacency()
+        # the same length, so only the array's identity tells it apart
+        g.flat = array("q", [1, 0, 3, 0, 2, 9, 2, 2, 0, 1, 1, 6])
+        assert g.adjacency() == Graph(3, [(1, 0, 3), (0, 2, 9), (2, 2, 0),
+                                          (1, 1, 6)]).adjacency()
+        assert dijkstra(g, 1) == [3, 0, 12]
+
 
 class TestDimacs:
     def test_round_trip(self):
@@ -274,6 +308,40 @@ class TestBenches:
         g = gen_graph(400, 2000, seed=3)
         sums = {dijkstra_bench(name, g, 3).checksum for name in HEAP_NAMES}
         assert len(sums) == 1
+
+    def test_dijkstra_bench_builds_the_csr_before_its_timer(self, monkeypatch):
+        # every heap on one graph, as `vheap bench dijkstra --heap all`
+        # runs them: the one build happens before the first heap's timer
+        # starts, so no heap's wall_ns holds it
+        events = []
+        built = []
+        real_adjacency = Graph.adjacency
+
+        def adjacency(graph):
+            out = real_adjacency(graph)
+            fresh = not built or out[1] is not built[-1]
+            if fresh:
+                built.append(out[1])
+            events.append("build" if fresh else "reuse")
+            return out
+
+        def clock():
+            events.append("clock")
+            return time.perf_counter_ns()
+
+        monkeypatch.setattr(Graph, "adjacency", adjacency)
+        monkeypatch.setattr(workloads, "time", SimpleNamespace(perf_counter_ns=clock))
+        g = gen_graph(400, 2000, seed=3)
+        records = [dijkstra_bench(name, g, 3) for name in HEAP_NAMES]
+        timed = False
+        for event in events:
+            if event == "clock":
+                timed = not timed
+            assert not (timed and event == "build"), events
+        assert events.count("build") == 1 and events[0] == "build"
+        assert events.count("clock") == 2 * len(HEAP_NAMES)
+        assert len({r.checksum for r in records}) == 1
+        assert all(r.wall_ns > 0 for r in records)
 
     def test_checksum_is_order_sensitive(self):
         assert checksum([1, 2, 3]) != checksum([3, 2, 1])
