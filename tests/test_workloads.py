@@ -319,10 +319,8 @@ class TestBenches:
 
         def adjacency(graph):
             out = real_adjacency(graph)
-            fresh = not built or out[1] is not built[-1]
-            if fresh:
-                built.append(out[1])
-            events.append("build" if fresh else "reuse")
+            events.append("reuse" if built and out[1] is built[-1] else "build")
+            built.append(out[1])
             return out
 
         def clock():
