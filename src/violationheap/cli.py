@@ -237,6 +237,7 @@ def _cmd_bench(args) -> int:
                     runs[name, seed] = mixed_bench(name, script)
                 else:
                     runs[name, seed] = dijkstra_bench(name, graph, seed)
+            graph = script = None
     except (OverflowError, MemoryError) as exc:
         # a size no list can index, or too large for memory to hold
         cause = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__

@@ -60,8 +60,6 @@ class Graph:
     int64 range with ValueError naming the arc, and ``arcs`` yields them
     back in arc order.  ``base`` is the number the graph's source gives
     vertex 0, for messages only: 0, or 1 for a graph read from DIMACS.
-    The graph keeps the CSR form that ``adjacency()`` builds, so that
-    every search on one graph after the first pays only for its search.
     """
 
     __slots__ = ("n", "flat", "base", "_csr")
@@ -72,7 +70,7 @@ class Graph:
         self.n = n
         self.flat = array("q")
         self.base = 0
-        self._csr = None   # (flat, len(flat), (first, pairs)) once built
+        self._csr = None   # adjacency()'s (first, pairs) once built
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc {u}->{v} has a vertex outside 0..{n - 1}")
@@ -96,18 +94,15 @@ class Graph:
         order within each tail, and ``pairs[first[u]:first[u + 1]]`` is
         vertex u's out-arcs.  ``first`` is a list of n + 1 offsets.
 
-        The first call builds the form and the graph keeps it: one pass
+        The first call builds the form and the graph keeps it, so that
+        a later search on the graph pays only for its search: one pass
         counts each tail's arcs and one scatters the arcs into place, and
         ``pairs`` takes 16 bytes per arc.  Later calls return the same two
-        objects, which belong to the graph: callers must not change them.
-        The form is built again when ``flat`` is no longer the array it
-        was built from or has changed length, as when ``gen_graph``
-        assigns it or ``read_dimacs`` extends it; writing arcs in place
-        after the first call is not supported.
+        objects, which belong to the graph: callers must not change them,
+        and ``flat`` must not change after the first call.
         """
-        kept = self._csr
-        if kept is not None and kept[0] is self.flat and kept[1] == len(self.flat):
-            return kept[2]
+        if self._csr is not None:
+            return self._csr
         count = [0] * (self.n + 1)
         for u in memoryview(self.flat)[::3]:
             count[u + 1] += 2
@@ -120,8 +115,8 @@ class Graph:
             nxt[u] = p + 2
             pairs[p] = v
             pairs[p + 1] = w
-        self._csr = (self.flat, len(self.flat), (first, pairs))
-        return self._csr[2]
+        self._csr = first, pairs
+        return self._csr
 
 
 def gen_graph(n: int, m: int, seed: int) -> Graph:
@@ -220,9 +215,7 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
     relax loop reads vertex u's out-arcs from
     ``Graph.adjacency()``'s CSR form as ``pairs[first[u]:first[u + 1]]``,
     sliced through a ``memoryview`` so that nothing is copied, and walks
-    the slice with ``zip(it, it)``, which reuses its result tuple.  It
-    only reads that form, which the graph keeps: the first search on a
-    graph builds it, and every later one reuses it.
+    the slice with ``zip(it, it)``, which reuses its result tuple.
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
@@ -319,8 +312,7 @@ def mixed_bench(heap_name: str, script: OpScript) -> BenchRecord:
 
 
 def dijkstra_bench(heap_name: str, graph: Graph, seed: int) -> BenchRecord:
-    """Time one search from vertex 0.  The graph's CSR form is built
-    before the timer starts, so that no heap's time holds its build."""
+    """Time one search from vertex 0, the CSR build outside the timer."""
     graph.adjacency()
     heap = make_heap(heap_name)
     t0 = time.perf_counter_ns()

@@ -3,6 +3,7 @@
 import io
 import json
 import shlex
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -278,6 +279,23 @@ class TestBench:
         rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
         assert [(r[1], int(r[4])) for r in rows] == \
             [(h, s) for h in HEAP_NAMES for s in (4, 5, 6)]
+
+    def test_repeat_drops_each_graph_before_the_next(self, capsys, monkeypatch):
+        # a graph keeps its CSR form, so the last seed's graph must be
+        # freed before gen_graph builds the next one
+        built = []
+        real = cli.gen_graph
+
+        def tracking(*args):
+            assert all(ref() is None for ref in built)
+            graph = real(*args)
+            built.append(weakref.ref(graph.flat))
+            return graph
+
+        monkeypatch.setattr(cli, "gen_graph", tracking)
+        code, _, _ = run(capsys, "bench", "dijkstra", "--n", "50", "--m", "200",
+                         "--heap", "all", "--repeat", "3")
+        assert code == 0 and len(built) == 3
 
     @pytest.mark.parametrize("workload", ["heapsort", "mixed"])
     def test_dimacs_outside_dijkstra_usage_error(self, capsys, workload):
