@@ -1,12 +1,13 @@
 """Benchmark workloads: heapsort, mixed operations, and Dijkstra.
 
 Each driver returns a BenchRecord carrying wall time and the heap's
-``Telemetry`` counters, suitable for CSV output.  Dijkstra runs
-insert-all-then-decrease: every vertex enters the queue up front at an
-infinite sentinel key, so the whole run exercises decrease_key instead
-of repeated inserts, and no settled-vertex flags are needed because
-with non-negative weights a settled vertex can never be offered a
-smaller key than it was removed with.
+``Telemetry`` counters, suitable for CSV output.  Dijkstra inserts on
+reach: the heap starts with the source alone, a vertex enters it when
+a relaxed arc first reaches it, and each later improvement is a
+decrease_key, so the heap holds only the frontier and a vertex that is
+never reached never enters it.  No settled-vertex flags are needed,
+because with non-negative weights a settled vertex can never be offered
+a smaller key than it was removed with.
 """
 
 from __future__ import annotations
@@ -206,7 +207,12 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
 
     ``heap``, when given, must be empty: an element already in it would
     be popped as if it were a vertex, so a heap that holds one raises
-    ValueError before anything is inserted.  Negative arc weights raise
+    ValueError before anything is inserted.  The heap starts with the
+    source alone; a relaxed arc that lowers ``dist[v]`` inserts v if it
+    was never reached and decreases its key otherwise, and the search
+    runs until the heap is empty.  A pop whose key is below the previous
+    pop's raises AssertionError: with non-negative weights a correct
+    heap never does that, ties included.  Negative arc weights raise
     ValueError when the search reaches them, and so does a vertex that
     is reached but whose distance is INF_KEY or more, which INF_KEY
     could not tell from unreachable.  Both errors number vertices from
@@ -228,12 +234,16 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
     out = memoryview(pairs)
     dist = [INF_KEY] * graph.n
     dist[source] = 0
-    handles = [heap.insert(dist[v], v) for v in range(graph.n)]
+    handles = [None] * graph.n   # a vertex's handle once it is reached
+    insert, decrease_key, delete_min = heap.insert, heap.decrease_key, heap.delete_min
+    insert(0, source)
+    prev = 0   # the last pop's key
     too_far = []   # heads of arcs that offered a distance >= INF_KEY
-    for _ in range(graph.n):
-        du, u = heap.delete_min()
-        if du == INF_KEY:
-            break   # nothing reachable remains
+    while len(heap):
+        du, u = delete_min()
+        if du < prev:
+            raise AssertionError("delete_min order regressed")
+        prev = du
         room = INF_KEY - du   # a weight of room or more reaches INF_KEY
         it = iter(out[first[u]:first[u + 1]])
         for v, w in zip(it, it):
@@ -244,9 +254,13 @@ def dijkstra(graph: Graph, source: int, heap=None) -> list:
                 too_far.append(v)
                 continue
             nd = du + w
-            if nd < dist[v]:
+            dv = dist[v]
+            if nd < dv:
                 dist[v] = nd
-                heap.decrease_key(handles[v], nd)
+                if dv == INF_KEY:
+                    handles[v] = insert(nd, v)
+                else:
+                    decrease_key(handles[v], nd)
     for v in too_far:
         if dist[v] == INF_KEY:
             raise ValueError(f"vertex {v + graph.base} is reached, but its "

@@ -31,23 +31,87 @@ class TestDijkstra:
         for name in HEAP_NAMES:
             assert dijkstra(g, 0, make_heap(name)) == [0, 2, 5]
 
-    def test_unreachable_stays_infinite(self):
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_unreachable_stays_infinite(self, name):
         g = Graph(3, [(0, 1, 4)])
-        assert dijkstra(g, 0) == [0, 4, INF_KEY]
+        assert dijkstra(g, 0, make_heap(name)) == [0, 4, INF_KEY]
 
-    def test_zero_weights_and_self_loops(self):
-        g = Graph(3, [(0, 0, 5), (0, 1, 0), (1, 2, 0)])
-        assert dijkstra(g, 0) == [0, 0, 0]
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_zero_weights_and_self_loops(self, name):
+        # zero-weight arcs lead back into settled vertices 0 and 1: they
+        # offer no smaller key, so no removed handle is ever decreased
+        g = Graph(3, [(0, 0, 5), (0, 1, 0), (1, 2, 0), (2, 1, 0), (2, 0, 0)])
+        heap = make_heap(name)
+        decrease_key = heap.decrease_key
+
+        def live_decrease_key(handle, key):
+            assert heap.is_live(handle)
+            return decrease_key(handle, key)
+
+        heap.decrease_key = live_decrease_key
+        assert dijkstra(g, 0, heap) == [0, 0, 0]
 
     def test_negative_weight_raises(self):
         g = Graph(2, [(0, 1, -3)])
         with pytest.raises(ValueError, match="negative weight -3 on arc 0->1"):
             dijkstra(g, 0)
 
-    def test_unreached_negative_arc_ignored(self):
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_unreached_negative_arc_ignored(self, name):
         # the bad arc hangs off an unreachable vertex; never relaxed
         g = Graph(3, [(0, 1, 2), (2, 0, -9)])
-        assert dijkstra(g, 0) == [0, 2, INF_KEY]
+        assert dijkstra(g, 0, make_heap(name)) == [0, 2, INF_KEY]
+
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_only_reached_vertices_enter_the_heap(self, name):
+        # vertices 3..5 form a component the source cannot reach, and
+        # vertex 2 is reached twice: one insert, then a decrease
+        g = Graph(6, [(0, 1, 1), (0, 2, 5), (1, 2, 1), (3, 4, 1), (4, 5, 1),
+                      (5, 3, 1), (3, 0, 1)])
+        heap = make_heap(name)
+        insert = heap.insert
+        inserted = []
+
+        def counting_insert(key, item=None):
+            inserted.append(item)
+            return insert(key, item)
+
+        heap.insert = counting_insert
+        dist = dijkstra(g, 0, heap)
+        assert dist == [0, 1, 2, INF_KEY, INF_KEY, INF_KEY]
+        assert sorted(inserted) == [v for v, d in enumerate(dist) if d != INF_KEY]
+        assert len(heap) == 0
+
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_swapped_pops_raise(self, name):
+        # popping vertex 2 before vertex 1 leaves the distances right, so
+        # only the pop-order guard shows the heap is wrong
+        g = Graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
+        heap = make_heap(name)
+        delete_min = heap.delete_min
+        held = []
+
+        def swapped_delete_min():
+            if held:
+                return held.pop()
+            first = delete_min()
+            if len(heap) == 0:
+                return first
+            held.append(first)
+            return delete_min()
+
+        heap.delete_min = swapped_delete_min
+        with pytest.raises(AssertionError, match="order regressed"):
+            dijkstra(g, 0, heap)
+        assert dijkstra(g, 0, make_heap(name)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_tied_pops_pass_the_guard(self, name):
+        # all weights zero: every pop ties with the one before it
+        g = gen_graph(300, 1500, 4)
+        g.flat[2::3] = array("q", [0]) * g.m
+        dist = dijkstra(g, 0, make_heap(name))
+        assert set(dist) == {0, INF_KEY} and dist.count(0) > 1
 
     @pytest.mark.parametrize("arcs,vertex", [
         ([(0, 1, 2 ** 62), (1, 2, 2 ** 62)], 2),   # true distance 2**63
