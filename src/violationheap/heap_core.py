@@ -149,7 +149,8 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 def max_rank_bound(n: int) -> int:
     """Largest rank any node may carry in a heap of n nodes: a tree of
-    rank r holds at least fib(r) >= phi^(r-1) nodes."""
+    rank r holds at least fib(r) >= phi^(r-1) nodes, as the proof in
+    ``invariants``' module docstring derives from the rank formula."""
     if n <= 1:
         return 2
     return math.ceil(math.log(n, GOLDEN)) + 2

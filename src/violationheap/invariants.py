@@ -15,8 +15,6 @@ string ids:
                         against the heap's other keys
     rank-bound          a stored rank is negative or exceeds the value
                         the active-children formula allows
-    size-bound          a subtree is smaller than the Fibonacci-style
-                        floor its rank promises (fib(0) = fib(1) = 1)
     max-rank            a node's rank is above its family's
                         ``Telemetry.max_rank``, from which delete_min
                         sizes a fresh slot list
@@ -30,14 +28,26 @@ string ids:
                         kept, as after every delete_min that returns,
                         this holds the roots to at most two per rank
 
+The paper's size lemma needs no rule of its own: on a heap with no
+``structure`` finding, every node that passes ``rank-bound`` roots at
+least fib(rank) nodes (fib(0) = fib(1) = 1), by the argument Fredman
+and Tarjan give for Fibonacci heaps (JACM 1987).  The proof is by
+induction on height; a clean ``structure`` keeps subtrees disjoint.
+Ranks 0 and 1 need one node.  Take a node of rank r >= 2 whose active
+children have ranks r1 >= r2 (-1 for a missing child).  Then
+r <= ceil((r1 + r2) / 2) + 1 gives r1 + r2 >= 2r - 3, so r1 >= r - 1.
+If r2 >= r - 2, the node roots at least 1 + fib(r - 1) + fib(r - 2)
+> fib(r) nodes.  Otherwise r1 >= r, and the first child alone roots
+fib(r1) >= fib(r) nodes.  ``heap_core.max_rank_bound`` turns the lemma
+into the largest rank a heap of n nodes allows.
+
 The walk is breadth first: the roots in root-list order, then each
 node's children, newest first, as the walk reaches their parent.
-Findings come in walk order, except ``size-bound``, which needs whole
-subtree sizes and so comes after the walk, followed by ``max-rank``,
-``count`` and ``slot-cache``.  Measured cost: about 0.57 µs per node on
-the heaps of perfbench's ``fuzz`` workload, about 1,800 nodes on average
-(``invariants.full_audit.us_per_node`` under ``--trace 1``, 2 vCPUs,
-CPython 3.11.7, ``BENCH_audit.json``).
+Findings come in walk order, followed by ``max-rank``, ``count`` and
+``slot-cache``.  Measured cost: about 0.31 µs per node on the heaps of
+perfbench's ``fuzz`` workload, about 1,800 nodes on average
+(``invariants.full_audit.us_per_node`` under ``--trace 1``, median of 3
+runs, 2 vCPUs, CPython 3.11.7, ``BENCH_audit_rules.json``).
 
 ``potential_snapshot`` reports the quantities the amortized analysis
 charges against: the number of critical nodes, the total degree excess
@@ -55,24 +65,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-# max_rank_bound lives with delete_min, which raises past it; the
-# audit's callers import it from here too
-from .heap_core import (HeapError, NodeHandle, ViolationHeap, max_rank_bound,
-                        rank_from_pair)
-
-# fib(0) = fib(1) = 1; anything above this index exceeds any plausible
-# node count, so larger (corrupt) ranks fail the size bound outright
-_FIB_LIMIT = 92
-_FIB = [1, 1]
-while len(_FIB) < _FIB_LIMIT:
-    _FIB.append(_FIB[-1] + _FIB[-2])
-
-
-def size_floor(rank: int) -> int:
-    """Smallest subtree size a node of this rank may legally have."""
-    if rank < len(_FIB):
-        return _FIB[rank]
-    return _FIB[-1]
+from .heap_core import HeapError, NodeHandle, ViolationHeap, rank_from_pair
 
 
 @dataclass
@@ -184,17 +177,12 @@ def full_audit(heap: ViolationHeap) -> AuditReport:
             bad("key-compare", r, f"root key vs first root key: {exc!r}")
 
     # breadth first over order itself: the roots, then each node's
-    # children as the walk reaches their parent, so every node sits after
-    # its parent.  parent_of holds that parent as a position in order (-1
-    # for roots).  ranked holds the positions of nodes of rank 2 or more:
-    # the size floor of ranks 0 and 1 is 1, which no node can miss
+    # children as the walk reaches their parent
     seen = set(roots)
     order = list(roots)
-    parent_of = [-1] * len(order)
-    ranked: list[int] = []
     leaf_bound = rank_from_pair(-1, -1)
     max_rank, highest = 0, None
-    for pos, p in enumerate(order):
+    for p in order:
         rp = p.rank
         if rp > max_rank:
             max_rank, highest = rp, p
@@ -220,7 +208,6 @@ def full_audit(heap: ViolationHeap) -> AuditReport:
                 except Exception as exc:
                     bad("key-compare", c, f"child key vs parent key: {exc!r}")
                 order.append(c)
-                parent_of.append(pos)
                 older = c.prv
                 if older is None:
                     break
@@ -232,19 +219,6 @@ def full_audit(heap: ViolationHeap) -> AuditReport:
             bad("rank-bound", p, f"negative rank {rp}")
         elif rp > bound:
             bad("rank-bound", p, f"rank {rp} exceeds formula bound {bound}")
-        if rp >= 2:
-            ranked.append(pos)
-
-    # a node's descendants all sit after it, so one reverse pass over the
-    # non-roots adds up every subtree size
-    sizes = [1] * len(order)
-    for j in range(len(order) - 1, len(roots) - 1, -1):
-        sizes[parent_of[j]] += sizes[j]
-    for j in ranked:
-        rp = order[j].rank
-        if sizes[j] < size_floor(rp):
-            bad("size-bound", order[j],
-                f"subtree size {sizes[j]} below floor {size_floor(rp)} for rank {rp}")
 
     if max_rank > heap.telemetry.max_rank:
         bad("max-rank", highest, f"rank {max_rank} above the family's "

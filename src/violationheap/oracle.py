@@ -24,7 +24,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .heap_core import EmptyHeapError, HeapError, Telemetry, ViolationHeap
@@ -104,18 +104,14 @@ class NaivePQ:
 
     def delete_min(self) -> tuple:
         """Remove and return (key, item) of the minimum element."""
-        heap = self._heap
+        top = self.find_min()
+        if top is None:
+            raise EmptyHeapError("empty")
+        heapq.heappop(self._heap)
+        key, ident = top
         entries = self._entries
         pos = self._pos
-        while heap:
-            top = heapq.heappop(heap)
-            key, ident = top
-            p = pos.get(ident)
-            if p is not None and entries[p] is top:
-                break
-        else:
-            raise EmptyHeapError("empty")
-        del pos[ident]
+        p = pos.pop(ident)
         last = entries.pop()
         if p < len(entries):
             entries[p] = last
@@ -342,7 +338,8 @@ def apply_op(heap, handles: list, op: tuple):
 @dataclass(kw_only=True)
 class Verdict(Telemetry):
     """Outcome of one differential run, plus run statistics: counts per
-    op class, audits run, and the heap's ``Telemetry`` counters."""
+    op class and audits run.  The verdict is also the checked heap's
+    ``Telemetry``, so its counters are the heap family's own."""
 
     seed: int
     op_count: int
@@ -396,17 +393,15 @@ def _check(seed: int, ops, n_ops: int, audit_every: Optional[int],
     v = Verdict(seed=seed, op_count=n_ops, passed=False)
 
     heap = ViolationHeap()
+    # the verdict is the family's Telemetry, so the heap and every side
+    # heap a meld spawns from it count straight into v
+    heap.telemetry = v
     handles: list = []   # dense id -> NodeHandle
     ids: list = []       # dense id -> naive's id, the same number
-
-    def fill_stats() -> None:
-        for name, value in asdict(heap.telemetry).items():
-            setattr(v, name, value)
 
     def fail(i: int, msg: str) -> Verdict:
         v.fail_at = i
         v.detail = msg
-        fill_stats()
         return v
 
     for i, op in enumerate(ops):
@@ -463,7 +458,6 @@ def _check(seed: int, ops, n_ops: int, audit_every: Optional[int],
             return fail(n_ops, "final audit: " + report.to_json())
 
     v.passed = True
-    fill_stats()
     return v
 
 

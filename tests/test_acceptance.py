@@ -78,7 +78,7 @@ def test_criterion_2_invariants_every_op(audited_fuzz):
     ok = not failures and audits >= AUDITED_SEEDS * AUDITED_OPS
     detail = (f"{len(verdicts) - len(failures)}/{AUDITED_SEEDS} seeds clean, "
               f"{audits} audits covering structure/heap-order/first-root/"
-              f"rank-bound/size-bound, {wall:.1f}s (expected < 60s)")
+              f"rank-bound, {wall:.1f}s (expected < 60s)")
     if failures:
         f = failures[0]
         detail += f"; first failure seed {f.seed} at op {f.fail_at}: {f.detail}"

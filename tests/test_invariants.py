@@ -2,15 +2,16 @@
 clean, and injected corruption must surface as the right rule id."""
 
 import json
+import random
 import re
 import sys
 
 import pytest
 
 from violationheap import HeapError, ViolationHeap
+from violationheap.heap_core import max_rank_bound
 from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
-                                      max_rank_bound, potential_snapshot,
-                                      size_floor)
+                                      potential_snapshot)
 from violationheap.oracle import apply_op, gen_ops
 
 
@@ -59,31 +60,105 @@ def test_inflated_rank_breaks_two_rules():
     h.delete_min()
     root = h._first
     keep = root.rank
-    root.rank = 30
+    root.rank = 30   # above the formula and the family's max_rank alike
     rules = {v.rule for v in full_audit(h).violations}
-    assert "rank-bound" in rules and "size-bound" in rules
+    assert "rank-bound" in rules and "max-rank" in rules
     root.rank = keep
     assert full_audit(h).ok
 
 
-def test_size_bound_counts_whole_subtrees():
-    # one tree: root 1 over 3, 2, 7, 4, with 7 and 4 holding two childless
-    # children each, so 9 nodes in all and 3 under 4.  A rank whose floor
-    # (fib) the subtree meets breaks the rank formula only
-    h, hs = build(10)
-    h.delete_min()
-    root, four = h._first, hs[4]
-    assert root.nxt is root and four.down.nxt is four
-    for node, rank, size, floor in ((root, 5, 9, 8), (root, 6, 9, 13),
-                                    (four, 3, 3, 3), (four, 4, 3, 5)):
-        keep = node.rank
-        node.rank = rank
-        found = [(v.rule, v.detail) for v in full_audit(h).violations]
-        short = [f"subtree size {size} below floor {floor} for rank {rank}"] * (size < floor)
-        assert [d for rule, d in found if rule == "size-bound"] == short, (node, found)
-        assert "rank-bound" in {rule for rule, _ in found}
-        node.rank = keep
+def _subtree_sizes(heap):
+    # (node, subtree size) for every node reachable from the roots of a
+    # heap whose links are sound: breadth first, so every node sits after
+    # its parent, then one reverse pass adds each size into the parent's
+    order, parent_of = [], []
+    r = heap._first
+    while True:
+        order.append(r)
+        parent_of.append(-1)
+        r = r.nxt
+        if r is heap._first:
+            break
+    for pos, p in enumerate(order):
+        c = p.down
+        while c is not None:
+            order.append(c)
+            parent_of.append(pos)
+            c = c.prv
+    sizes = [1] * len(order)
+    for j in range(len(order) - 1, -1, -1):
+        if parent_of[j] >= 0:
+            sizes[parent_of[j]] += sizes[j]
+    return zip(order, sizes)
+
+
+# the rules whose silence the size lemma needs
+LEMMA_RULES = {"rank-bound", "structure"}
+
+
+def corrupted_states(seed, n, trials):
+    """Yield ``(heap, full_audit(heap))`` for the heap of ``gen_ops(seed,
+    n)`` under ``trials`` random corruptions, one after another.
+
+    Every fourth corruption sets one node's prv or down to None or to
+    another live node, and is undone after its yield.  The others move
+    the ranks of 1-3 nodes by -2..+5 each, clamped at 0.  A rank
+    corruption is undone when the audit reports rank-bound or structure
+    for it and kept otherwise, so kept ranks add up towards the most the
+    audit accepts.  At the end the heap gets its ranks back and audits
+    clean."""
+    rng = random.Random(seed)
+    h, handles = ViolationHeap(), []
+    for op in gen_ops(seed, n).ops:
+        apply_op(h, handles, op)
+    nodes = [x for x in handles if h.is_live(x)]
+    ranks = [x.rank for x in nodes]
+    for t in range(trials):
+        link = t % 4 == 3
+        if link:
+            x = rng.choice(nodes)
+            attr = rng.choice(("prv", "down"))
+            saved = [(x, attr, getattr(x, attr))]
+            setattr(x, attr, rng.choice((None, rng.choice(nodes))))
+        else:
+            picked = rng.sample(nodes, rng.randint(1, 3))
+            saved = [(x, "rank", x.rank) for x in picked]
+            for x in picked:
+                x.rank = max(0, x.rank + rng.randint(-2, 5))
+        report = full_audit(h)
+        yield h, report
+        if link or {v.rule for v in report.violations} & LEMMA_RULES:
+            for x, attr, value in reversed(saved):
+                setattr(x, attr, value)
+    for x, rank in zip(nodes, ranks):
+        x.rank = rank
     assert full_audit(h).ok
+
+
+# (seed, ops, corruptions): many small heaps, whose small subtrees are
+# the ones kept rank corruptions bring down to their size floor
+CORRUPTED_HEAPS = ([(seed, 50, 2000) for seed in range(12)] +
+                   [(seed, 200, 2000) for seed in range(4)] + [(0, 1000, 500)])
+
+
+def test_rank_bound_implies_the_size_floor():
+    # the size lemma in invariants' docstring, which the audit checks
+    # through rank-bound alone: wherever full_audit reports neither
+    # rank-bound nor structure, every subtree holds at least fib(rank)
+    # nodes (fib(0) = fib(1) = 1)
+    fib = [1, 1]
+    clean = flagged = 0
+    for seed, n, trials in CORRUPTED_HEAPS:
+        for h, report in corrupted_states(seed, n, trials):
+            if {v.rule for v in report.violations} & LEMMA_RULES:
+                flagged += 1
+                continue
+            clean += 1
+            for node, size in _subtree_sizes(h):
+                while len(fib) <= node.rank:
+                    fib.append(fib[-1] + fib[-2])
+                assert size >= fib[node.rank], (seed, n, node, node.rank, size)
+    assert clean and flagged, (clean, flagged)
 
 
 def test_negative_rank_flagged():
@@ -95,15 +170,13 @@ def test_negative_rank_flagged():
 
 
 def test_childless_node_rank_rules():
-    # a childless node's formula bound is rank_from_pair(-1, -1) = 0, and
-    # a lone node meets the size floor of ranks 0 and 1 only
+    # a childless node's formula bound is rank_from_pair(-1, -1) = 0
     h, _ = build(10)
     h.delete_min()
     leaf = h._first
     while leaf.down is not None:
         leaf = leaf.down
-    for rank, messages in ((2, {("rank-bound", "rank 2 exceeds formula bound 0"),
-                                ("size-bound", "subtree size 1 below floor 2 for rank 2")}),
+    for rank, messages in ((2, {("rank-bound", "rank 2 exceeds formula bound 0")}),
                            (-1, {("rank-bound", "negative rank -1")})):
         leaf.rank = rank
         report = full_audit(h)
@@ -534,9 +607,6 @@ def test_join_neutrality_snapshot_pair():
 
 
 def test_bound_helpers():
-    assert size_floor(0) == 1 and size_floor(1) == 1
-    assert size_floor(2) == 2 and size_floor(5) == 8
-    assert size_floor(500) == size_floor(91)   # saturates, stays huge
     assert max_rank_bound(1) == 2
     assert max_rank_bound(10 ** 6) == 31
     for n in (2, 10, 1000):

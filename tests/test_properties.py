@@ -10,7 +10,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from violationheap import ViolationHeap, rank_from_pair
-from violationheap.invariants import full_audit, max_rank_bound
+from violationheap.heap_core import max_rank_bound
+from violationheap.invariants import full_audit
 from violationheap.oracle import NaivePQ, apply_op
 
 
