@@ -47,9 +47,6 @@ class BinaryHeap:
     def __len__(self) -> int:
         return len(self._arr)
 
-    def is_empty(self) -> bool:
-        return not self._arr
-
     def is_live(self, e: _BEntry) -> bool:
         arr = self._arr
         return e.pos < len(arr) and arr[e.pos] is e
@@ -190,9 +187,6 @@ class PairingHeap:
 
     def __len__(self) -> int:
         return self._count
-
-    def is_empty(self) -> bool:
-        return self._root is None
 
     def is_live(self, node: _PNode) -> bool:
         return node.alive

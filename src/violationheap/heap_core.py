@@ -61,7 +61,8 @@ from typing import Callable, ClassVar, Optional
 
 
 class HeapError(Exception):
-    """Misuse of the heap API (bad meld, bad key, decrease on an empty heap)."""
+    """Misuse of the heap API (bad meld, bad key, decrease on an empty heap,
+    a call into a violation heap while its own delete_min runs)."""
 
 
 class StaleHandleError(HeapError):
@@ -70,6 +71,12 @@ class StaleHandleError(HeapError):
 
 class EmptyHeapError(HeapError):
     """delete_min on an empty heap."""
+
+
+# a delete_min in flight leaves its heap no root list (_first is None)
+# while it still holds elements (_count > 0): a key comparison that calls
+# back into that heap is refused with this message before anything changes
+_IN_FLIGHT = "called while this heap's own delete_min runs"
 
 
 class NodeHandle:
@@ -218,9 +225,6 @@ class ViolationHeap:
     def __len__(self) -> int:
         return self._count
 
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
     def is_live(self, h: NodeHandle) -> bool:
         """True while the handle's element has not been removed."""
         return h.nxt is not None
@@ -268,6 +272,8 @@ class ViolationHeap:
             raise HeapError("NaN key")
         f = self._first
         if f is None:
+            if self._count:
+                raise HeapError(_IN_FLIGHT)
             x = NodeHandle(key, item, None)
             x.nxt = x
             self._first = x
@@ -296,6 +302,8 @@ class ViolationHeap:
         check_meld(self, other)
         t = self.telemetry
         f1, f2 = self._first, other._first
+        if (f1 is None and self._count) or (f2 is None and other._count):
+            raise HeapError(_IN_FLIGHT)
         if f1 is None:
             self._first = f2
         elif f2 is not None:
@@ -329,7 +337,8 @@ class ViolationHeap:
         x = h
         f = self._first
         if f is None:
-            raise HeapError("handle does not belong to this empty heap")
+            raise HeapError(_IN_FLIGHT if self._count
+                            else "handle does not belong to this empty heap")
         # NaN fails <= against anything, so it is refused here too
         if not new_key <= x.key:
             raise HeapError("key increase not supported")
@@ -424,7 +433,11 @@ class ViolationHeap:
         both into one tree of the next rank, which moves on up two slots.
         The survivors are relinked by one walk of the list, so in
         ascending rank order, with a minimum as the first root.  While
-        the trees are in flight the heap has no root list.
+        the trees are in flight the heap has no root list, and a call
+        into it from a key comparison (``insert``, ``meld``,
+        ``decrease_key`` or ``delete_min``) raises ``HeapError`` before
+        it changes anything; raised through the comparison, it rolls
+        this call back as below.
 
         The heap keeps that list as ``_slots`` until ``insert``, ``meld``
         or a cut changes the root list.  A fresh list has room up to
@@ -464,6 +477,8 @@ class ViolationHeap:
             raise EmptyHeapError("empty")
         t = self.telemetry
         z = self._first
+        if z is None:
+            raise HeapError(_IN_FLIGHT)
         self._first = None
 
         # rank r's two slots are s[2r] and s[2r + 1].  A kept list is

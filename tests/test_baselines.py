@@ -4,7 +4,7 @@ import random
 import time
 import weakref
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import pytest
 
@@ -15,12 +15,22 @@ from violationheap.heap_core import (EmptyHeapError, HeapError, NodeHandle,
 from violationheap.invariants import JoinNeutralityMonitor, full_audit
 from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops,
                                   run_differential)
-from violationheap.workloads import (HEAP_NAMES, checksum, dijkstra, gen_graph,
-                                     make_heap, mixed_bench)
+from violationheap.workloads import HEAP_NAMES, make_heap
 
 # every heap make_heap knows runs the same interface tests, named by class
 HEAPS = [pytest.param(name, id=type(make_heap(name)).__name__)
          for name in HEAP_NAMES]
+
+# the heap contract, besides len: what apply_op and NaivePQ use, and the
+# family's Telemetry.  perfbench's aliases new_heap and pool are left out
+CONTRACT = {"decrease_key", "delete_min", "find_min", "insert", "is_live",
+            "meld", "spawn", "telemetry"}
+
+
+@pytest.mark.parametrize("name", HEAPS)
+def test_every_heap_has_the_contract_and_no_more(name):
+    h = make_heap(name)
+    assert {a for a in dir(h) if not a.startswith("_")} - {"new_heap", "pool"} == CONTRACT
 
 
 @pytest.mark.parametrize("name", HEAPS)
@@ -31,14 +41,15 @@ def test_sorts(name):
     for k in keys:
         h.insert(k)
     assert [h.delete_min()[0] for _ in keys] == sorted(keys)
-    assert len(h) == 0 and h.is_empty()
+    assert len(h) == 0
 
 
 @pytest.mark.parametrize("name", HEAPS)
 def test_decrease_reorders(name):
+    # items of any type come back with their keys
     h = make_heap(name)
     a = h.insert(10, "a")
-    h.insert(20, "b")
+    h.insert(20, {"payload": "b"})
     c = h.insert(30, "c")
     h.decrease_key(c, 5)
     assert h.find_min() == (5, "c")
@@ -46,24 +57,45 @@ def test_decrease_reorders(name):
     h.decrease_key(a, 1)
     assert h.find_min() == (1, "a")
     # a decrease that ties the minimum leaves the minimum where it is
-    d = h.insert(25, "d")
+    d = h.insert(25)
     h.decrease_key(d, 1)
     assert h.find_min() == (1, "a")
+    assert [h.delete_min() for _ in range(3)] == [
+        (1, "a"), (1, None), (20, {"payload": "b"})]
 
 
 @pytest.mark.parametrize("name", HEAPS)
 def test_error_paths(name):
     h = make_heap(name)
-    a = h.insert(10)
+    assert len(h) == 0 and h.find_min() is None
+    if name == "violation":
+        assert h._first is None
+    with pytest.raises(EmptyHeapError):
+        h.delete_min()
+    a = h.insert(10, "gone")
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, 11)
     with pytest.raises(HeapError, match="increase"):
         h.decrease_key(a, math.nan)
+    h.decrease_key(a, 10)      # an equal key is a decrease that does nothing
+    assert h.find_min() == (10, "gone")
     counters = asdict(h.telemetry)
     with pytest.raises(HeapError, match="NaN"):
         h.insert(math.nan)
     assert len(h) == 1 and asdict(h.telemetry) == counters
-    assert h.find_min() == (10, None)
+    assert h.find_min() == (10, "gone")
+    if name == "violation":
+        assert full_audit(h).ok
+    # a removed element's handle is stale, its neighbours' are not, and a
+    # handle issued later reads its own element
+    b = h.insert(20, "stays")
+    assert h.delete_min() == (10, "gone")
+    assert not h.is_live(a) and h.is_live(b)
+    c = h.insert(30, "later")
+    with pytest.raises(StaleHandleError):
+        h.decrease_key(a, 1)
+    assert not h.is_live(a) and h.is_live(c) and (c.key, c.item) == (30, "later")
+    h.delete_min()
     h.delete_min()
     with pytest.raises(StaleHandleError):
         h.decrease_key(a, 1)
@@ -84,7 +116,7 @@ def test_meld_absorbs(name):
     merged = h1.meld(h2)
     assert merged is h1
     assert len(merged) == 3 and len(h2) == 0
-    assert h2.find_min() is None and h2.is_empty()
+    assert h2.find_min() is None
     assert merged.find_min() == (1, "y")
     assert merged.is_live(x) and merged.is_live(y)
     merged.decrease_key(x, 0)      # pre-meld handle survives
@@ -141,7 +173,7 @@ def test_meld_takes_its_own_kind_only(name):
 
     def drain(h):
         out = [h.delete_min()[0] for _ in range(len(h))]
-        assert out == sorted(out) and h.is_empty()
+        assert out == sorted(out) and len(h) == 0
         return out
 
     for other in HEAP_NAMES:
@@ -155,26 +187,35 @@ def test_meld_takes_its_own_kind_only(name):
         assert state() == before, other
         assert len(drain(a)) == len(drain(b)) == 19
     a, b = filled(name, keys[:20]), filled(name, keys[20:])
-    assert a.meld(b) is a and len(a) == 38 and b.is_empty()
+    assert a.meld(b) is a and len(a) == 38 and len(b) == 0
     assert drain(a) == sorted(sorted(keys[:20])[1:] + sorted(keys[20:])[1:])
 
 
 @pytest.mark.parametrize("name", HEAPS)
 def test_decrease_on_the_emptied_meld_operand_is_refused(name):
-    # BinaryHeap reports the handle as stale, a HeapError subclass
+    # a decrease on the heap a meld emptied is refused and changes nothing
+    # (BinaryHeap's handle reads as stale, a HeapError subclass).  b's
+    # delete_min makes its violation handles a root and two children
     a = make_heap(name)
     b = a.spawn()
     for k in (5, 6):
         a.insert(k)
-    hb = [b.insert(k) for k in (7, 8, 9)]
-    a.meld(b)
-    for h in hb:
-        with pytest.raises(HeapError):
+    hb = {k: b.insert(k) for k in (7, 8, 9, 10)}
+    b.delete_min()
+    del hb[7]
+    assert a.meld(b) is a and len(a) == 5
+    state = lambda: (len(a), a.find_min(), asdict(a.telemetry))
+    before = state()
+    for h in hb.values():
+        with pytest.raises(HeapError, match=None if name == "binary" else "empty"):
             b.decrease_key(h, 1)
         assert len(b) == 0 and b.find_min() is None
-    assert len(a) == 5
-    assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 7, 8, 9]
-    assert a.is_empty()
+    assert state() == before
+    assert {k: h.key for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+    if name == "violation":
+        assert full_audit(a).ok
+    assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
+    assert len(a) == 0
 
 
 @pytest.mark.parametrize("name", HEAPS)
@@ -184,8 +225,14 @@ def test_spawn_shares_telemetry(name):
     assert side.telemetry is h.telemetry
     side.insert(2)
     before = h.telemetry.comparisons
-    side.insert(1)        # a side heap's work counts with its sibling's
+    one = side.insert(1, "side")   # a side heap's work counts with its sibling's
     assert h.telemetry.comparisons > before
+    apart = make_heap(name)     # shares neither counters nor elements
+    apart.insert(1, "apart")
+    assert side.delete_min() == (1, "side") and not side.is_live(one)
+    assert apart.telemetry is not h.telemetry
+    assert asdict(apart.telemetry) == asdict(Telemetry())
+    assert len(apart) == 1 and apart.find_min() == (1, "apart")
 
 
 class _Item:
@@ -305,15 +352,15 @@ def _drain(h, limit):
     return out
 
 
-def _armed(k, call):
-    # run call with the tripwire set to raise at its k-th comparison,
+def _armed(k, call, key=Tripwire):
+    # run call with the key class's cue set for its k-th comparison,
     # counting from 0; returns the number of comparisons call made
-    Tripwire.countdown = k
+    key.countdown = k
     try:
         call()
-        return k - Tripwire.countdown
+        return k - key.countdown
     finally:
-        Tripwire.countdown = None
+        key.countdown = None
 
 
 def _stage(h, handles, op):
@@ -489,41 +536,6 @@ def test_binary_refuses_a_live_handle_of_another_heap():
     assert (asdict(a.telemetry), asdict(b.telemetry)) == counters
     assert [a.delete_min()[0] for _ in range(3)] == [5, 6, 7]
     assert [b.delete_min()[0] for _ in range(3)] == [1, 2, 3]
-
-
-def test_baseline_golden_counters():
-    # exact counters of the binary and pairing heaps on test_golden_counters'
-    # heapsort and Dijkstra runs: a change that keeps the algorithm keeps them
-    graph = gen_graph(10_000, 100_000, 7)
-    golden = {
-        BinaryHeap: ((518469, 0, 0), (248797, 0, 0)),
-        PairingHeap: ((351380, 351380, 0), (201053, 201053, 9988)),
-    }
-    for cls, (sort_counts, dijkstra_counts) in golden.items():
-        rng = random.Random(0)
-        h = cls()
-        for _ in range(20_000):
-            h.insert(rng.randrange(1 << 60))
-        while len(h):
-            h.delete_min()
-        assert h.telemetry == Telemetry(*sort_counts)
-        h = cls()
-        assert checksum(dijkstra(graph, 0, h)) == 182835793
-        assert h.telemetry == Telemetry(*dijkstra_counts)
-
-
-def test_mixed_golden_counters():
-    # exact counters of all three heaps on mixed_bench, the one workload
-    # that melds, over gen_ops(0, 20_000): the traffic vheap fuzz checks
-    golden = {
-        "violation": (82393, 15077, 2644, 192, 8),
-        "binary": (169472, 0, 0, 0, 0),
-        "pairing": (57601, 57601, 5000, 0, 0),
-    }
-    script = gen_ops(0, 20_000)
-    for name, counts in golden.items():
-        r = mixed_bench(name, script)
-        assert tuple(getattr(r, f.name) for f in fields(Telemetry)) == counts
 
 
 def test_telemetry_profiles():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from trees import children, roots, subtree
 from violationheap import HeapError, ViolationHeap
 from violationheap.heap_core import max_rank_bound
 from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
@@ -15,18 +16,22 @@ from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
 from violationheap.oracle import apply_op, gen_ops
 
 
-def build(n):
+def build(n, delete_min=True):
+    # keys 0 .. n - 1, then by default a delete_min that takes 0 and joins
+    # the rest into trees
     h = ViolationHeap()
-    return h, [h.insert(k) for k in range(n)]
+    hs = [h.insert(k) for k in range(n)]
+    if delete_min:
+        h.delete_min()
+    return h, hs
 
 
 def test_audit_clean_small_and_empty():
-    h, _ = build(0)
+    h, _ = build(0, delete_min=False)
     rep = full_audit(h)
     assert rep.ok and rep.node_count == 0 and rep.max_rank == 0
 
     h, _ = build(10)
-    h.delete_min()
     rep = full_audit(h)
     assert rep.ok
     assert rep.node_count == 9 and rep.max_rank == 2
@@ -34,7 +39,6 @@ def test_audit_clean_small_and_empty():
 
 def test_audit_clean_through_decreases():
     h, hs = build(50)
-    h.delete_min()
     for i, target in enumerate((30, 41, 17, 8, 25)):
         h.decrease_key(hs[target], -i)
         rep = full_audit(h)
@@ -43,7 +47,6 @@ def test_audit_clean_through_decreases():
 
 def test_report_json_shape():
     h, _ = build(6)
-    h.delete_min()
     doc = json.loads(full_audit(h).to_json())
     assert doc == {"violations": [], "nodes": 5, "max_rank": doc["max_rank"]}
 
@@ -57,7 +60,6 @@ def test_report_json_shape():
 
 def test_inflated_rank_breaks_two_rules():
     h, _ = build(40)
-    h.delete_min()
     root = h._first
     keep = root.rank
     root.rank = 30   # above the formula and the family's max_rank alike
@@ -65,31 +67,6 @@ def test_inflated_rank_breaks_two_rules():
     assert "rank-bound" in rules and "max-rank" in rules
     root.rank = keep
     assert full_audit(h).ok
-
-
-def _subtree_sizes(heap):
-    # (node, subtree size) for every node reachable from the roots of a
-    # heap whose links are sound: breadth first, so every node sits after
-    # its parent, then one reverse pass adds each size into the parent's
-    order, parent_of = [], []
-    r = heap._first
-    while True:
-        order.append(r)
-        parent_of.append(-1)
-        r = r.nxt
-        if r is heap._first:
-            break
-    for pos, p in enumerate(order):
-        c = p.down
-        while c is not None:
-            order.append(c)
-            parent_of.append(pos)
-            c = c.prv
-    sizes = [1] * len(order)
-    for j in range(len(order) - 1, -1, -1):
-        if parent_of[j] >= 0:
-            sizes[parent_of[j]] += sizes[j]
-    return zip(order, sizes)
 
 
 # the rules whose silence the size lemma needs
@@ -154,7 +131,8 @@ def test_rank_bound_implies_the_size_floor():
                 flagged += 1
                 continue
             clean += 1
-            for node, size in _subtree_sizes(h):
+            for node in (u for r in roots(h) for u in subtree(r)):
+                size = len(subtree(node))
                 while len(fib) <= node.rank:
                     fib.append(fib[-1] + fib[-2])
                 assert size >= fib[node.rank], (seed, n, node, node.rank, size)
@@ -163,7 +141,6 @@ def test_rank_bound_implies_the_size_floor():
 
 def test_negative_rank_flagged():
     h, _ = build(4)
-    h.delete_min()
     root = h._first
     root.rank = -1
     assert any(v.rule == "rank-bound" for v in full_audit(h).violations)
@@ -172,10 +149,7 @@ def test_negative_rank_flagged():
 def test_childless_node_rank_rules():
     # a childless node's formula bound is rank_from_pair(-1, -1) = 0
     h, _ = build(10)
-    h.delete_min()
-    leaf = h._first
-    while leaf.down is not None:
-        leaf = leaf.down
+    leaf = subtree(h._first)[-1]
     for rank, messages in ((2, {("rank-bound", "rank 2 exceeds formula bound 0")}),
                            (-1, {("rank-bound", "negative rank -1")})):
         leaf.rank = rank
@@ -203,27 +177,6 @@ def test_child_list_into_a_root_of_the_same_heap():
         assert full_audit(h).ok
 
 
-def _count_and_max_rank(heap):
-    # a plain depth-first walk over the root cycle and the child lists
-    count = max_rank = 0
-    stack = []
-    r = heap._first
-    while r is not None:
-        stack.append(r)
-        r = r.nxt
-        if r is heap._first:
-            break
-    while stack:
-        p = stack.pop()
-        count += 1
-        max_rank = max(max_rank, p.rank)
-        c = p.down
-        while c is not None:
-            stack.append(c)
-            c = c.prv
-    return count, max_rank
-
-
 def test_report_matches_an_independent_walk():
     for seed in (0, 1, 2):
         h, handles = ViolationHeap(), []
@@ -232,13 +185,15 @@ def test_report_matches_an_independent_walk():
             if i % 250 == 0:
                 report = full_audit(h)
                 assert report.ok, (seed, i, report.to_json())
-                assert (report.node_count, report.max_rank) == _count_and_max_rank(h)
+                # a walk of its own, by links alone
+                nodes = [u for r in roots(h) for u in subtree(r)]
+                assert (report.node_count, report.max_rank) == \
+                    (len(nodes), max((u.rank for u in nodes), default=0))
                 assert report.node_count == len(h) > 0
 
 
 def test_heap_order_violation_flagged():
     h, _ = build(10)
-    h.delete_min()
     root = h._first
     child = root.down
     keep = child.key
@@ -259,7 +214,6 @@ class Unordered:
 
 def test_raising_key_compare_is_a_finding():
     h, _ = build(12)
-    h.delete_min()
     root = h._first
     other_root = root.nxt
     assert other_root != root
@@ -277,7 +231,6 @@ def test_raising_key_compare_is_a_finding():
 
 def test_first_root_rule():
     h, _ = build(6)
-    h.delete_min()
     # rotate the designation away from the minimum
     first = h._first
     other = first.nxt
@@ -289,7 +242,7 @@ def test_first_root_rule():
 
 
 def test_count_mismatch_flagged():
-    h, _ = build(8)
+    h, _ = build(8, delete_min=False)
     h._count += 1
     assert any(v.rule == "count" for v in full_audit(h).violations)
     h._count -= 1
@@ -297,7 +250,6 @@ def test_count_mismatch_flagged():
 
 def test_broken_sibling_link_flagged():
     h, _ = build(10)
-    h.delete_min()
     root = h._first
     child = root.down
     keep = child.nxt
@@ -310,21 +262,16 @@ def test_broken_sibling_link_flagged():
 def test_unending_lists_raise():
     # the oldest child's prv points back at the newest: a child cycle
     h, _ = build(10)
-    h.delete_min()
     root = h._first
-    kids = []
-    c = root.down
-    while c is not None:
-        kids.append(c)
-        c = c.prv
+    kids = children(root)
     assert len(kids) == 4
-    kids[-1].prv = kids[0]
+    kids[0].prv = kids[-1]
     assert "structure" in {v.rule for v in full_audit(h).violations}
     with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
         potential_snapshot(h)
 
     # mend it, then make the root list a loop that skips the first root
-    kids[-1].prv = None
+    kids[0].prv = None
     a, b = h.insert(100), h.insert(101)
     assert root.nxt == b and b.nxt == a and a.nxt == root
     a.nxt = b
@@ -339,7 +286,6 @@ def test_lists_that_run_into_another_heap_and_loop_there():
     # a list that leaves the heap and cycles among another heap's nodes
     # still ends in a finding or an error naming the node
     h, _ = build(10)
-    h.delete_min()
     root = h._first
     g = h.spawn()
     x, y = g.insert(500), g.insert(501)
@@ -357,9 +303,7 @@ def test_lists_that_run_into_another_heap_and_loop_there():
 
     # the oldest child's older sibling is x, and x and y are each
     # other's older siblings
-    oldest = root.down
-    while oldest.prv is not None:
-        oldest = oldest.prv
+    oldest = children(root)[0]
     oldest.prv, x.prv, y.prv = x, y, x
     assert "structure" in {v.rule for v in full_audit(h).violations}
     with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
@@ -380,7 +324,6 @@ def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
         # after corrupt(root, other heap), and check that its
         # teardown ran: root reads as removed
         h, _ = build(10)
-        h.delete_min()
         h.insert(100)
         h.insert(101)
         root, g = h._first, h.spawn()
@@ -392,16 +335,9 @@ def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
         assert not g.is_live(root) and raised == []
         return g
 
-    def kids(root):
-        c, out = root.down, []
-        while c is not None:
-            out.append(c)
-            c = c.prv
-        return out
-
     def child_cycle(root, g):
-        ks = kids(root)
-        ks[-1].prv = ks[0]
+        ks = children(root)
+        ks[0].prv = ks[-1]
 
     def root_loop(root, g):
         # root -> b -> a -> b -> ...
@@ -415,7 +351,7 @@ def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
     def into_kids(root, g):
         x = g._first
         y = x.nxt
-        kids(root)[-1].prv, x.prv, y.prv = x, y, x
+        children(root)[0].prv, x.prv, y.prv = x, y, x
 
     for corrupt in (child_cycle, root_loop):
         assert full_audit(dropped(corrupt)).ok, corrupt.__name__
@@ -428,12 +364,9 @@ def test_links_into_a_removed_node():
     # oldest child's prv that names it is a structure finding, and the
     # snapshot refuses to measure past it
     h, hs = build(10)
-    h.delete_min()
     z, root = hs[0], h._first
     assert not h.is_live(z) and z.nxt is None and z.down is None
-    oldest = root.down
-    while oldest.prv is not None:
-        oldest = oldest.prv
+    oldest = children(root)[0]
     for node, link in ((root, "nxt"), (root, "down"), (oldest, "prv")):
         keep = getattr(node, link)
         setattr(node, link, z)
@@ -463,7 +396,6 @@ def test_slot_cache_holds_two_roots_per_rank():
 def test_slot_cache_rule():
     # a slot list kept across an insert misses the new root: one finding
     h, _ = build(40)
-    h.delete_min()
     s = h._slots
     assert s is not None and full_audit(h).ok
     h.insert(-1)
@@ -491,7 +423,6 @@ def test_slot_cache_rule():
     # a heap that delete-min emptied keeps a list of empty slots; a
     # list that holds nodes is then a finding
     h2, _ = build(1)
-    h2.delete_min()
     assert h2._slots == [None] * 4 and full_audit(h2).ok
     h2._slots = s
     assert [v.rule for v in full_audit(h2).violations] == ["slot-cache"]
@@ -501,7 +432,6 @@ def test_max_rank_rule():
     # a rank above the family's max_rank, from which delete_min sizes a
     # fresh slot list, is one finding, naming a node of that rank
     h, _ = build(40)
-    h.delete_min()
     top = full_audit(h).max_rank
     assert top == h.telemetry.max_rank > 0
     h.telemetry.max_rank = top - 1
@@ -511,7 +441,6 @@ def test_max_rank_rule():
 
 def test_snapshot_chain_counts():
     h, hs = build(10)
-    h.delete_min()
     # root 1 (rank 2) has the children 3, 2, 7, 4, oldest first, and 4 and
     # 7 each hold two childless children.  Cutting one child of 4 leaves
     # 4 critical (its active pair sums to 0 + -1), cutting the other
@@ -585,7 +514,7 @@ def test_join_neutrality_monitor_beside_a_heap_with_excess():
 def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
     # the hook lives on the family's shared Telemetry, so a sibling that
     # spawn() makes after install() is watched as well
-    h, _ = build(10)
+    h, _ = build(10, delete_min=False)
     mon = JoinNeutralityMonitor(h).install()
     side = h.spawn()
     for k in range(100):
@@ -598,7 +527,7 @@ def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
 
 
 def test_join_neutrality_snapshot_pair():
-    h, _ = build(20)
+    h, _ = build(20, delete_min=False)
     before = potential_snapshot(h)
     h.delete_min()
     after = potential_snapshot(h)
@@ -615,7 +544,6 @@ def test_bound_helpers():
 
 def test_audit_does_not_mutate():
     h, hs = build(25)
-    h.delete_min()
     snap_links = [(x.nxt, x.prv, x.down, x.rank) for x in hs]
     full_audit(h)
     potential_snapshot(h)
