@@ -6,6 +6,7 @@ code drifted from the rules, not that the numbers need refreshing.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import asdict
@@ -16,12 +17,14 @@ import pytest
 from limited_run import run_limited
 from raising_keys import Reentrant
 from test_baselines import _armed, _sweep_last
+from test_golden_counters import GOLDEN
 from trees import children, roots, subtree
-from violationheap import HeapError, Telemetry, ViolationHeap, rank_from_pair
+from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
+                           Telemetry, ViolationHeap, rank_from_pair)
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
 from violationheap.oracle import DEFAULT_WEIGHTS, apply_op, gen_ops
-from violationheap.workloads import HEAP_NAMES
+from violationheap.workloads import HEAP_NAMES, checksum, dijkstra, gen_graph
 
 
 def _one_deleted(n, low=1):
@@ -48,6 +51,20 @@ def test_insert_keeps_newest_near_front():
     assert [i.key for i in roots(h)] == [1, 5, 4, 3, 2]
     assert h.find_min() == (1, None)
     assert len(h) == 5
+
+
+def test_empty_heap_queries():
+    # a fresh heap, and one drained back to empty, has no first root
+    h = ViolationHeap()
+    for fill in (0, 3):
+        for k in range(fill):
+            h.insert(k)
+        for _ in range(fill):
+            h.delete_min()
+        assert h.find_min() is None and h._first is None
+        assert len(h) == 0 and not h
+        with pytest.raises(EmptyHeapError):
+            h.delete_min()
 
 
 def test_four_singletons_consolidate():
@@ -249,6 +266,28 @@ def test_join_swaps_misordered_last_children():
     assert drained == sorted(drained)
 
 
+def test_decrease_on_the_emptied_meld_operand_is_refused():
+    # a handle must belong to the heap it is used on; the one breach that
+    # is detected is a decrease called on an empty heap
+    a = ViolationHeap()
+    b = a.spawn()
+    for k in (5, 6):
+        a.insert(k)
+    hb = {k: b.insert(k) for k in (7, 8, 9, 10)}
+    b.delete_min()           # joins 8, 9, 10: a root and two children
+    del hb[7]
+    assert a.meld(b) is a and len(a) == 5
+    before = (len(a), a.telemetry.comparisons)
+    for h in hb.values():
+        with pytest.raises(HeapError, match="empty"):
+            b.decrease_key(h, 1)
+    assert len(b) == 0 and b.find_min() is None
+    assert (len(a), a.telemetry.comparisons) == before
+    assert {k: h.key for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+    assert full_audit(a).ok
+    assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
+
+
 def test_meld_takes_a_heap_built_apart():
     # the absorbed heap's family reached a higher max_rank than the
     # absorber's, whose delete_min sizes its rank slots from its own:
@@ -358,6 +397,22 @@ def test_raise_inside_delete_min_keeps_every_tree(late):
            + [("deletemin",)])
     for name in HEAP_NAMES:
         _sweep_last(name, ops)
+
+
+def test_golden_counters():
+    # a ViolationHeap driven by hand, not through the bench helpers, counts
+    # the golden table's heapsort and Dijkstra rows
+    rng = random.Random(0)
+    h = ViolationHeap()
+    for _ in range(20_000):
+        h.insert(rng.randrange(1 << 60))
+    while len(h):
+        h.delete_min()
+    assert h.telemetry == Telemetry(*GOLDEN["heapsort", "violation"])
+    h = ViolationHeap()
+    dist = dijkstra(gen_graph(10_000, 100_000, 7), 0, h)
+    assert h.telemetry == Telemetry(*GOLDEN["dijkstra", "violation"])
+    assert checksum(dist) == 182835793
 
 
 # what a key compared in h's delete_min does, given h, its handles, a sibling
@@ -610,6 +665,65 @@ last.nxt = oldest
 def test_corrupt_root_list_raises(corrupt, message):
     status, err = run_limited(_CORRUPT_DELETE_MIN.format(corrupt=corrupt))
     assert status == 0 and message in err, err
+
+
+def test_key_increase_rejected():
+    h = ViolationHeap()
+    a = h.insert(10)
+    with pytest.raises(HeapError, match="increase"):
+        h.decrease_key(a, 11)
+    with pytest.raises(HeapError, match="increase"):
+        h.decrease_key(a, math.nan)   # NaN does not sort below 10
+    h.decrease_key(a, 10)   # no-op decrease is fine
+    assert h.find_min() == (10, None)
+    # a NaN key is refused before a node is made or a key compared
+    before = (len(h), vars(h.telemetry).copy())
+    with pytest.raises(HeapError, match="NaN"):
+        h.insert(math.nan)
+    assert (len(h), vars(h.telemetry)) == before
+    assert full_audit(h).ok and h.find_min() == (10, None)
+
+
+def test_stale_handles_after_removal():
+    h = ViolationHeap()
+    a = h.insert(1, "gone")
+    b = h.insert(2, "stays")
+    assert h.delete_min() == (1, "gone")
+    assert not h.is_live(a) and h.is_live(b)
+    c = h.insert(3, "later")
+    with pytest.raises(StaleHandleError):
+        h.decrease_key(a, 0)
+    assert not h.is_live(a) and h.is_live(c) and (c.key, c.item) == (3, "later")
+
+
+def test_pools_are_independent():
+    h1, h2 = ViolationHeap(), ViolationHeap()
+    a = h1.insert(5)
+    h2.insert(5)
+    h1.delete_min()
+    # h2's telemetry and heap unaffected by h1 traffic
+    assert h2.telemetry.comparisons == 0
+    assert len(h2) == 1 and h2.find_min() == (5, None)
+    assert not h1.is_live(a)
+
+
+def test_items_round_trip():
+    h = ViolationHeap()
+    h.insert(3, {"payload": 1})
+    h.insert(1, "first")
+    h.insert(2, None)
+    assert h.delete_min() == (1, "first")
+    assert h.delete_min() == (2, None)
+    assert h.delete_min() == (3, {"payload": 1})
+
+
+def test_telemetry_counts_move():
+    h = ViolationHeap()
+    for k in range(64):
+        h.insert(k)
+    h.delete_min()
+    t = h.telemetry
+    assert t.joins > 0 and t.comparisons > 0 and t.max_rank >= 2
 
 
 def test_only_heap_core_names_the_family_record():
