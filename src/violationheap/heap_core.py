@@ -230,9 +230,16 @@ class ViolationHeap:
         return h.nxt is not None
 
     def find_min(self) -> Optional[tuple]:
-        """(key, item) of a minimum element, or None when empty."""
+        """(key, item) of a minimum element, or None when empty.
+
+        Called while this heap's own delete_min runs, it raises
+        HeapError: the minimum is out of the heap then, though ``len``
+        and ``is_live`` still count it until that call returns.
+        """
         f = self._first
         if f is None:
+            if self._count:
+                raise HeapError(_IN_FLIGHT)
             return None
         return f.key, f.item
 
@@ -435,9 +442,9 @@ class ViolationHeap:
         ascending rank order, with a minimum as the first root.  While
         the trees are in flight the heap has no root list, and a call
         into it from a key comparison (``insert``, ``meld``,
-        ``decrease_key`` or ``delete_min``) raises ``HeapError`` before
-        it changes anything; raised through the comparison, it rolls
-        this call back as below.
+        ``decrease_key``, ``delete_min`` or ``find_min``) raises
+        ``HeapError`` before it changes anything; raised through the
+        comparison, it rolls this call back as below.
 
         The heap keeps that list as ``_slots`` until ``insert``, ``meld``
         or a cut changes the root list.  A fresh list has room up to

@@ -9,23 +9,25 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+MEM_MIB = 512      # the child's address space
+CPU_S = 5          # the child's CPU time
+TIMEOUT_S = 30     # the child's wall time
 
 
-def run_limited(code: str, mem_mib: int = 512, cpu_s: int = 5,
-                timeout: float = 30) -> tuple[int, str]:
+def run_limited(code: str) -> tuple[int, str]:
     """Run code with ``python -c`` in a child that can import
-    violationheap, its address space capped at mem_mib MiB and its CPU
-    time at cpu_s seconds; subprocess kills it and raises TimeoutExpired
-    after timeout seconds of wall time.  Returns the exit status (minus
+    violationheap, its address space capped at MEM_MIB MiB and its CPU
+    time at CPU_S seconds; subprocess kills it and raises TimeoutExpired
+    after TIMEOUT_S seconds of wall time.  Returns the exit status (minus
     the signal number when a signal ended it, as SIGXCPU does at the
     CPU limit) and the child's stderr."""
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (mem_mib << 20, mem_mib << 20))
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+        resource.setrlimit(resource.RLIMIT_AS, (MEM_MIB << 20, MEM_MIB << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (CPU_S, CPU_S))
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=limit,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
     return done.returncode, done.stderr

@@ -8,11 +8,11 @@ from dataclasses import asdict
 
 import pytest
 
-from raising_keys import Tripwire
+from sweep import _ins, _sweep, _sweep_last
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError, NodeHandle,
                                      StaleHandleError, Telemetry)
-from violationheap.invariants import JoinNeutralityMonitor, full_audit
+from violationheap.invariants import full_audit
 from violationheap.oracle import (DEFAULT_WEIGHTS, NaivePQ, apply_op, gen_ops,
                                   run_differential)
 from violationheap.workloads import HEAP_NAMES, make_heap
@@ -333,135 +333,6 @@ def test_replay_against_the_model(name):
             assert apply_op(h, handles, op) == apply_op(model, ids, op), where
             assert len(h) == len(model), where
             assert h.find_min() == model.find_min(), where
-
-
-def _drain(h, limit):
-    # delete_min until the heap reports empty, or limit + 1 elements came out
-    out = []
-    while len(out) <= limit:
-        try:
-            out.append(h.delete_min())
-        except EmptyHeapError:
-            break
-    return out
-
-
-def _armed(k, call, key=Tripwire):
-    # run call with the key class's cue set for its k-th comparison,
-    # counting from 0; returns the number of comparisons call made
-    key.countdown = k
-    try:
-        call()
-        return k - key.countdown
-    finally:
-        key.countdown = None
-
-
-def _stage(h, handles, op):
-    # the heap's side of one OpScript op, with Tripwire keys, as a call and
-    # the heaps it touches.  A meld's side heap is filled here, before the
-    # call, so that only the meld's own comparisons are swept.  An
-    # element's item is its id, which numbers insertions as NaivePQ does.
-    kind = op[0]
-    if kind == "insert":
-        return lambda: handles.append(h.insert(Tripwire(op[1]), len(handles))), (h,)
-    if kind == "deletemin":
-        return h.delete_min, (h,)
-    if kind == "decrease":
-        return lambda: h.decrease_key(handles[op[1]], Tripwire(op[2])), (h,)
-    side = h.spawn()
-    for k in op[1]:
-        handles.append(side.insert(Tripwire(k), len(handles)))
-    return lambda: h.meld(side), (h, side)
-
-
-def _build(name, ops):
-    # ops replayed on a fresh heap and on a NaivePQ with plain int keys
-    h, model, handles, ids = make_heap(name), NaivePQ(), [], []
-    for op in ops:
-        _stage(h, handles, op)[0]()
-        apply_op(model, ids, op)
-    return h, model, handles
-
-
-def _snapshot(heaps, handles):
-    # what an op that leaves no trace must not change: the counters, each
-    # heap's attributes (a list by its contents) and every handle's slots
-    return (asdict(heaps[0].telemetry),
-            [[list(v) if isinstance(v, list) else v for v in vars(x).values()]
-             for x in heaps],
-            [[getattr(e, s) for s in e.__slots__] for e in handles])
-
-
-def _check(name, op, k, heaps, handles, model, before, monitor):
-    # the promise table of README (Baselines), after op raised at its
-    # k-th comparison; the model holds the elements from before op, and
-    # monitor, on a violation heap's delete_min, saw the joins it made
-    where = name, op, k
-    h = heaps[0]
-    split = op[0] == "meld" and name == "binary"
-    if op[0] == "deletemin" and name != "binary":
-        # rolled back: the joins made stay, and so do the k comparisons
-        # made, less the first of a violation join whose second raised;
-        # the one that raised is not counted, and nothing was cut
-        t0, t1 = before[0], asdict(h.telemetry)
-        assert k - 1 <= t1["comparisons"] - t0["comparisons"] <= k, where
-        assert [t1[c] - t0[c] for c in ("cuts", "rank_update_steps")] == [0, 0]
-        if monitor is not None:
-            assert t1["joins"] - t0["joins"] == monitor.joins, where
-            assert not monitor.mismatches, where
-    elif not split:
-        assert _snapshot(heaps, handles) == before, where
-    if name == "violation":
-        assert all(full_audit(x).ok for x in heaps), where
-        assert h.find_min() == model.find_min(), where
-    expect = [[(model.key_of(i), i) for i in map(model.ident_at, range(len(model)))]]
-    if op[0] == "meld":
-        n = len(handles)
-        expect.append(list(zip(op[1], range(n - len(op[1]), n))))
-    drains = []
-    for x in heaps:
-        size = len(x)
-        d = _drain(x, len(handles))
-        assert len(d) == size and x.find_min() is None, where
-        assert [e[0] for e in d] == sorted(e[0] for e in d), where
-        drains.append(d)
-    if split:
-        # both operands are valid heaps that hold every element once
-        drains, expect = [sum(drains, [])], [sum(expect, [])]
-    assert [sorted(d) for d in drains] == [sorted(e) for e in expect], where
-
-
-def _sweep(name, ops, first):
-    # raise at each comparison of each op from ops[first] on, every time
-    # on a fresh replay of the ops before it; returns the raise points
-    # per op kind
-    points = Counter()
-    for i in range(first, len(ops)):
-        op = ops[i]
-        h, _, handles = _build(name, ops[:i])
-        total = _armed(10 ** 9, _stage(h, handles, op)[0])
-        for k in range(total):
-            h, model, handles = _build(name, ops[:i])
-            call, heaps = _stage(h, handles, op)
-            before = _snapshot(heaps, handles)
-            monitor = None
-            if name == "violation" and op[0] == "deletemin":
-                monitor = JoinNeutralityMonitor(h).install()
-            with pytest.raises(RuntimeError, match="tripwire"):
-                _armed(k, call)
-            _check(name, op, k, heaps, handles, model, before, monitor)
-        points[op[0]] += total
-    return points
-
-
-def _sweep_last(name, ops):
-    # the ops before the last build a fixed state; only the last is swept
-    return _sweep(name, ops, len(ops) - 1)
-
-
-def _ins(keys):
-    return [("insert", k) for k in keys]
 
 
 @pytest.mark.parametrize("name", HEAPS)

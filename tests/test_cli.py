@@ -11,7 +11,7 @@ import pytest
 
 from violationheap import cli
 from violationheap.cli import TraceError, _build_parser, main, run_trace
-from violationheap.heap_core import Telemetry
+from violationheap.heap_core import Telemetry, ViolationHeap
 from violationheap.oracle import run_differential
 from violationheap.workloads import CSV_HEADER, HEAP_NAMES
 
@@ -131,10 +131,30 @@ class TestTrace:
         with pytest.raises(TraceError, match="bad trace line"):
             run_trace(["pop everything"])
 
-    def test_file_and_exit_codes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lines, message", [
+        (["new a", "new a"], "line 2: heap 'a' exists"),
+        (["new a", "decrease x 1"], "line 2: unknown id 'x'"),
+        (["new a", "insert a x five"], "line 2: bad key 'five'"),
+    ])
+    def test_errors_name_the_line(self, lines, message):
+        with pytest.raises(TraceError, match=message):
+            run_trace(lines)
+
+    def test_check_reports_a_failed_audit(self, monkeypatch):
+        # a decrease that only stores the key leaves a root below the first
+        monkeypatch.setattr(ViolationHeap, "decrease_key",
+                            lambda self, x, key: setattr(x, "key", key))
+        with pytest.raises(TraceError, match="line 5: audit failed: .*first-root"):
+            run_trace(["new a", "insert a x 5", "insert a y 6", "decrease y 1", "check a"])
+
+    def test_file_and_exit_codes(self, tmp_path, capsys, monkeypatch):
         good = tmp_path / "good.trace"
         good.write_text("new h\ninsert h a 2\nfindmin h\ncheck h\n")
         code, out, _ = run(capsys, "check", str(good))
+        assert code == 0 and out.splitlines() == ["a 2", "ok"]
+        # "-" reads the trace from stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO(good.read_text()))
+        code, out, _ = run(capsys, "check", "-")
         assert code == 0 and out.splitlines() == ["a 2", "ok"]
 
         bad = tmp_path / "bad.trace"

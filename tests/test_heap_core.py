@@ -16,7 +16,7 @@ import pytest
 
 from limited_run import run_limited
 from raising_keys import Reentrant
-from test_baselines import _armed, _sweep_last
+from sweep import _build, _ins, _sweep_last
 from test_golden_counters import GOLDEN
 from trees import children, roots, subtree
 from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
@@ -326,22 +326,10 @@ class OwnKindOnly:
         return self.v > self._other(other)
 
 
-class NoStrictOrder:
-    """Key that is never an increase (<= holds, > fails) but raises on <."""
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __lt__(self, other):
-        raise TypeError("no strict order")
-
-
 def test_raising_key_compare_mutates_nothing():
     h = ViolationHeap()
-    hs = {k: h.insert(k) for k in (5, 3, 8)}
+    for k in (5, 3, 8):
+        h.insert(k)
     side = h.spawn()
     side.insert(OwnKindOnly(1))
     before = (len(h), len(side), h.telemetry.comparisons)
@@ -360,28 +348,18 @@ def test_raising_key_compare_mutates_nothing():
     with pytest.raises(TypeError):
         side.meld(h)
     unchanged()
-    # a root compares with the first root before its key is stored
-    with pytest.raises(TypeError):
-        h.decrease_key(hs[8], NoStrictOrder())
-    unchanged()
     # both operands stay usable after the failed meld
     assert h.delete_min() == (3, None)
     assert side.delete_min()[0].v == 1
 
-    # children compare with the parent (active) or the first root
-    # (deeper) before anything is stored or cut
-    h = ViolationHeap()
-    hs = [h.insert(k) for k in range(12)]
-    h.delete_min()
-    assert len(roots(h)) < 11
-    for handle in hs[1:]:
-        snap = ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
-                h._first, vars(h.telemetry).copy())
-        with pytest.raises(TypeError):
-            h.decrease_key(handle, NoStrictOrder())
-        assert snap == ([(x.key, x.rank, x.down, x.nxt, x.prv) for x in hs],
-                        h._first, vars(h.telemetry))
-    assert full_audit(h).ok
+    # a root compares with the first root, a child with its parent
+    # (active) or the first root (deeper), before anything is stored or
+    # cut: a raise at each comparison of a decrease of each live handle
+    # to a new minimum, -1, leaves no trace
+    ops = _ins(range(12)) + [("deletemin",)]
+    assert len(roots(_build("violation", ops)[0])) < 11
+    for i in range(1, 12):
+        _sweep_last("violation", ops + [("decrease", i, -1)])
 
 
 @pytest.mark.parametrize("late", [0, 3])
@@ -422,6 +400,7 @@ REENTRANT_CALLS = {
     "decrease_key": lambda h, hs, sib: h.decrease_key(hs[-1], -5),
     "meld-into": lambda h, hs, sib: h.meld(sib),
     "meld-of": lambda h, hs, sib: sib.meld(h),
+    "find_min": lambda h, hs, sib: h.find_min(),
 }
 
 
@@ -432,27 +411,17 @@ def test_a_call_into_a_heap_from_its_delete_min_is_refused(call, kept):
     # heap: the call raises HeapError before it changes anything, and the
     # delete_min rolls back.  With kept, an earlier one left its slot list
     keys = random.Random(5).sample(range(999), 99) + [999]  # hs[-1] stays live
+    ops = _ins(keys) + [("deletemin",)] * (1 + kept)
 
-    def build():
-        h = ViolationHeap()
-        hs = [h.insert(Reentrant(k)) for k in keys]
-        if kept:
-            h.delete_min()
+    def bind(h, hs):
         sib = h.spawn()
         for k in (500, -7):
             sib.insert(k)
         Reentrant.call = lambda: REENTRANT_CALLS[call](h, hs, sib)
-        return h, sib
+        return [(sib, [(-7, None), (500, None)])]
 
-    h, _ = build()
-    assert (h._slots is not None) == kept
-    for k in range(_armed(10 ** 9, h.delete_min, Reentrant)):
-        h, sib = build()
-        with pytest.raises(HeapError, match="delete_min runs"):
-            _armed(k, h.delete_min, Reentrant)
-        assert full_audit(h).ok and h._slots is None, k
-        assert [sib.delete_min()[0] for _ in range(2)] == [-7, 500] and not sib, k
-        assert [h.delete_min()[0] for _ in range(len(h))] == sorted(keys)[kept:], k
+    assert (_build("violation", ops[:-1], Reentrant)[0]._slots is not None) == kept
+    _sweep_last("violation", ops, Reentrant, (HeapError, "delete_min runs"), bind)
 
 
 def _hooked_family():

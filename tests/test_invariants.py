@@ -11,8 +11,8 @@ import pytest
 from trees import children, roots, subtree
 from violationheap import HeapError, ViolationHeap
 from violationheap.heap_core import max_rank_bound
-from violationheap.invariants import (JoinNeutralityMonitor, full_audit,
-                                      potential_snapshot)
+from violationheap.invariants import (JoinNeutralityMonitor, PotentialSnapshot,
+                                      full_audit, potential_snapshot)
 from violationheap.oracle import apply_op, gen_ops
 
 
@@ -30,6 +30,7 @@ def test_audit_clean_small_and_empty():
     h, _ = build(0, delete_min=False)
     rep = full_audit(h)
     assert rep.ok and rep.node_count == 0 and rep.max_rank == 0
+    assert potential_snapshot(h) == PotentialSnapshot(0, 0, 0)
 
     h, _ = build(10)
     rep = full_audit(h)
@@ -246,6 +247,10 @@ def test_count_mismatch_flagged():
     h._count += 1
     assert any(v.rule == "count" for v in full_audit(h).violations)
     h._count -= 1
+    # an empty root list that claims elements
+    h, _ = build(0, delete_min=False)
+    h._count = 1
+    assert [v.rule for v in full_audit(h).violations] == ["count"]
 
 
 def test_broken_sibling_link_flagged():
@@ -479,6 +484,21 @@ def test_join_neutrality_monitor():
     mon.remove()
     assert mon.joins == h.telemetry.joins - joins > 100
     assert not mon.mismatches
+    # a join that is not neutral is reported: a hook around the monitor
+    # gives the leaf 3 rank -1, an excess of 2, for the walk after the join
+    h, hs = build(4, delete_min=False)
+    mon = JoinNeutralityMonitor(h).install()
+    observe = h.telemetry.join_hook
+
+    def hook(phase, trees):
+        hs[3].rank = -1 if phase == "after" else 0
+        observe(phase, trees)
+        hs[3].rank = 0
+
+    h.telemetry.join_hook = hook
+    h.delete_min()
+    assert children(hs[1]) == [hs[3], hs[2]]
+    assert mon.mismatches == [(1, 0, 2)]
 
 
 def test_join_neutrality_monitor_beside_a_heap_with_excess():

@@ -421,21 +421,44 @@ class TestOneModel:
             assert run_differential(1, n_ops) == replay(gen_ops(1, n_ops))
 
     def test_same_failing_verdict_with_a_bug_injected(self, monkeypatch):
-        # a decrease-key that drops every key divisible by 7 leaves the
-        # heap holding the old key; both paths must catch it at one op
-        real = ViolationHeap.decrease_key
+        # each bug makes the heap fail one check of the loop; both paths
+        # must catch it at one op, with that check's message
+        real = {name: getattr(ViolationHeap, name)
+                for name in ("decrease_key", "delete_min", "find_min", "insert")}
 
         def lossy(self, handle, new_key):
+            # drops every key divisible by 7: the heap holds the old key
             if new_key % 7:
-                real(self, handle, new_key)
+                real["decrease_key"](self, handle, new_key)
 
-        monkeypatch.setattr(ViolationHeap, "decrease_key", lossy)
-        for seed, audit_every in ((0, None), (1, 0), (2, 7)):
-            v = run_differential(seed, 1500, audit_every=audit_every)
-            assert not v.passed and v.fail_at is not None and v.detail
-            w = replay(gen_ops(seed, 1500), audit_every)
-            assert (v.fail_at, v.detail) == (w.fail_at, w.detail)
-            assert v == w
+        def ranked(self, key, item=None):
+            # a new leaf claims rank 1, past the formula's bound
+            x = real["insert"](self, key, item)
+            x.rank = 1
+            return x
+
+        # (method, bug, runs as (seed, audit_every, message))
+        bugs = [
+            ("decrease_key", lossy, [(0, None, "find_min key"), (1, 0, "delete_min key"),
+                                     (2, 7, "delete_min key")]),
+            ("__len__", lambda self: self._count + (self._count == 5), [(0, None, "size")]),
+            ("find_min", lambda self: real["find_min"](self) or (0, None),
+             [(3, None, "find_min (0, None) on empty oracle")]),
+            ("find_min", lambda self: None, [(0, None, "find_min empty, oracle is not")]),
+            ("insert", ranked, [(0, None, "audit: "), (0, 10 ** 6, "final audit: ")]),
+            ("delete_min", lambda self: (real["delete_min"](self)[0], None),
+             [(0, None, "delete_min item")]),
+        ]
+        for method, bug, runs in bugs:
+            with monkeypatch.context() as m:
+                m.setattr(ViolationHeap, method, bug)
+                for seed, audit_every, message in runs:
+                    v = run_differential(seed, 1500, audit_every=audit_every)
+                    assert not v.passed and v.fail_at is not None, (method, seed)
+                    assert v.detail.startswith(message), (method, seed, v.detail)
+                    w = replay(gen_ops(seed, 1500), audit_every)
+                    assert (v.fail_at, v.detail) == (w.fail_at, w.detail)
+                    assert v == w
 
     # verdicts of the first and last seeds of acceptance criterion 1,
     # as test_scripts_pinned pins their scripts

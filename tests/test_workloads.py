@@ -297,6 +297,8 @@ class TestDimacs:
         (f"p sp 2 1\na 1 2 {2 ** 63}\n", "line 2: weight"),
         (f"p sp 2 1\na 1 2 {-2 ** 63 - 1}\n", "line 2: weight"),
         (f"p sp {2 ** 63 + 1} 0\n", "line 1: bad sizes"),
+        ("c max flow\np max 2 1\n", "line 2: expected 'p sp <n> <m>'"),
+        ("p sp 2 1\na 1 2 x\n", "line 2: non-integer arc"),
     ])
     def test_errors_name_the_line(self, text, fragment):
         with pytest.raises(ValueError) as err:
