@@ -470,10 +470,11 @@ class ViolationHeap:
         not counted.
 
         On a corrupt root list the call raises ``HeapError`` after the
-        same rollback: when the walk meets a removed node, or when a join
-        makes a rank past ``max_rank_bound`` of the heap's size, which no
-        tree of that many nodes reaches, so the list does not return to
-        the minimum.
+        same rollback: when the walk meets a removed node, when it meets
+        a tree of a rank past the slot list, which holds every rank of a
+        sound heap, or when a join makes a rank past ``max_rank_bound``
+        of the heap's size, which no tree of that many nodes reaches, so
+        the list does not return to the minimum.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -626,10 +627,16 @@ class ViolationHeap:
                 u.prv = None
                 u.nxt = w
             self._first = z
-            if v is None and isinstance(exc, AttributeError):
+            if i is None and isinstance(exc, AttributeError):
                 # the walk took a removed node's None nxt for a tree
                 raise HeapError(f"the roots or children of {z!r} "
                                 f"reach a removed node") from exc
+            if v is not None and isinstance(exc, IndexError) and 2 * v.rank >= len(s):
+                # the walk met a tree of a rank that no slot holds.  A
+                # key's comparison runs only once v's rank has its slots,
+                # so an IndexError of the key's own passes on as it is
+                raise HeapError(f"{v!r} has rank {v.rank}, past the slot list's "
+                                f"top rank {len(s) // 2 - 1}") from exc
             raise
         finally:
             t.joins += joins

@@ -69,9 +69,10 @@ def _build(name, ops, key=Tripwire, bind=None):
 
 
 def _snapshot(heaps, handles):
-    # what an op that leaves no trace must not change: the counters, each
-    # heap's attributes (a list by its contents) and every handle's slots
-    return (asdict(heaps[0].telemetry),
+    # the tests' one check that a call left no trace (README, Baselines):
+    # what it must not change is each heap's counters and attributes (a
+    # list by its contents) and every handle's slots
+    return ([asdict(x.telemetry) for x in heaps],
             [[list(v) if isinstance(v, list) else v for v in vars(x).values()]
              for x in heaps],
             [[getattr(e, s) for s in e.__slots__] for e in handles])
@@ -89,7 +90,7 @@ def _check(name, op, k, heaps, extras, handles, model, before, joins):
         # rolled back: the joins made stay, and so do the k comparisons
         # made, less the first of a violation join whose second raised;
         # the one that raised is not counted, and nothing was cut
-        t0, t1 = before[0], asdict(h.telemetry)
+        t0, t1 = before[0][0], asdict(h.telemetry)
         assert k - 1 <= t1["comparisons"] - t0["comparisons"] <= k, where
         assert [t1[c] - t0[c] for c in ("cuts", "rank_update_steps")] == [0, 0]
         if name == "violation":

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from sweep import _ins, _sweep, _sweep_last
+from sweep import _ins, _snapshot, _sweep, _sweep_last
 from violationheap.baselines import BinaryHeap, PairingHeap
 from violationheap.heap_core import (EmptyHeapError, HeapError, NodeHandle,
                                      StaleHandleError, Telemetry)
@@ -77,11 +77,10 @@ def test_error_paths(name):
         h.decrease_key(a, math.nan)
     h.decrease_key(a, 10)      # an equal key is a decrease that does nothing
     assert h.find_min() == (10, "gone")
-    counters = asdict(h.telemetry)
+    before = _snapshot([h], [a])
     with pytest.raises(HeapError, match="NaN"):
         h.insert(math.nan)
-    assert len(h) == 1 and asdict(h.telemetry) == counters
-    assert h.find_min() == (10, "gone")
+    assert _snapshot([h], [a]) == before
     # a removed element's handle is stale, its neighbours' are not, and a
     # handle issued later reads its own element
     b = h.insert(20, "stays")
@@ -162,10 +161,9 @@ def test_meld_takes_its_own_kind_only(name):
 
     def filled(kind, part):
         h = make_heap(kind)
-        for k in part:
-            h.insert(k)
+        hs = [h.insert(k) for k in part]
         h.delete_min()
-        return h
+        return h, hs
 
     def drain(h):
         out = [h.delete_min()[0] for _ in range(len(h))]
@@ -175,14 +173,13 @@ def test_meld_takes_its_own_kind_only(name):
     for other in HEAP_NAMES:
         if other == name:
             continue
-        a, b = filled(name, keys[:20]), filled(other, keys[20:])
-        state = lambda: [(len(h), asdict(h.telemetry)) for h in (a, b)]
-        before = state()
+        (a, ha), (b, hb) = filled(name, keys[:20]), filled(other, keys[20:])
+        before = _snapshot([a, b], ha + hb)
         with pytest.raises(HeapError, match="cannot meld"):
             a.meld(b)
-        assert state() == before, other
+        assert _snapshot([a, b], ha + hb) == before, other
         assert len(drain(a)) == len(drain(b)) == 19
-    a, b = filled(name, keys[:20]), filled(name, keys[20:])
+    (a, _), (b, _) = filled(name, keys[:20]), filled(name, keys[20:])
     assert a.meld(b) is a and len(a) == 38 and len(b) == 0
     assert drain(a) == sorted(sorted(keys[:20])[1:] + sorted(keys[20:])[1:])
 
@@ -194,20 +191,14 @@ def test_decrease_on_the_emptied_meld_operand_is_refused(name):
     # delete_min makes its violation handles a root and two children
     a = make_heap(name)
     b = a.spawn()
-    for k in (5, 6):
-        a.insert(k)
-    hb = {k: b.insert(k) for k in (7, 8, 9, 10)}
+    hs = [a.insert(k) for k in (5, 6)] + [b.insert(k) for k in (7, 8, 9, 10)]
     b.delete_min()
-    del hb[7]
-    assert a.meld(b) is a and len(a) == 5
-    state = lambda: (len(a), a.find_min(), asdict(a.telemetry))
-    before = state()
-    for h in hb.values():
+    assert a.meld(b) is a and (len(a), len(b), b.find_min()) == (5, 0, None)
+    before = _snapshot([a, b], hs)
+    for h in hs[3:]:
         with pytest.raises(HeapError, match=None if name == "binary" else "empty"):
             b.decrease_key(h, 1)
-        assert len(b) == 0 and b.find_min() is None
-    assert state() == before
-    assert {k: h.key for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+        assert _snapshot([a, b], hs) == before
     assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
     assert len(a) == 0
 
@@ -301,21 +292,15 @@ def test_a_handle_of_a_dropped_heap_reads_as_removed(name):
     # that heap is left as it was
     h, handles, _ = _worn_heap(name)
     other = h.spawn()
-    for k in (50, 10, 30, 20):
-        other.insert(k)
+    hs = [other.insert(k) for k in (50, 10, 30, 20)]
     other.delete_min()
-
-    def state():
-        audit = full_audit(other).to_json() if name == "violation" else None
-        return len(other), other.find_min(), asdict(other.telemetry), audit
-
-    before = state()
+    before = _snapshot([other], hs)
     del h
     for x in handles[:50]:
         assert not other.is_live(x)
         with pytest.raises(StaleHandleError):
             other.decrease_key(x, -1)
-    assert state() == before
+        assert _snapshot([other], hs) == before
     if name == "violation":
         assert full_audit(other).ok
     assert [other.delete_min()[0] for _ in range(3)] == [20, 30, 50]
@@ -390,15 +375,14 @@ def test_binary_ids_unique_across_instances():
 def test_binary_refuses_a_live_handle_of_another_heap():
     # the entries of a and b share slot numbers: only identity tells them
     a, b = BinaryHeap(), BinaryHeap()
-    for k in (5, 6, 7):
-        a.insert(k)
+    ha = [a.insert(k) for k in (5, 6, 7)]
     hb = [b.insert(k) for k in (1, 2, 3)]
-    counters = asdict(a.telemetry), asdict(b.telemetry)
+    before = _snapshot([a, b], ha + hb)
     for h in hb:
         assert b.is_live(h) and not a.is_live(h)
         with pytest.raises(StaleHandleError):
             a.decrease_key(h, 0)
-    assert (asdict(a.telemetry), asdict(b.telemetry)) == counters
+        assert _snapshot([a, b], ha + hb) == before
     assert [a.delete_min()[0] for _ in range(3)] == [5, 6, 7]
     assert [b.delete_min()[0] for _ in range(3)] == [1, 2, 3]
 

@@ -54,6 +54,16 @@ class TestFuzz:
                                      "melds", "audits", "multiplicity_audits"]:
                 assert doc[name] == getattr(v, name), name
 
+    def test_a_failing_seed_exits_one(self, capsys, monkeypatch):
+        # a planted bug: find_min reports every heap empty
+        monkeypatch.setattr(ViolationHeap, "find_min", lambda self: None)
+        code, out, _ = run(capsys, "fuzz", "--seeds", "2", "--ops", "200")
+        docs = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 1 and [doc["seed"] for doc in docs] == [0, 1]
+        for doc in docs:
+            assert doc["verdict"] == "fail" and isinstance(doc["fail_at"], int)
+            assert doc["detail"].startswith("find_min empty, oracle is not")
+
     def test_bad_weights_usage_error(self, capsys):
         # argparse exits 2 and its message keeps parse_weights's reason
         for text, reason in [("1,2", "expected four weights"),

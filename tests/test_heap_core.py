@@ -14,26 +14,17 @@ from pathlib import Path
 
 import pytest
 
+from golden import GOLDEN
 from limited_run import run_limited
-from raising_keys import Reentrant
-from sweep import _build, _ins, _sweep_last
-from test_golden_counters import GOLDEN
-from trees import children, roots, subtree
+from raising_keys import Reentrant, Tripwire
+from sweep import _armed, _build, _ins, _snapshot, _sweep_last
+from trees import children, one_deleted, roots, shape, subtree
 from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
                            Telemetry, ViolationHeap, rank_from_pair)
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit
 from violationheap.oracle import DEFAULT_WEIGHTS, apply_op, gen_ops
 from violationheap.workloads import HEAP_NAMES, checksum, dijkstra, gen_graph
-
-
-def _one_deleted(n, low=1):
-    # keys low .. low + n - 1 inserted in order, then low deleted: the heap
-    # most traces below start from, and each element's handle by its key
-    h = ViolationHeap()
-    hs = {k: h.insert(k) for k in range(low, low + n)}
-    assert h.delete_min() == (low, None)
-    return h, hs
 
 
 def test_rank_formula_examples():
@@ -69,7 +60,7 @@ def test_empty_heap_queries():
 
 def test_four_singletons_consolidate():
     # third tree of a rank triggers one 3-way join; survivors: that tree
-    h, hs = _one_deleted(4)
+    h, hs = one_deleted(4, 1)
     i2 = hs[2]
     assert h.find_min() == (2, None) and len(h) == 3
     assert i2.rank == 1
@@ -79,7 +70,7 @@ def test_four_singletons_consolidate():
 
 
 def test_ten_keys_cut_and_propagation_chain():
-    h, hs = _one_deleted(10)
+    h, hs = one_deleted(10, 1)
     assert hs[2].rank == 2 and hs[2].down == hs[5]
     assert children(hs[2]) == [hs[4], hs[3], hs[8], hs[5]]
     assert hs[8].rank == 1 and hs[5].rank == 1
@@ -105,7 +96,7 @@ def test_ten_keys_cut_and_propagation_chain():
 
 
 def test_active_parent_on_the_ten_key_tree():
-    h, hs = _one_deleted(10)
+    h, hs = one_deleted(10, 1)
     assert children(hs[2]) == [hs[4], hs[3], hs[8], hs[5]]
     expected = {5: 2, 8: 2, 6: 5, 7: 5, 9: 8, 10: 8}
     for k in range(2, 11):
@@ -119,7 +110,7 @@ def test_cut_second_to_last_child_with_children():
     # Cutting 8 glues its last child 9 (tie at rank 0) into 8's place:
     # 3 -> 9 -> 5 among 2's children, 8 keeps 10.  The walk starts at 2,
     # whose active pair drops to (0, 0), so 2 falls to rank 1.
-    h, hs = _one_deleted(10)
+    h, hs = one_deleted(10, 1)
     h.decrease_key(hs[6], 0)
     h.decrease_key(hs[7], -1)
     assert children(hs[2]) == [hs[4], hs[3], hs[8], hs[5]]
@@ -151,7 +142,7 @@ def test_cut_non_active_child_with_children():
     # active and has children [7, 6], both rank 0.  Cutting 5 glues 6 (the
     # last child wins the tie) between 8 and 20, 5 keeps 7, and no rank
     # repair runs.
-    h, hs = _one_deleted(28)
+    h, hs = one_deleted(28, 1)
     assert children(hs[2]) == [hs[k] for k in (4, 3, 8, 5, 20, 11)]
     assert children(hs[5]) == [hs[7], hs[6]]
     ranks = {k: x.rank for k, x in hs.items()}
@@ -177,7 +168,7 @@ def test_cut_non_active_child_with_children():
 
 
 def test_eight_singletons_survivor_ranks():
-    h, _ = _one_deleted(8)
+    h, _ = one_deleted(8, 1)
     rks = sorted(r.rank for r in roots(h))
     assert rks == [0, 1, 1]
     assert [h.delete_min()[0] for _ in range(7)] == list(range(2, 9))
@@ -187,7 +178,7 @@ def test_nonactive_child_always_cuts():
     # in the 10-key tree, 3 is childless and older than the two active
     # children of 2; even a decrease that stays above the parent's key
     # must detach it
-    h, hs = _one_deleted(10)
+    h, hs = one_deleted(10, 1)
     cuts0 = h.telemetry.cuts
     h.decrease_key(hs[3], 3)   # same key: allowed, still a cut
     assert h.telemetry.cuts == cuts0 + 1
@@ -212,7 +203,7 @@ def test_active_child_above_parent_stays_put():
 
 
 def test_82_keys_glue_surgeries():
-    h, hs = _one_deleted(82)
+    h, hs = one_deleted(82, 1)
     R = hs[2]
     assert R.rank == 4 and h._first == R
     L4 = R.down
@@ -238,7 +229,7 @@ def test_82_keys_glue_surgeries():
 
 
 def test_join_swaps_misordered_last_children():
-    h1, a = _one_deleted(10, 100)
+    h1, a = one_deleted(10, 100)
     assert a[101].rank == 2
     assert children(a[101]) == [a[103], a[102], a[107], a[104]]
     h1.decrease_key(a[104], 50)
@@ -271,19 +262,14 @@ def test_decrease_on_the_emptied_meld_operand_is_refused():
     # is detected is a decrease called on an empty heap
     a = ViolationHeap()
     b = a.spawn()
-    for k in (5, 6):
-        a.insert(k)
-    hb = {k: b.insert(k) for k in (7, 8, 9, 10)}
+    hs = [a.insert(k) for k in (5, 6)] + [b.insert(k) for k in (7, 8, 9, 10)]
     b.delete_min()           # joins 8, 9, 10: a root and two children
-    del hb[7]
-    assert a.meld(b) is a and len(a) == 5
-    before = (len(a), a.telemetry.comparisons)
-    for h in hb.values():
+    assert a.meld(b) is a and (len(a), len(b), b.find_min()) == (5, 0, None)
+    before = _snapshot([a, b], hs)
+    for h in hs[3:]:
         with pytest.raises(HeapError, match="empty"):
             b.decrease_key(h, 1)
-    assert len(b) == 0 and b.find_min() is None
-    assert (len(a), a.telemetry.comparisons) == before
-    assert {k: h.key for k, h in hb.items()} == {8: 8, 9: 9, 10: 10}
+        assert _snapshot([a, b], hs) == before
     assert full_audit(a).ok
     assert [a.delete_min()[0] for _ in range(5)] == [5, 6, 8, 9, 10]
 
@@ -308,49 +294,24 @@ def test_meld_takes_a_heap_built_apart():
     assert vars(b.telemetry) == b_counts
 
 
-class OwnKindOnly:
-    """Key that orders among its own kind and raises against any other."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def _other(self, other):
-        if not isinstance(other, OwnKindOnly):
-            raise TypeError("no order against a foreign key")
-        return other.v
-
-    def __lt__(self, other):
-        return self.v < self._other(other)
-
-    def __gt__(self, other):
-        return self.v > self._other(other)
-
-
 def test_raising_key_compare_mutates_nothing():
+    # a raise at the one comparison of an insert, and of a meld either
+    # way round, leaves no trace
     h = ViolationHeap()
-    for k in (5, 3, 8):
-        h.insert(k)
+    hs = [h.insert(k) for k in (5, 3, 8)]
     side = h.spawn()
-    side.insert(OwnKindOnly(1))
-    before = (len(h), len(side), h.telemetry.comparisons)
-
-    def unchanged():
-        assert (len(h), len(side), h.telemetry.comparisons) == before
-        assert full_audit(h).ok and full_audit(side).ok
-        assert [i.key for i in roots(h)] == [3, 8, 5]
-
-    with pytest.raises(TypeError):
-        h.insert(OwnKindOnly(0))
-    unchanged()
-    with pytest.raises(TypeError):
-        h.meld(side)
-    unchanged()
-    with pytest.raises(TypeError):
-        side.meld(h)
-    unchanged()
+    hs.append(side.insert(Tripwire(1)))
+    assert [i.key for i in roots(h)] == [3, 8, 5]
+    before = _snapshot([h, side], hs)
+    for call in (lambda: h.insert(Tripwire(0)), lambda: h.meld(side),
+                 lambda: side.meld(h)):
+        with pytest.raises(RuntimeError, match="tripwire"):
+            _armed(0, call)
+        assert _snapshot([h, side], hs) == before
+    assert full_audit(h).ok and full_audit(side).ok
     # both operands stay usable after the failed meld
     assert h.delete_min() == (3, None)
-    assert side.delete_min()[0].v == 1
+    assert side.delete_min() == (1, None)
 
     # a root compares with the first root, a child with its parent
     # (active) or the first root (deeper), before anything is stored or
@@ -458,7 +419,7 @@ def test_join_hook_lifting_max_rank_mid_call():
     # slots from its own ranks and keeps the higher max_rank.  The hook
     # sees the counters as they stood before the call.
     h, side = _hooked_family()
-    far, _ = _one_deleted(2000, 0)
+    far, _ = one_deleted(2000)
     assert far.telemetry.max_rank == 6
     seen = []
 
@@ -503,15 +464,6 @@ def test_join_hook_sees_whole_trees():
     assert full_audit(h).ok
 
 
-def _shape(h, handles):
-    # every node's key, rank and links as indexes into handles, the root
-    # order from the first root, and the counters
-    at = {x: i for i, x in enumerate(handles)}
-    at[None] = None
-    nodes = [(x.key, x.rank, at[x.down], at[x.nxt], at[x.prv]) for x in handles]
-    return nodes, [at[r] for r in roots(h)], h.telemetry
-
-
 @pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, (0.3, 0.5, 0.15, 0.05)])
 def test_kept_slots_change_nothing(weights):
     # one heap keeps its slot list between delete-mins, its twin never
@@ -525,7 +477,7 @@ def test_kept_slots_change_nothing(weights):
             fresh._slots = None
             had, cuts = kept._slots is not None, kept.telemetry.cuts
             assert apply_op(kept, hk, op) == apply_op(fresh, hf, op)
-            assert _shape(kept, hk) == _shape(fresh, hf), (seed, n, op)
+            assert shape(kept, hk) == shape(fresh, hf), (seed, n, op)
             kind = "cut" if kept.telemetry.cuts > cuts else op[0]
             uses[kind] += had
     assert all(uses[kind] for kind in ("deletemin", "insert", "meld", "cut")), uses
@@ -569,7 +521,7 @@ def test_kept_slots_after_a_sibling_lifts_max_rank():
             h.insert(k)
         h.delete_min()
         assert w.nxt is w and len(h._slots) == 8 and h.telemetry.max_rank == 2
-        high, _ = _one_deleted(2000, 0)
+        high, _ = one_deleted(2000)
         h.spawn().meld(high.spawn())
         assert h.telemetry.max_rank == 6
         if drop:
@@ -625,31 +577,67 @@ while oldest.prv is not None:
 last.nxt = oldest
 """
 
+# a root of another family's heap, of rank 5, is made h's first root (a
+# handle that decrease_key cannot tell from its own): h's fresh slot list
+# has room up to rank 1, so the walk of that heap's roots meets a rank
+# that no slot holds
+_FOREIGN_TREE = """
+g = ViolationHeap()
+for k in range(10, 310):
+    g.insert(k)
+g.delete_min()
+x = g._first
+while x.rank != 5:
+    x = x.nxt
+h.decrease_key(x, 0)
+"""
+
 
 @pytest.mark.parametrize("corrupt, message", [
     ("two.nxt = three", "the roots or children of NodeHandle(1, None) do not return to it"),
     ("two.nxt = z", "reach a removed node"),
     (_KEPT_CHILD_LOOP, "the roots or children of NodeHandle(2, None) do not return to it"),
-], ids=["loop", "removed", "kept-child-loop"])
+    ("three.rank = 30", "NodeHandle(3, None) has rank 30, past the slot list's top rank 1"),
+    (_FOREIGN_TREE, "past the slot list's top rank 1"),
+], ids=["loop", "removed", "kept-child-loop", "rank-past-slots", "foreign-tree"])
 def test_corrupt_root_list_raises(corrupt, message):
     status, err = run_limited(_CORRUPT_DELETE_MIN.format(corrupt=corrupt))
     assert status == 0 and message in err, err
 
 
+@pytest.mark.parametrize("error", [IndexError, AttributeError])
+def test_a_key_gets_its_own_error_back(error):
+    # delete_min turns the IndexError of a rank past its slot list, and
+    # the AttributeError of a walk into a removed node, into HeapError
+    # (test_corrupt_root_list_raises), never a key's own
+    def bind(h, hs):
+        def call():
+            raise error("the key's own")
+        Reentrant.call = call
+        return []
+
+    # the second delete_min of 1 .. 5 takes the childless minimum from a
+    # kept slot list: its one comparison is the min scan's, no tree walked
+    for keys in (random.Random(5).sample(range(999), 99), range(6)):
+        ops = _ins(keys) + [("deletemin",)] * 2
+        _sweep_last("violation", ops, Reentrant, (error, "the key's own"), bind)
+
+
 def test_key_increase_rejected():
-    h = ViolationHeap()
-    a = h.insert(10)
-    with pytest.raises(HeapError, match="increase"):
-        h.decrease_key(a, 11)
-    with pytest.raises(HeapError, match="increase"):
-        h.decrease_key(a, math.nan)   # NaN does not sort below 10
+    # each refusal leaves no trace, the kept slot list included
+    h, hs = one_deleted(2, 9)
+    a = hs[10]
+    assert h._slots is not None
+    before = _snapshot([h], hs.values())
+    for call, match in ((lambda: h.decrease_key(a, 11), "increase"),
+                        # NaN does not sort below 10
+                        (lambda: h.decrease_key(a, math.nan), "increase"),
+                        # nor is it a key: refused before a key is compared
+                        (lambda: h.insert(math.nan), "NaN")):
+        with pytest.raises(HeapError, match=match):
+            call()
+        assert _snapshot([h], hs.values()) == before
     h.decrease_key(a, 10)   # no-op decrease is fine
-    assert h.find_min() == (10, None)
-    # a NaN key is refused before a node is made or a key compared
-    before = (len(h), vars(h.telemetry).copy())
-    with pytest.raises(HeapError, match="NaN"):
-        h.insert(math.nan)
-    assert (len(h), vars(h.telemetry)) == before
     assert full_audit(h).ok and h.find_min() == (10, None)
 
 
@@ -660,8 +648,14 @@ def test_stale_handles_after_removal():
     assert h.delete_min() == (1, "gone")
     assert not h.is_live(a) and h.is_live(b)
     c = h.insert(3, "later")
-    with pytest.raises(StaleHandleError):
-        h.decrease_key(a, 0)
+    # refused with no trace while the heap keeps a slot list
+    hs = [a, b, c, h.insert(0)]
+    assert h.delete_min() == (0, None) and h._slots is not None
+    before = _snapshot([h], hs)
+    for x in (a, hs[-1]):
+        with pytest.raises(StaleHandleError):
+            h.decrease_key(x, -1)
+        assert _snapshot([h], hs) == before
     assert not h.is_live(a) and h.is_live(c) and (c.key, c.item) == (3, "later")
 
 

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from trees import children, roots, subtree
+from raising_keys import Tripwire
+from sweep import _armed, _snapshot
+from trees import children, one_deleted, roots, subtree
 from violationheap import HeapError, ViolationHeap
 from violationheap.heap_core import max_rank_bound
 from violationheap.invariants import (JoinNeutralityMonitor, PotentialSnapshot,
@@ -16,30 +18,20 @@ from violationheap.invariants import (JoinNeutralityMonitor, PotentialSnapshot,
 from violationheap.oracle import apply_op, gen_ops
 
 
-def build(n, delete_min=True):
-    # keys 0 .. n - 1, then by default a delete_min that takes 0 and joins
-    # the rest into trees
-    h = ViolationHeap()
-    hs = [h.insert(k) for k in range(n)]
-    if delete_min:
-        h.delete_min()
-    return h, hs
-
-
 def test_audit_clean_small_and_empty():
-    h, _ = build(0, delete_min=False)
+    h = ViolationHeap()
     rep = full_audit(h)
     assert rep.ok and rep.node_count == 0 and rep.max_rank == 0
     assert potential_snapshot(h) == PotentialSnapshot(0, 0, 0)
 
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     rep = full_audit(h)
     assert rep.ok
     assert rep.node_count == 9 and rep.max_rank == 2
 
 
 def test_audit_clean_through_decreases():
-    h, hs = build(50)
+    h, hs = one_deleted(50)
     for i, target in enumerate((30, 41, 17, 8, 25)):
         h.decrease_key(hs[target], -i)
         rep = full_audit(h)
@@ -47,7 +39,7 @@ def test_audit_clean_through_decreases():
 
 
 def test_report_json_shape():
-    h, _ = build(6)
+    h, _ = one_deleted(6)
     doc = json.loads(full_audit(h).to_json())
     assert doc == {"violations": [], "nodes": 5, "max_rank": doc["max_rank"]}
 
@@ -60,7 +52,7 @@ def test_report_json_shape():
 
 
 def test_inflated_rank_breaks_two_rules():
-    h, _ = build(40)
+    h, _ = one_deleted(40)
     root = h._first
     keep = root.rank
     root.rank = 30   # above the formula and the family's max_rank alike
@@ -141,7 +133,7 @@ def test_rank_bound_implies_the_size_floor():
 
 
 def test_negative_rank_flagged():
-    h, _ = build(4)
+    h, _ = one_deleted(4)
     root = h._first
     root.rank = -1
     assert any(v.rule == "rank-bound" for v in full_audit(h).violations)
@@ -149,7 +141,7 @@ def test_negative_rank_flagged():
 
 def test_childless_node_rank_rules():
     # a childless node's formula bound is rank_from_pair(-1, -1) = 0
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     leaf = subtree(h._first)[-1]
     for rank, messages in ((2, {("rank-bound", "rank 2 exceeds formula bound 0")}),
                            (-1, {("rank-bound", "negative rank -1")})):
@@ -194,7 +186,7 @@ def test_report_matches_an_independent_walk():
 
 
 def test_heap_order_violation_flagged():
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     root = h._first
     child = root.down
     keep = child.key
@@ -204,17 +196,8 @@ def test_heap_order_violation_flagged():
     child.key = keep
 
 
-class Unordered:
-    """Key that raises on every comparison."""
-
-    def __lt__(self, other):
-        raise TypeError("unordered key")
-
-    __gt__ = __lt__
-
-
 def test_raising_key_compare_is_a_finding():
-    h, _ = build(12)
+    h, _ = one_deleted(12)
     root = h._first
     other_root = root.nxt
     assert other_root != root
@@ -222,16 +205,18 @@ def test_raising_key_compare_is_a_finding():
     assert root.down is None and other_root.down is not None
     for i in (other_root.down, root, other_root):
         keep = i.key
-        i.key = Unordered()
-        report = full_audit(h)
-        assert {v.rule for v in report.violations} == {"key-compare"}
-        assert all(v.node is not None for v in report.violations)
+        i.key = Tripwire(keep)
+        found = []
+        # cued at the first comparison, it raises at every one from there
+        assert _armed(0, lambda: found.extend(full_audit(h).violations)) > 0
+        assert {v.rule for v in found} == {"key-compare"}
+        assert all(v.node is not None for v in found)
         i.key = keep
         assert full_audit(h).ok
 
 
 def test_first_root_rule():
-    h, _ = build(6)
+    h, _ = one_deleted(6)
     # rotate the designation away from the minimum
     first = h._first
     other = first.nxt
@@ -243,18 +228,20 @@ def test_first_root_rule():
 
 
 def test_count_mismatch_flagged():
-    h, _ = build(8, delete_min=False)
+    h = ViolationHeap()
+    for k in range(8):
+        h.insert(k)
     h._count += 1
     assert any(v.rule == "count" for v in full_audit(h).violations)
     h._count -= 1
     # an empty root list that claims elements
-    h, _ = build(0, delete_min=False)
+    h = ViolationHeap()
     h._count = 1
     assert [v.rule for v in full_audit(h).violations] == ["count"]
 
 
 def test_broken_sibling_link_flagged():
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     root = h._first
     child = root.down
     keep = child.nxt
@@ -266,7 +253,7 @@ def test_broken_sibling_link_flagged():
 
 def test_unending_lists_raise():
     # the oldest child's prv points back at the newest: a child cycle
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     root = h._first
     kids = children(root)
     assert len(kids) == 4
@@ -290,7 +277,7 @@ def test_lists_that_run_into_another_heap_and_loop_there():
     # the walks are bounded by the nodes they have met, not by a count:
     # a list that leaves the heap and cycles among another heap's nodes
     # still ends in a finding or an error naming the node
-    h, _ = build(10)
+    h, _ = one_deleted(10)
     root = h._first
     g = h.spawn()
     x, y = g.insert(500), g.insert(501)
@@ -328,7 +315,7 @@ def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
         # drop a heap of 11 keys, its roots root -> b -> a -> root,
         # after corrupt(root, other heap), and check that its
         # teardown ran: root reads as removed
-        h, _ = build(10)
+        h, _ = one_deleted(10)
         h.insert(100)
         h.insert(101)
         root, g = h._first, h.spawn()
@@ -368,7 +355,7 @@ def test_links_into_a_removed_node():
     # a removed node keeps no links: a root's nxt, a parent's down or an
     # oldest child's prv that names it is a structure finding, and the
     # snapshot refuses to measure past it
-    h, hs = build(10)
+    h, hs = one_deleted(10)
     z, root = hs[0], h._first
     assert not h.is_live(z) and z.nxt is None and z.down is None
     oldest = children(root)[0]
@@ -400,7 +387,7 @@ def test_slot_cache_holds_two_roots_per_rank():
 
 def test_slot_cache_rule():
     # a slot list kept across an insert misses the new root: one finding
-    h, _ = build(40)
+    h, _ = one_deleted(40)
     s = h._slots
     assert s is not None and full_audit(h).ok
     h.insert(-1)
@@ -427,7 +414,7 @@ def test_slot_cache_rule():
     assert full_audit(h).ok
     # a heap that delete-min emptied keeps a list of empty slots; a
     # list that holds nodes is then a finding
-    h2, _ = build(1)
+    h2, _ = one_deleted(1)
     assert h2._slots == [None] * 4 and full_audit(h2).ok
     h2._slots = s
     assert [v.rule for v in full_audit(h2).violations] == ["slot-cache"]
@@ -436,7 +423,7 @@ def test_slot_cache_rule():
 def test_max_rank_rule():
     # a rank above the family's max_rank, from which delete_min sizes a
     # fresh slot list, is one finding, naming a node of that rank
-    h, _ = build(40)
+    h, _ = one_deleted(40)
     top = full_audit(h).max_rank
     assert top == h.telemetry.max_rank > 0
     h.telemetry.max_rank = top - 1
@@ -445,7 +432,7 @@ def test_max_rank_rule():
 
 
 def test_snapshot_chain_counts():
-    h, hs = build(10)
+    h, hs = one_deleted(10)
     # root 1 (rank 2) has the children 3, 2, 7, 4, oldest first, and 4 and
     # 7 each hold two childless children.  Cutting one child of 4 leaves
     # 4 critical (its active pair sums to 0 + -1), cutting the other
@@ -486,7 +473,8 @@ def test_join_neutrality_monitor():
     assert not mon.mismatches
     # a join that is not neutral is reported: a hook around the monitor
     # gives the leaf 3 rank -1, an excess of 2, for the walk after the join
-    h, hs = build(4, delete_min=False)
+    h = ViolationHeap()
+    hs = [h.insert(k) for k in range(4)]
     mon = JoinNeutralityMonitor(h).install()
     observe = h.telemetry.join_hook
 
@@ -534,7 +522,9 @@ def test_join_neutrality_monitor_beside_a_heap_with_excess():
 def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
     # the hook lives on the family's shared Telemetry, so a sibling that
     # spawn() makes after install() is watched as well
-    h, _ = build(10, delete_min=False)
+    h = ViolationHeap()
+    for k in range(10):
+        h.insert(k)
     mon = JoinNeutralityMonitor(h).install()
     side = h.spawn()
     for k in range(100):
@@ -547,7 +537,9 @@ def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
 
 
 def test_join_neutrality_snapshot_pair():
-    h, _ = build(20, delete_min=False)
+    h = ViolationHeap()
+    for k in range(20):
+        h.insert(k)
     before = potential_snapshot(h)
     h.delete_min()
     after = potential_snapshot(h)
@@ -563,8 +555,8 @@ def test_bound_helpers():
 
 
 def test_audit_does_not_mutate():
-    h, hs = build(25)
-    snap_links = [(x.nxt, x.prv, x.down, x.rank) for x in hs]
+    h, hs = one_deleted(25)
+    before = _snapshot([h], hs.values())
     full_audit(h)
     potential_snapshot(h)
-    assert snap_links == [(x.nxt, x.prv, x.down, x.rank) for x in hs]
+    assert _snapshot([h], hs.values()) == before

@@ -297,6 +297,22 @@ class TestGenOps:
                 assert size > 0
                 size -= 1
 
+    def test_decrease_redraws_a_key_the_model_holds(self):
+        # live keys two apart: a decrease's drawn key often lands on one,
+        # and is drawn again until it does not
+        model, ids = NaivePQ(), []
+        for k in range(0, 4000, 2):
+            apply_op(model, ids, ("insert", k))
+        held = model.key_multiplicity
+        hits = []
+        model.key_multiplicity = lambda k: hits.append(held(k) > 0) or held(k)
+        for op in oracle._draw_ops(3, 300, (0.0, 0.0, 1.0, 0.0), model):
+            kind, ident, key = op
+            assert kind == "decrease" and not held(key) and key < model.key_of(ident)
+            apply_op(model, ids, op)
+        # one draw per op missed the model, and every other draw redrew
+        assert sum(hits) == len(hits) - 300 > 0
+
     def test_weight_zero_meld(self):
         script = gen_ops(5, 800, weights=(0.5, 0.25, 0.25, 0.0))
         assert not any(op[0] == "meld" for op in script.ops)

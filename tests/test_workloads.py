@@ -16,6 +16,25 @@ from violationheap.workloads import (CSV_HEADER, HEAP_NAMES, INF_KEY, Graph,
                                      mixed_bench, read_dimacs)
 
 
+def _swap_pops(heap):
+    # heap's delete_min holds a minimum back and returns the next one,
+    # then the one held; the last element comes out in its turn
+    delete_min = heap.delete_min
+    held = []
+
+    def swapped_delete_min():
+        if held:
+            return held.pop()
+        first = delete_min()
+        if len(heap) == 0:
+            return first
+        held.append(first)
+        return delete_min()
+
+    heap.delete_min = swapped_delete_min
+    return heap
+
+
 def test_make_heap_names():
     for name in HEAP_NAMES:
         h = make_heap(name)
@@ -87,22 +106,8 @@ class TestDijkstra:
         # popping vertex 2 before vertex 1 leaves the distances right, so
         # only the pop-order guard shows the heap is wrong
         g = Graph(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        heap = make_heap(name)
-        delete_min = heap.delete_min
-        held = []
-
-        def swapped_delete_min():
-            if held:
-                return held.pop()
-            first = delete_min()
-            if len(heap) == 0:
-                return first
-            held.append(first)
-            return delete_min()
-
-        heap.delete_min = swapped_delete_min
         with pytest.raises(AssertionError, match="order regressed"):
-            dijkstra(g, 0, heap)
+            dijkstra(g, 0, _swap_pops(make_heap(name)))
         assert dijkstra(g, 0, make_heap(name)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("name", HEAP_NAMES)
@@ -332,6 +337,12 @@ class TestBenches:
         assert r.n == 1500 and r.wall_ns > 0
         assert r.joins > 0 and r.max_rank > 0
         assert len(r.csv_row().split(",")) == len(CSV_HEADER.split(","))
+
+    @pytest.mark.parametrize("name", HEAP_NAMES)
+    def test_heapsort_swapped_pops_raise(self, name, monkeypatch):
+        monkeypatch.setattr(workloads, "make_heap", lambda name: _swap_pops(make_heap(name)))
+        with pytest.raises(AssertionError, match="order regressed"):
+            heapsort_bench(name, 100, 0)
 
     def test_mixed_all_heaps(self):
         script = gen_ops(4, 3000)

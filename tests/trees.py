@@ -1,5 +1,18 @@
-"""A sound violation heap's trees, read by following its links alone: no
-audit, no rank rule, and no guard against a list that never ends."""
+"""A sound violation heap's trees: the heap most hand-worked traces start
+from, and readers that follow its links alone: no audit, no rank rule,
+and no guard against a list that never ends."""
+
+from violationheap import ViolationHeap
+
+
+def one_deleted(n, low=0):
+    """A heap of the keys low .. low + n - 1, inserted in order, after one
+    delete_min took low; returns it and each element's handle by its key,
+    low's included."""
+    h = ViolationHeap()
+    hs = {k: h.insert(k) for k in range(low, low + n)}
+    assert h.delete_min() == (low, None)
+    return h, hs
 
 
 def roots(h):
@@ -30,3 +43,12 @@ def subtree(x):
     for u in out:      # the loop reaches the children it appends
         out += children(u)
     return out
+
+
+def shape(h, handles):
+    """Every node's key, rank and links as indexes into handles, the root
+    order from the first root, and the counters."""
+    at = {x: i for i, x in enumerate(handles)}
+    at[None] = None
+    nodes = [(x.key, x.rank, at[x.down], at[x.nxt], at[x.prv]) for x in handles]
+    return nodes, [at[r] for r in roots(h)], h.telemetry
