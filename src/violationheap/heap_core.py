@@ -469,12 +469,14 @@ class ViolationHeap:
         already made stay, and stay counted; a comparison that raised is
         not counted.
 
-        On a corrupt root list the call raises ``HeapError`` after the
-        same rollback: when the walk meets a removed node, when it meets
-        a tree of a rank past the slot list, which holds every rank of a
-        sound heap, or when a join makes a rank past ``max_rank_bound``
-        of the heap's size, which no tree of that many nodes reaches, so
-        the list does not return to the minimum.
+        On a corrupt heap the call raises ``HeapError``.  A minimum whose
+        rank is past a kept list raises it before the walk, and only
+        the list is dropped.  Otherwise the same rollback comes first:
+        when the walk meets a removed node, when it meets a tree of a
+        rank past the slot list, which holds every rank of a sound heap,
+        or when a join makes a rank past ``max_rank_bound`` of the heap's
+        size, which no tree of that many nodes reaches, so the list does
+        not return to the minimum.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -487,7 +489,6 @@ class ViolationHeap:
         z = self._first
         if z is None:
             raise HeapError(_IN_FLIGHT)
-        self._first = None
 
         # rank r's two slots are s[2r] and s[2r + 1].  A kept list is
         # stored again only when the call returns
@@ -500,10 +501,14 @@ class ViolationHeap:
             # the other roots are in place already: z leaves its rank's
             # pair and its partner moves down to the first slot
             j = z.rank * 2
+            if j >= len(s):
+                raise HeapError(f"{z!r} has rank {z.rank}, past the slot list's "
+                                f"top rank {len(s) // 2 - 1}")
             if s[j] is z:
                 s[j] = s[j + 1]
             s[j + 1] = None
             i = z
+        self._first = None
 
         # the roots still to walk run from i (none when i is z) and z's
         # children from the oldest (rest), both along nxt and both ending

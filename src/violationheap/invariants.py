@@ -53,7 +53,9 @@ runs, 2 vCPUs, CPython 3.11.7, ``BENCH_audit_rules.json``).
 charges against: the number of critical nodes, the total degree excess
 (twice the violation units), and the tree count.  It raises
 ``HeapError`` on a root or child list that runs into a node it already
-walked or a removed node, where ``full_audit`` reports ``structure``.
+walked or a removed node, where ``full_audit`` reports ``structure``,
+and on a heap whose own ``delete_min`` runs, which has no root list
+then, where ``full_audit`` reports ``count``.
 ``JoinNeutralityMonitor`` measures the same degree excess over the trees
 in flight around every join of a ``delete_min``.  Every walk is bounded
 by the identity of the nodes it has met, not by a node count.
@@ -65,7 +67,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .heap_core import HeapError, NodeHandle, ViolationHeap, rank_from_pair
+from .heap_core import _IN_FLIGHT, HeapError, NodeHandle, ViolationHeap, rank_from_pair
 
 
 @dataclass
@@ -288,10 +290,13 @@ def potential_snapshot(heap: ViolationHeap) -> PotentialSnapshot:
     """Measure the heap's potential components in one traversal.
 
     Raises HeapError, naming the node, when a root or child list runs
-    into a removed node or a node the walk already met (it does not end).
+    into a removed node or a node the walk already met (it does not end),
+    and when called while the heap's own delete_min runs.
     """
     first = heap._first
     if first is None:
+        if heap._count:
+            raise HeapError(_IN_FLIGHT)
         return PotentialSnapshot(0, 0, 0)
     roots, stop = _root_list(first)
     if stop is not first:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from corrupt import SHAPES
 from golden import GOLDEN
 from limited_run import run_limited
 from raising_keys import Reentrant, Tripwire
@@ -22,7 +23,7 @@ from trees import children, one_deleted, roots, shape, subtree
 from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
                            Telemetry, ViolationHeap, rank_from_pair)
 from violationheap.heap_core import _active_parent
-from violationheap.invariants import full_audit
+from violationheap.invariants import full_audit, potential_snapshot
 from violationheap.oracle import DEFAULT_WEIGHTS, apply_op, gen_ops
 from violationheap.workloads import HEAP_NAMES, checksum, dijkstra, gen_graph
 
@@ -442,8 +443,9 @@ def test_join_hook_sees_whole_trees():
     # every tree a join hook is handed is a real tree: its root has no
     # older sibling, and together the trees hold every element but the
     # minimum being removed (len still counts it while the call runs).
-    # Late inserts make joins while the old minimum's children are
-    # still unwalked.
+    # The heap itself has no root list then: the audit reports its count,
+    # and the snapshot refuses, as find_min does.  Late inserts make
+    # joins while the old minimum's children are still unwalked.
     h = ViolationHeap()
     for k in random.Random(9).sample(range(100_000), 3000):
         h.insert(k)
@@ -453,14 +455,17 @@ def test_join_hook_sees_whole_trees():
     calls = []
 
     def hook(phase, trees):
+        with pytest.raises(HeapError, match="delete_min runs"):
+            potential_snapshot(h)
         calls.append((all(u.prv is None for u in trees),
-                      sum(len(subtree(u)) for u in trees) == len(h) - 1))
+                      sum(len(subtree(u)) for u in trees) == len(h) - 1,
+                      [v.rule for v in full_audit(h).violations] == ["count"]))
 
     h.telemetry.join_hook = hook
     for _ in range(50):
         h.delete_min()
     assert len(calls) > 500
-    assert [c for c in calls if c != (True, True)] == []
+    assert [c for c in calls if c != (True, True, True)] == []
     assert full_audit(h).ok
 
 
@@ -533,76 +538,37 @@ def test_kept_slots_after_a_sibling_lifts_max_rank():
     assert twins[0] == twins[1]
 
 
-# heap 1, 2, 3 has the root list 1 -> 3 -> 2 -> 1, with no kept slot
-# list.  In a child process under memory and CPU limits, so that a walk
-# that does not end fails the test instead of eating the machine:
-# corrupt the list, then delete_min must raise HeapError within a
-# second, after a rollback that leaves the first root and the size as
-# they were and a state full_audit reports without raising
-_CORRUPT_DELETE_MIN = """
+# delete_min on each corrupt heap of tests/corrupt.py, in a child under
+# memory and CPU limits, so that a walk that does not end fails the test
+# instead of eating the machine.  Within a second it raises the row's
+# HeapError, leaving find_min and len as they were and no kept slot
+# list, or returns the minimum; either way full_audit then reports the
+# heap, without raising
+_DELETE_MIN = """
 import sys, time
-from violationheap import HeapError, ViolationHeap
+from corrupt import corrupt
+from violationheap import HeapError
 from violationheap.invariants import full_audit
-h = ViolationHeap()
-z = h.insert(0)
-h.delete_min()
-_, two, three = (h.insert(k) for k in (1, 2, 3))
-{corrupt}
+h, _ = corrupt(sys.argv[1])
 before = h.find_min(), len(h)
 t0 = time.perf_counter()
 try:
-    h.delete_min()
+    got = h.delete_min()
 except HeapError as exc:
     print(exc, file=sys.stderr)
+    assert (h.find_min(), len(h)) == before and h._slots is None
 else:
-    raise SystemExit("delete_min returned")
+    assert got == before[0]
 assert time.perf_counter() - t0 < 1, time.perf_counter() - t0
-assert (h.find_min(), len(h)) == before
-rules = {{v.rule for v in full_audit(h).violations}}
-print(sorted(rules), file=sys.stderr)
-assert rules
-"""
-
-# 4 .. 100 join the heap, and delete_min takes 1 and keeps its slot
-# list; then the first root's last child points at its oldest child
-# instead of at its parent, so the child chain never returns
-_KEPT_CHILD_LOOP = """
-for k in range(4, 101):
-    h.insert(k)
-h.delete_min()
-assert h._slots is not None and h.find_min() == (2, None)
-oldest = last = h._first.down
-while oldest.prv is not None:
-    oldest = oldest.prv
-last.nxt = oldest
-"""
-
-# a root of another family's heap, of rank 5, is made h's first root (a
-# handle that decrease_key cannot tell from its own): h's fresh slot list
-# has room up to rank 1, so the walk of that heap's roots meets a rank
-# that no slot holds
-_FOREIGN_TREE = """
-g = ViolationHeap()
-for k in range(10, 310):
-    g.insert(k)
-g.delete_min()
-x = g._first
-while x.rank != 5:
-    x = x.nxt
-h.decrease_key(x, 0)
+assert not full_audit(h).ok
 """
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    ("two.nxt = three", "the roots or children of NodeHandle(1, None) do not return to it"),
-    ("two.nxt = z", "reach a removed node"),
-    (_KEPT_CHILD_LOOP, "the roots or children of NodeHandle(2, None) do not return to it"),
-    ("three.rank = 30", "NodeHandle(3, None) has rank 30, past the slot list's top rank 1"),
-    (_FOREIGN_TREE, "past the slot list's top rank 1"),
-], ids=["loop", "removed", "kept-child-loop", "rank-past-slots", "foreign-tree"])
-def test_corrupt_root_list_raises(corrupt, message):
-    status, err = run_limited(_CORRUPT_DELETE_MIN.format(corrupt=corrupt))
-    assert status == 0 and message in err, err
+@pytest.mark.parametrize("name", SHAPES)
+def test_corrupt_root_list_raises(name):
+    message = SHAPES[name].delete_min
+    status, err = run_limited(_DELETE_MIN, name)
+    assert status == 0 and err == (f"{message}\n" if message else ""), err
 
 
 @pytest.mark.parametrize("error", [IndexError, AttributeError])

@@ -3,11 +3,11 @@ clean, and injected corruption must surface as the right rule id."""
 
 import json
 import random
-import re
-import sys
 
 import pytest
 
+from corrupt import SHAPES, base, corrupt
+from limited_run import run_limited
 from raising_keys import Tripwire
 from sweep import _armed, _snapshot
 from trees import children, one_deleted, roots, subtree
@@ -153,23 +153,6 @@ def test_childless_node_rank_rules():
         assert full_audit(h).ok
 
 
-def test_child_list_into_a_root_of_the_same_heap():
-    # roots x -> z -> y -> x: y's nxt names x and x's names z, so y hung
-    # under x, or x under z, is a last child whose links agree, yet it is
-    # also a root; the walk meets it twice and says so without raising
-    h = ViolationHeap()
-    x, y, z = h.insert(1), h.insert(2), h.insert(3)
-    assert x.nxt is z and z.nxt is y and y.nxt is x
-    for parent, root in ((x, y), (z, x)):
-        parent.down = root
-        report = full_audit(h)
-        assert [(v.rule, v.node) for v in report.violations] == [("structure", root)]
-        with pytest.raises(HeapError):
-            potential_snapshot(h)
-        parent.down = None
-        assert full_audit(h).ok
-
-
 def test_report_matches_an_independent_walk():
     for seed in (0, 1, 2):
         h, handles = ViolationHeap(), []
@@ -240,134 +223,53 @@ def test_count_mismatch_flagged():
     assert [v.rule for v in full_audit(h).violations] == ["count"]
 
 
-def test_broken_sibling_link_flagged():
-    h, _ = one_deleted(10)
-    root = h._first
-    child = root.down
-    keep = child.nxt
-    child.nxt = child   # last child no longer points at parent
-    rules = {v.rule for v in full_audit(h).violations}
-    assert "structure" in rules
-    child.nxt = keep
-
-
 def test_unending_lists_raise():
-    # the oldest child's prv points back at the newest: a child cycle
-    h, _ = one_deleted(10)
-    root = h._first
-    kids = children(root)
-    assert len(kids) == 4
-    kids[0].prv = kids[-1]
-    assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
-        potential_snapshot(h)
-
-    # mend it, then make the root list a loop that skips the first root
-    kids[0].prv = None
-    a, b = h.insert(100), h.insert(101)
-    assert root.nxt == b and b.nxt == a and a.nxt == root
-    a.nxt = b
-    assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError,
-                       match=re.escape(f"root list from node {root!r} does not end")):
-        potential_snapshot(h)
-
-
-def test_lists_that_run_into_another_heap_and_loop_there():
-    # the walks are bounded by the nodes they have met, not by a count:
-    # a list that leaves the heap and cycles among another heap's nodes
-    # still ends in a finding or an error naming the node
-    h, _ = one_deleted(10)
-    root = h._first
-    g = h.spawn()
-    x, y = g.insert(500), g.insert(501)
-    assert x.nxt is y and y.nxt is x
-
-    # the root list: root -> b -> a -> x -> y -> x -> ...
-    a, b = h.insert(100), h.insert(101)
-    a.nxt = x
-    assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError,
-                       match=re.escape(f"root list from node {root!r} does not end")):
-        potential_snapshot(h)
-    a.nxt = root
-    assert full_audit(h).ok
-
-    # the oldest child's older sibling is x, and x and y are each
-    # other's older siblings
-    oldest = children(root)[0]
-    oldest.prv, x.prv, y.prv = x, y, x
-    assert "structure" in {v.rule for v in full_audit(h).violations}
-    with pytest.raises(HeapError, match=re.escape(f"node {root!r} does not end")):
-        potential_snapshot(h)
-    oldest.prv = x.prv = y.prv = None
-    assert full_audit(h).ok and full_audit(g).ok
-
-
-def test_dropping_a_corrupt_heap_ends_quietly(monkeypatch):
-    # the drop's teardown ends on the lists of the two tests above and
-    # reports nothing; a list run into another heap tears that heap's
-    # nodes down too, and its audit then says so
-    raised = []
-    monkeypatch.setattr(sys, "unraisablehook", raised.append)
-
-    def dropped(corrupt):
-        # drop a heap of 11 keys, its roots root -> b -> a -> root,
-        # after corrupt(root, other heap), and check that its
-        # teardown ran: root reads as removed
-        h, _ = one_deleted(10)
-        h.insert(100)
-        h.insert(101)
-        root, g = h._first, h.spawn()
-        g.insert(500)
-        g.insert(501)
-        corrupt(root, g)
-        assert "structure" in {v.rule for v in full_audit(h).violations}
-        del h
-        assert not g.is_live(root) and raised == []
-        return g
-
-    def child_cycle(root, g):
-        ks = children(root)
-        ks[0].prv = ks[-1]
-
-    def root_loop(root, g):
-        # root -> b -> a -> b -> ...
-        b = root.nxt
-        b.nxt.nxt = b
-
-    def into_roots(root, g):
-        # root -> b -> a -> x -> y -> x -> ...
-        root.nxt.nxt.nxt = g._first
-
-    def into_kids(root, g):
-        x = g._first
-        y = x.nxt
-        children(root)[0].prv, x.prv, y.prv = x, y, x
-
-    for corrupt in (child_cycle, root_loop):
-        assert full_audit(dropped(corrupt)).ok, corrupt.__name__
-    for corrupt in (into_roots, into_kids):
-        assert not full_audit(dropped(corrupt)).ok, corrupt.__name__
-
-
-def test_links_into_a_removed_node():
-    # a removed node keeps no links: a root's nxt, a parent's down or an
-    # oldest child's prv that names it is a structure finding, and the
-    # snapshot refuses to measure past it
-    h, hs = one_deleted(10)
-    z, root = hs[0], h._first
-    assert not h.is_live(z) and z.nxt is None and z.down is None
-    oldest = children(root)[0]
-    for node, link in ((root, "nxt"), (root, "down"), (oldest, "prv")):
-        keep = getattr(node, link)
-        setattr(node, link, z)
-        report = full_audit(h)
-        assert "structure" in {v.rule for v in report.violations}, link
-        with pytest.raises(HeapError):
+    # each corrupt heap of tests/corrupt.py: the audit reports the row's
+    # findings without raising, and the snapshot raises the row's
+    # HeapError on a list that does not end or reaches a removed node,
+    # and measures the others.  Undamaged, each base audits clean
+    for kept, keys in ((False, [1, 101, 100]), (True, [1])):
+        h, g, named = base(kept)
+        z = named["z"]
+        assert [u.key for u in roots(h)] == keys and len(children(h._first)) == 4
+        assert (h._slots is not None) == kept and full_audit(h).ok and full_audit(g).ok
+        assert not h.is_live(z) and z.down is None
+    for name, shape in SHAPES.items():
+        h, _ = corrupt(name)
+        found = [(v.rule, v.node and v.node.key) for v in full_audit(h).violations]
+        assert tuple(found) == shape.audit, name
+        if shape.snapshot is None:
             potential_snapshot(h)
-        setattr(node, link, keep)
-        assert full_audit(h).ok
+        else:
+            with pytest.raises(HeapError) as exc:
+                potential_snapshot(h)
+            assert str(exc.value) == shape.snapshot, name
+
+
+# drop each corrupt heap of tests/corrupt.py, the pairing rows too, in a
+# child under memory and CPU limits: the teardown ends, nothing reaches
+# sys.unraisablehook, and the first root reads as removed.  A list run
+# into another heap tears that heap down too: the child names each row
+# whose other heap then fails its audit
+_DROP = """
+import sys
+from corrupt import PAIRING, SHAPES, corrupt
+from violationheap.invariants import full_audit
+raised = []
+sys.unraisablehook = raised.append
+for name in [*SHAPES, *PAIRING]:
+    h, other = corrupt(name)
+    first = h._root if name in PAIRING else h._first
+    del h
+    assert not other.is_live(first) and raised == [], (name, raised)
+    if name in SHAPES and not full_audit(other).ok:
+        print(name, file=sys.stderr)
+"""
+
+
+def test_dropping_a_corrupt_heap_ends_quietly():
+    status, err = run_limited(_DROP)
+    assert status == 0 and err.split() == [n for n, s in SHAPES.items() if s.spoils], err
 
 
 def test_slot_cache_holds_two_roots_per_rank():
