@@ -185,6 +185,14 @@ def _active_parent(c: NodeHandle) -> Optional[NodeHandle]:
     return None
 
 
+def _rank_error(v: NodeHandle, s: list) -> HeapError:
+    # the error of a tree whose rank no slot of s holds
+    if v.rank < 0:
+        return HeapError(f"{v!r} has negative rank {v.rank}")
+    return HeapError(f"{v!r} has rank {v.rank}, past the slot list's "
+                     f"top rank {len(s) // 2 - 1}")
+
+
 def _in_flight(s: list, v, i: NodeHandle, rest: NodeHandle,
                z: NodeHandle, n: int) -> list:
     # the trees of a consolidation under way: each is in a slot, or is the
@@ -470,13 +478,13 @@ class ViolationHeap:
         not counted.
 
         On a corrupt heap the call raises ``HeapError``.  A minimum whose
-        rank is past a kept list raises it before the walk, and only
-        the list is dropped.  Otherwise the same rollback comes first:
-        when the walk meets a removed node, when it meets a tree of a
-        rank past the slot list, which holds every rank of a sound heap,
-        or when a join makes a rank past ``max_rank_bound`` of the heap's
-        size, which no tree of that many nodes reaches, so the list does
-        not return to the minimum.
+        rank is negative or past a kept list raises it before the walk,
+        and only the list is dropped.  Otherwise the same rollback comes
+        first: when the walk meets a removed node, when it meets a tree
+        of a negative rank or of a rank past the slot list, which holds
+        every rank of a sound heap, or when a join makes a rank past
+        ``max_rank_bound`` of the heap's size, which no tree of that many
+        nodes reaches, so the list does not return to the minimum.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -501,9 +509,8 @@ class ViolationHeap:
             # the other roots are in place already: z leaves its rank's
             # pair and its partner moves down to the first slot
             j = z.rank * 2
-            if j >= len(s):
-                raise HeapError(f"{z!r} has rank {z.rank}, past the slot list's "
-                                f"top rank {len(s) // 2 - 1}")
+            if not 0 <= j < len(s):
+                raise _rank_error(z, s)
             if s[j] is z:
                 s[j] = s[j + 1]
             s[j + 1] = None
@@ -539,6 +546,8 @@ class ViolationHeap:
                 i = v.nxt
                 # the join chain carries v's rank r and its slot index j
                 r = v.rank
+                if r < 0:
+                    raise _rank_error(v, s)
                 j = r + r
                 while True:
                     a = s[j]
@@ -640,8 +649,7 @@ class ViolationHeap:
                 # the walk met a tree of a rank that no slot holds.  A
                 # key's comparison runs only once v's rank has its slots,
                 # so an IndexError of the key's own passes on as it is
-                raise HeapError(f"{v!r} has rank {v.rank}, past the slot list's "
-                                f"top rank {len(s) // 2 - 1}") from exc
+                raise _rank_error(v, s) from exc
             raise
         finally:
             t.joins += joins
