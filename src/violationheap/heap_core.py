@@ -42,15 +42,27 @@ Every walk ends, on a corrupt heap too:
 
     teardown        stops at a cleared successor
     repair walk     each step lowers a rank by one; no rank is below 0
-    delete_min      the walk to the oldest child clears each prv it
-                    passes; the walk of the roots and children stops at
-                    the old minimum, and raises HeapError at a removed
-                    node or at a rank no tree of the heap's size can
-                    carry (on a list that never returns, the joins lift
-                    ranks without end); the relink walks the slot list
-                    once; the rollback stops each chain at the old
-                    minimum, at a removed node, or after as many nodes
-                    as the heap holds
+
+delete_min's walk ends at the old minimum or at a guard raising HeapError,
+after the rollback but for the first, on a heap only private writes or a
+foreign handle make.  Per guard: what it refuses, the tests/corrupt.py rows
+that change without it and how, its price on a drain (BENCH_guards.json):
+
+    not 0 <= j < len(s)  a kept minimum's rank: rank-past-kept-slots
+        raises IndexError, kept-negative-rank returns; +2 %
+    r < 0  a walked tree's rank: negative-rank returns, negative-rank-
+        joined raises AssertionError; +3.3 %, heapsort norm_time +4.0 %.
+        j < 0 is no cheaper; a range check doing the next line's work
+        too costs 3 % more, so heapsort keeps the 4 %
+    IndexError  a rank past the list: foreign-tree, rank-past-slots
+    AttributeError  a removed node: removed-down, removed-prv (2-9 out
+        of reach), removed (node 0 relinked: dropping it loses 100, 101);
+        without either, its rows raise it bare; each is free until then
+    max_rank_bound  a join past n nodes' top rank: loop, into-roots,
+        last-child-self, kept-child-loop never end (with it all but loop
+        leave nodes out of reach); run only as the list grows, free
+    none  a kept list missing a root: slots-across-insert returns and
+        loses it; a check would walk the roots the list is kept to skip
 """
 
 from __future__ import annotations
@@ -475,16 +487,8 @@ class ViolationHeap:
         elements and answers find_min as before the call, though a rank
         may hold three or more roots until the next delete_min.  Joins
         already made stay, and stay counted; a comparison that raised is
-        not counted.
-
-        On a corrupt heap the call raises ``HeapError``.  A minimum whose
-        rank is negative or past a kept list raises it before the walk,
-        and only the list is dropped.  Otherwise the same rollback comes
-        first: when the walk meets a removed node, when it meets a tree
-        of a negative rank or of a rank past the slot list, which holds
-        every rank of a sound heap, or when a join makes a rank past
-        ``max_rank_bound`` of the heap's size, which no tree of that many
-        nodes reaches, so the list does not return to the minimum.
+        not counted.  On a corrupt heap the module docstring's guards end
+        the call.
 
         The call's comparisons, joins and highest new rank are kept in
         locals and added to ``Telemetry`` once, when the call returns or
@@ -604,8 +608,6 @@ class ViolationHeap:
                     if r > top:
                         top = r
                         if j == len(s):
-                            # only roots or children that never return
-                            # to z make a rank past the bound
                             if r > max_rank_bound(self._count):
                                 raise HeapError(f"rank {r} in a heap of {self._count}: the "
                                                 f"roots or children of {z!r} do not return to it")
@@ -633,7 +635,7 @@ class ViolationHeap:
                 last.nxt = first
         except BaseException as exc:
             # z's key is at most every other key: it goes back in front
-            # of all the trees, childless, and nothing is lost
+            # of all the trees, childless; on a sound heap nothing is lost
             trees = _in_flight(s, v, i, rest, z, self._count)
             z.down = None
             z.rank = 0
@@ -642,13 +644,11 @@ class ViolationHeap:
                 u.nxt = w
             self._first = z
             if i is None and isinstance(exc, AttributeError):
-                # the walk took a removed node's None nxt for a tree
                 raise HeapError(f"the roots or children of {z!r} "
                                 f"reach a removed node") from exc
             if v is not None and isinstance(exc, IndexError) and 2 * v.rank >= len(s):
-                # the walk met a tree of a rank that no slot holds.  A
-                # key's comparison runs only once v's rank has its slots,
-                # so an IndexError of the key's own passes on as it is
+                # a key compares only once v's rank has its slots, so a
+                # key's own IndexError passes on as it is
                 raise _rank_error(v, s) from exc
             raise
         finally:

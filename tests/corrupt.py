@@ -1,13 +1,14 @@
 """Every corrupt violation heap the tests build, one row per shape, each
 built on a fresh heap by ``corrupt``, and what each walker makes of it:
-the audit and the snapshot (test_invariants.py
-``test_unending_lists_raise``), the teardown
-(``test_dropping_a_corrupt_heap_ends_quietly``) and delete_min
-(test_heap_core.py ``test_corrupt_root_list_raises``).  The first rows
-break lists or carry a rank past the slot list; the rule rows after them
-set one field each, so that every rule of full_audit but key-compare,
-which needs a raising key, is some row's finding
-(``test_every_audit_rule_has_a_row``), and a new rule needs one row."""
+the drop's teardown, full_audit, potential_snapshot and delete_min, which
+test_invariants.py ``test_every_walker_ends_on_a_corrupt_heap`` runs
+on each row in a child of its own.  The first rows break lists or carry
+a rank past the slot list; the rule rows after them set one field each,
+so that every rule of full_audit but key-compare, which needs a raising
+key, is some row's finding (``test_every_audit_rule_has_a_row``), and a
+new rule needs one row.  Otherwise the table is closed to shapes that
+only writes to private fields make: a new row needs a fault that public
+calls reach, such as a handle of another heap or a re-entrant key."""
 
 from collections import namedtuple
 

@@ -14,9 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from corrupt import SHAPES
-from golden import GOLDEN
-from limited_run import run_limited
 from raising_keys import Reentrant, Tripwire
 from sweep import _armed, _build, _ins, _snapshot, _sweep_last
 from trees import children, one_deleted, roots, shape, subtree
@@ -25,7 +22,7 @@ from violationheap import (EmptyHeapError, HeapError, StaleHandleError,
 from violationheap.heap_core import _active_parent
 from violationheap.invariants import full_audit, potential_snapshot
 from violationheap.oracle import DEFAULT_WEIGHTS, apply_op, gen_ops
-from violationheap.workloads import HEAP_NAMES, checksum, dijkstra, gen_graph
+from violationheap.workloads import HEAP_NAMES
 
 
 def test_rank_formula_examples():
@@ -339,22 +336,6 @@ def test_raise_inside_delete_min_keeps_every_tree(late):
         _sweep_last(name, ops)
 
 
-def test_golden_counters():
-    # a ViolationHeap driven by hand, not through the bench helpers, counts
-    # the golden table's heapsort and Dijkstra rows
-    rng = random.Random(0)
-    h = ViolationHeap()
-    for _ in range(20_000):
-        h.insert(rng.randrange(1 << 60))
-    while len(h):
-        h.delete_min()
-    assert h.telemetry == Telemetry(*GOLDEN["heapsort", "violation"])
-    h = ViolationHeap()
-    dist = dijkstra(gen_graph(10_000, 100_000, 7), 0, h)
-    assert h.telemetry == Telemetry(*GOLDEN["dijkstra", "violation"])
-    assert checksum(dist) == 182835793
-
-
 # what a key compared in h's delete_min does, given h, its handles, a sibling
 REENTRANT_CALLS = {
     "insert": lambda h, hs, sib: h.insert(-5),
@@ -538,50 +519,11 @@ def test_kept_slots_after_a_sibling_lifts_max_rank():
     assert twins[0] == twins[1]
 
 
-# delete_min on each corrupt heap of tests/corrupt.py, in a child under
-# memory and CPU limits, so that a walk that does not end fails the test
-# instead of eating the machine.  Within a second it raises the row's
-# HeapError, leaving find_min (or its HeapError) and len as they were
-# and no kept slot list, or returns the minimum.  Either way full_audit
-# then reports the heap, without raising, or finds it clean where the
-# row says the call mended it
-_DELETE_MIN = """
-import sys, time
-from corrupt import SHAPES, corrupt
-from violationheap import HeapError
-from violationheap.invariants import full_audit
-h, _ = corrupt(sys.argv[1])
-def state():
-    try:
-        return h.find_min(), len(h)
-    except HeapError as exc:
-        return str(exc), len(h)
-before = state()
-t0 = time.perf_counter()
-try:
-    got = h.delete_min()
-except HeapError as exc:
-    print(exc, file=sys.stderr)
-    assert state() == before and h._slots is None
-else:
-    assert got == before[0]
-assert time.perf_counter() - t0 < 1, time.perf_counter() - t0
-assert full_audit(h).ok == SHAPES[sys.argv[1]].mended
-"""
-
-
-@pytest.mark.parametrize("name", SHAPES)
-def test_corrupt_root_list_raises(name):
-    message = SHAPES[name].delete_min
-    status, err = run_limited(_DELETE_MIN, name)
-    assert status == 0 and err == (f"{message}\n" if message else ""), err
-
-
 @pytest.mark.parametrize("error", [IndexError, AttributeError])
 def test_a_key_gets_its_own_error_back(error):
     # delete_min turns the IndexError of a rank past its slot list, and
     # the AttributeError of a walk into a removed node, into HeapError
-    # (test_corrupt_root_list_raises), never a key's own
+    # (test_every_walker_ends_on_a_corrupt_heap), never a key's own
     def bind(h, hs):
         def call():
             raise error("the key's own")

@@ -7,12 +7,12 @@ import re
 
 import pytest
 
-from corrupt import SHAPES, base, corrupt
+from corrupt import PAIRING, SHAPES, base
 from limited_run import run_limited
 from raising_keys import Tripwire
 from sweep import _armed, _snapshot
 from trees import children, one_deleted, roots, subtree
-from violationheap import HeapError, ViolationHeap, invariants
+from violationheap import ViolationHeap, invariants
 from violationheap.heap_core import max_rank_bound
 from violationheap.invariants import (JoinNeutralityMonitor, PotentialSnapshot,
                                       full_audit, potential_snapshot)
@@ -43,13 +43,6 @@ def test_report_json_shape():
     h, _ = one_deleted(6)
     doc = json.loads(full_audit(h).to_json())
     assert doc == {"violations": [], "nodes": 5, "max_rank": doc["max_rank"]}
-    # each corrupt heap's findings: one object each, whose node is null
-    # exactly where the row names no node
-    for name, shape in SHAPES.items():
-        h, _ = corrupt(name)
-        found = json.loads(full_audit(h).to_json())["violations"]
-        assert [(set(v), v["rule"], v["node"] is None) for v in found] == \
-            [({"rule", "node", "detail"}, rule, key is None) for rule, key in shape.audit], name
 
 
 def test_every_audit_rule_has_a_row():
@@ -164,13 +157,10 @@ def test_raising_key_compare_is_a_finding():
         assert full_audit(h).ok
 
 
-def test_unending_lists_raise():
-    # each corrupt heap of tests/corrupt.py: the audit reports the row's
-    # findings without raising, and the snapshot raises the row's
-    # HeapError on a list that does not end or reaches a removed node,
-    # and measures the others.  Undamaged, each base audits clean, its
-    # top rank the first root's and the family's, and no two of its
-    # nodes share a key, so a row's key names one node
+def test_corruption_bases_are_sound():
+    # undamaged, each base of tests/corrupt.py audits clean, its top rank
+    # the first root's and the family's, and no two of its nodes share a
+    # key, so a row's key names one node
     for kept, keys in ((False, [1, 101, 100]), (True, [1])):
         h, g, named = base(kept)
         z, leaf = named["z"], named["leaf"]
@@ -181,45 +171,79 @@ def test_unending_lists_raise():
         assert len({u.key for u in nodes}) == len(nodes) == len(h)
         assert full_audit(h).max_rank == h._first.rank == h.telemetry.max_rank == 2
         assert leaf in nodes and leaf.down is None and leaf.key == 5
-    for name, shape in SHAPES.items():
-        h, _ = corrupt(name)
-        report = full_audit(h)
-        assert tuple((v.rule, v.node and v.node.key) for v in report.violations) == \
-            shape.audit, name
-        assert shape.detail in (None, tuple(v.detail for v in report.violations)), name
-        if shape.snapshot is None:
-            potential_snapshot(h)
-        else:
-            with pytest.raises(HeapError) as exc:
-                potential_snapshot(h)
-            assert str(exc.value) == shape.snapshot, name
 
 
-# drop each corrupt heap of tests/corrupt.py, the pairing rows too, in a
-# child under memory and CPU limits: the teardown ends, nothing reaches
-# sys.unraisablehook, and the first root, where the heap has a root
-# list, reads as removed.  A list run into another heap tears that heap
-# down too: the child names each row whose other heap then fails its
-# audit
-_DROP = """
-import sys
+# one corrupt heap of tests/corrupt.py meets every walker in a child
+# under memory and CPU limits, each walker on a fresh build, so that a
+# walk that does not end fails the row's case instead of eating the
+# machine.  Dropped, the heap tears down with nothing reaching
+# sys.unraisablehook and its first root, where it has a root list, read
+# as removed, and a heap its lists run into fails its audit exactly
+# where the row spoils it; a pairing row meets only the drop.
+# full_audit reports the row's findings, each a JSON object whose node
+# is null exactly where the row names no node.  potential_snapshot
+# raises the row's HeapError or measures.  Within a second delete_min
+# raises the row's HeapError, leaving find_min (or its HeapError) and
+# len as they were and no kept slot list, or returns the minimum; the
+# heap then audits clean exactly where the row says the call mended it
+_WALKERS = """
+import json, sys, time
 from corrupt import PAIRING, SHAPES, corrupt
-from violationheap.invariants import full_audit
+from violationheap import HeapError
+from violationheap.invariants import full_audit, potential_snapshot
+name = sys.argv[1]
 raised = []
 sys.unraisablehook = raised.append
-for name in [*SHAPES, *PAIRING]:
-    h, other = corrupt(name)
-    first = h._root if name in PAIRING else h._first
-    del h
-    assert (first is None or not other.is_live(first)) and raised == [], (name, raised)
-    if name in SHAPES and not full_audit(other).ok:
-        print(name, file=sys.stderr)
+h, other = corrupt(name)
+first = h._root if name in PAIRING else h._first
+del h
+assert (first is None or not other.is_live(first)) and raised == [], raised
+if name in PAIRING:
+    sys.exit()
+row = SHAPES[name]
+assert full_audit(other).ok != row.spoils
+
+h, other = corrupt(name)
+report = full_audit(h)
+assert tuple((v.rule, v.node and v.node.key) for v in report.violations) == row.audit, report
+assert row.detail in (None, tuple(v.detail for v in report.violations)), report
+assert [(set(v), v["rule"], v["node"] is None)
+        for v in json.loads(report.to_json())["violations"]] == [
+    ({"rule", "node", "detail"}, rule, key is None) for rule, key in row.audit]
+
+h, other = corrupt(name)
+try:
+    potential_snapshot(h)
+except HeapError as exc:
+    assert str(exc) == row.snapshot, exc
+else:
+    assert row.snapshot is None
+
+h, other = corrupt(name)
+def state():
+    try:
+        return h.find_min(), len(h)
+    except HeapError as exc:
+        return str(exc), len(h)
+before = state()
+t0 = time.perf_counter()
+try:
+    got = h.delete_min()
+except HeapError as exc:
+    print(exc, file=sys.stderr)
+    assert state() == before and h._slots is None
+else:
+    assert got == before[0]
+assert time.perf_counter() - t0 < 1, time.perf_counter() - t0
+assert full_audit(h).ok == row.mended
 """
 
 
-def test_dropping_a_corrupt_heap_ends_quietly():
-    status, err = run_limited(_DROP)
-    assert status == 0 and err.split() == [n for n, s in SHAPES.items() if s.spoils], err
+@pytest.mark.parametrize("name", [*SHAPES, *PAIRING])
+def test_every_walker_ends_on_a_corrupt_heap(name):
+    message = SHAPES[name].delete_min if name in SHAPES else None
+    status, err = run_limited(_WALKERS, name)
+    assert status == 0 and err == (f"{message}\n" if message else ""), err
 
 
 def test_slot_cache_holds_two_roots_per_rank():
