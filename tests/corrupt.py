@@ -1,5 +1,5 @@
-"""Every corrupt violation heap the tests build, one row per shape, each
-built on a fresh heap by ``corrupt``, and what each walker makes of it:
+"""Every corrupt heap of the walker test, one row per shape, each built
+on a fresh heap by ``corrupt``, and what each walker makes of it:
 the drop's teardown, full_audit, potential_snapshot and delete_min, which
 test_invariants.py ``test_every_walker_ends_on_a_corrupt_heap`` runs
 on each row in a child of its own.  The first rows break lists or carry

@@ -117,8 +117,10 @@ class TestTrace:
             run_trace(["findmin nope"])
 
     def test_dead_id(self):
+        out = io.StringIO()
         with pytest.raises(TraceError, match="line 4: id 'x' is dead"):
-            run_trace(["new a", "insert a x 5", "deletemin a", "decrease x 1"])
+            run_trace(["new a", "insert a x 5", "deletemin a", "decrease x 1"], out=out)
+        assert out.getvalue() == "x 5\n"
 
     def test_key_increase_reported_with_line(self):
         with pytest.raises(TraceError, match="line 3: key increase"):
@@ -334,10 +336,11 @@ class TestBench:
         out = capsys.readouterr()
         assert exc.value.code == 2 and "--dimacs" in out.err and out.out == ""
 
-    def test_unknown_workload_usage_error(self):
+    def test_unknown_workload_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "quicksort"])
         assert exc.value.code == 2
+        assert "invalid choice: 'quicksort'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,14 +31,6 @@ def test_audit_clean_small_and_empty():
     assert rep.node_count == 9 and rep.max_rank == 2
 
 
-def test_audit_clean_through_decreases():
-    h, hs = one_deleted(50)
-    for i, target in enumerate((30, 41, 17, 8, 25)):
-        h.decrease_key(hs[target], -i)
-        rep = full_audit(h)
-        assert rep.ok, rep.to_json()
-
-
 def test_report_json_shape():
     h, _ = one_deleted(6)
     doc = json.loads(full_audit(h).to_json())
@@ -102,7 +94,7 @@ CORRUPTED_HEAPS = ([(seed, 50, 2000) for seed in range(12)] +
                    [(seed, 200, 2000) for seed in range(4)] + [(0, 1000, 500)])
 
 
-def test_rank_bound_implies_the_size_floor():
+def _size_floor():
     # the size lemma in invariants' docstring, which the audit checks
     # through rank-bound alone: wherever full_audit reports neither
     # rank-bound nor structure, every subtree holds at least fib(rank)
@@ -121,6 +113,14 @@ def test_rank_bound_implies_the_size_floor():
                     fib.append(fib[-1] + fib[-2])
                 assert size >= fib[node.rank], (seed, n, node, node.rank, size)
     assert clean and flagged, (clean, flagged)
+
+
+def test_rank_bound_implies_the_size_floor():
+    # _size_floor audits corrupt heaps, so it runs in a child under memory
+    # and CPU limits: an audit that does not end fails this test instead
+    # of eating the machine
+    status, err = run_limited("from test_invariants import _size_floor; _size_floor()")
+    assert status == 0, err
 
 
 def test_report_matches_an_independent_walk():
@@ -392,17 +392,6 @@ def test_join_neutrality_monitor_sees_a_sibling_spawned_after_install():
     mon.remove()
     assert mon.joins == side.telemetry.joins > 10
     assert not mon.mismatches
-
-
-def test_join_neutrality_snapshot_pair():
-    h = ViolationHeap()
-    for k in range(20):
-        h.insert(k)
-    before = potential_snapshot(h)
-    h.delete_min()
-    after = potential_snapshot(h)
-    # consolidation joins never create degree excess on a fresh build
-    assert before.degree_excess == after.degree_excess
 
 
 def test_bound_helpers():

@@ -121,10 +121,6 @@ class TestNaivePQ:
         q.decrease_key(b, 2)
         assert q.key_multiplicity(4) == 0 and q.key_multiplicity(2) == 1
 
-    def test_empty_delete(self):
-        with pytest.raises(EmptyHeapError):
-            NaivePQ().delete_min()
-
     def test_spawns_and_melds_only_itself(self):
         # what apply_op's meld needs: the batch goes into the queue itself
         q = NaivePQ()

@@ -23,54 +23,6 @@ def test_rank_formula_matches_exact_ceiling(r1, r2):
     assert rank_from_pair(r1, r2) == rank_from_pair(r2, r1)
 
 
-@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=300,
-                unique=True))
-def test_insert_then_drain_sorts(keys):
-    h = ViolationHeap()
-    for k in keys:
-        h.insert(k)
-    assert [h.delete_min()[0] for _ in keys] == sorted(keys)
-
-
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=250),
-       st.integers(0, 2 ** 32))
-@settings(max_examples=60, deadline=None)
-def test_random_interleavings_stay_sound(codes, seed):
-    """Interpret small op streams; audit and drain at the end."""
-    rng = random.Random(seed)
-    heap, model = ViolationHeap(), NaivePQ()
-    hh, mh = [], []      # each side's handles, by element id
-
-    def fresh_key(batch=()):
-        k = rng.randrange(-10 ** 7, 10 ** 7)
-        while model.key_multiplicity(k) or k in batch:
-            k = rng.randrange(-10 ** 7, 10 ** 7)
-        return k
-
-    for code in codes:
-        if code <= 2 or not model:      # insert biased 1/2
-            op = ("insert", fresh_key())
-        elif code == 3:
-            op = ("deletemin",)
-        elif code == 4:
-            ident = model.ident_at(rng.randrange(len(model)))
-            nk = model.key_of(ident) - rng.randrange(1, 10 ** 7)
-            assume(not model.key_multiplicity(nk))
-            op = ("decrease", ident, nk)
-        else:
-            batch = []
-            for _ in range(rng.randrange(1, 3)):
-                batch.append(fresh_key(batch))
-            op = ("meld", tuple(batch))
-        assert apply_op(heap, hh, op) == apply_op(model, mh, op)
-        assert len(heap) == len(model)
-
-    report = full_audit(heap)
-    assert report.ok, report.to_json()
-    drained = [heap.delete_min() for _ in range(len(heap))]
-    assert drained == [model.delete_min() for _ in range(len(model))]
-
-
 @given(st.integers(2, 500), st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
 def test_max_rank_stays_logarithmic(n, seed):
